@@ -110,8 +110,8 @@ pub mod prelude {
     };
     pub use hydronas_infer::{
         DrainStats, Engine, EngineConfig, EngineConfigBuilder, EngineStats, ExecutionPlan,
-        InferError, InferRequest, LayerCost, LayerProfile, Numerics, PlanBuilder, PlanConfig,
-        Prediction, PredictionHandle, QuantizationScheme, RetryConfig, ShedPolicy,
+        InferError, InferRequest, LayerCost, LayerProfile, Numerics, PlanBuilder, Prediction,
+        PredictionHandle, QuantizationScheme, RetryConfig, ShedPolicy,
     };
     pub use hydronas_latency::{
         predict_all, predict_all_quantized, predict_energy, validate_table2, DeviceId,

@@ -324,11 +324,9 @@ impl Default for RetryConfig {
 /// One typed inference request: the input tensor plus every per-request
 /// policy, submitted via [`Engine::submit`].
 ///
-/// This is the single entry point that replaced the accreted
-/// `submit` / `submit_with_deadline` / `infer_with_retry` trio: a bare
-/// [`Tensor`] converts into a plain request (`engine.submit(tensor)` and
-/// `engine.infer(tensor)` keep working unchanged), and deadlines or
-/// retries chain on as builder calls:
+/// A bare [`Tensor`] converts into a plain request (`engine.submit(tensor)`
+/// and `engine.infer(tensor)`), and deadlines or retries chain on as
+/// builder calls:
 ///
 /// ```no_run
 /// # use hydronas_infer::{Engine, EngineConfig, InferRequest, RetryConfig};
@@ -661,19 +659,6 @@ impl Engine {
         }
     }
 
-    /// Enqueues one sample with a deadline of `ticks` engine ticks.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use Engine::submit(InferRequest::new(input).deadline_ticks(ticks))"
-    )]
-    pub fn submit_with_deadline(
-        &self,
-        input: Tensor,
-        ticks: u64,
-    ) -> Result<PredictionHandle, InferError> {
-        self.submit_inner(input, Some(ticks))
-    }
-
     fn submit_inner(
         &self,
         input: Tensor,
@@ -759,19 +744,6 @@ impl Engine {
     /// Accepts the same typed requests as [`Engine::submit`].
     pub fn infer(&self, request: impl Into<InferRequest>) -> Result<Prediction, InferError> {
         self.submit(request)?.wait()
-    }
-
-    /// Submits and blocks, retrying [`InferError::QueueFull`] rejections.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use Engine::infer(InferRequest::new(input).retry(retry))"
-    )]
-    pub fn infer_with_retry(
-        &self,
-        input: Tensor,
-        retry: &RetryConfig,
-    ) -> Result<Prediction, InferError> {
-        self.infer(InferRequest::new(input).retry(*retry))
     }
 
     /// Statistics snapshot (monotonic counters, relaxed reads).

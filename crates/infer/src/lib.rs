@@ -2,10 +2,10 @@
 //!
 //! The serving side of the HydroNAS workspace: compile a trained
 //! [`hydronas_nn::ResNet`] into an immutable [`ExecutionPlan`] (conv+BN
-//! folding into fused per-row bias/ReLU GEMM epilogues, optional int8
-//! weight storage with dequant-on-load) and serve it through a
-//! multi-threaded batching [`Engine`] that aggregates concurrent requests
-//! into stacked forward passes over one `Arc`-shared plan.
+//! folding into fused per-row bias/ReLU GEMM epilogues, or calibrated int8
+//! execution) and serve it through a multi-threaded batching [`Engine`]
+//! that aggregates concurrent requests into stacked forward passes over one
+//! `Arc`-shared plan.
 //!
 //! The paper's deliverable is a deployment model — Pareto-selected CNNs
 //! classifying drainage crossings on resource-limited devices — and this
@@ -65,14 +65,12 @@ pub use engine::{
     DrainStats, Engine, EngineConfig, EngineConfigBuilder, EngineStats, InferError, InferRequest,
     Prediction, PredictionHandle, RetryConfig, ShedPolicy,
 };
-pub use plan::{
-    ExecutionPlan, LayerCost, LayerProfile, Numerics, PlanBuilder, PlanConfig, QuantizationScheme,
-};
+pub use plan::{ExecutionPlan, LayerCost, LayerProfile, Numerics, PlanBuilder, QuantizationScheme};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydronas_graph::{ArchConfig, CalibrationMethod, PoolConfig, Precision};
+    use hydronas_graph::{ArchConfig, CalibrationMethod, PoolConfig};
     use hydronas_nn::ResNet;
     use hydronas_tensor::{approx_eq, uniform, Tensor, TensorRng};
     use std::sync::Arc;
@@ -173,32 +171,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn int8_plan_stays_close_to_fp32_and_is_4x_smaller() {
-        let arch = tiny_arch();
-        let model = warmed_model(&arch, 13);
-        let fp32 = ExecutionPlan::builder(&model).build().unwrap();
-        let int8 = ExecutionPlan::builder(&model)
-            .precision(Precision::Int8)
-            .build()
-            .unwrap();
-        // Weight payloads shrink ~4x (biases/BN vectors stay f32, so the
-        // whole-plan ratio lands a bit under 4).
-        let ratio = fp32.weight_bytes() as f64 / int8.weight_bytes() as f64;
-        assert!((3.0..4.1).contains(&ratio), "ratio {ratio}");
-
-        let mut rng = TensorRng::seed_from_u64(3);
-        let x = uniform(&[4, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
-        let a = fp32.run_batch(&x);
-        let b = int8.run_batch(&x);
-        // Bounded logit delta (quantization error accumulates through all
-        // eight blocks), and identical argmax on this seeded batch.
-        for (p, q) in a.as_slice().iter().zip(b.as_slice()) {
-            assert!((p - q).abs() < 0.25, "{p} vs {q}");
-        }
-        assert_eq!(a.argmax_rows(), b.argmax_rows());
     }
 
     #[test]
@@ -370,15 +342,36 @@ mod tests {
 
     #[test]
     fn profile_batch_is_bit_identical_to_run_batch() {
-        // The profiler is a mirror implementation of the forward pass;
-        // this test is the guard that keeps the two in lockstep.
+        // Profiling and serving share one forward walk; this test is the
+        // guard that the timer observer never changes what it observes.
         for (arch, seed) in [(tiny_arch(), 51u64), (pooled_arch(), 52u64)] {
             let model = warmed_model(&arch, seed);
-            for numerics in [Numerics::Exact, Numerics::Fused] {
-                let plan = ExecutionPlan::builder(&model)
-                    .numerics(numerics)
-                    .build()
-                    .unwrap();
+            // hydrobench's `layer.*` metrics key on these names, so they
+            // are pinned exactly and must not depend on the numerics.
+            let mut expected_names = vec!["stem".to_string()];
+            if model.stem_pool().is_some() {
+                expected_names.push("stem.pool".to_string());
+            }
+            for (i, block) in model.blocks().iter().enumerate() {
+                expected_names.push(format!("block{i}.conv1"));
+                expected_names.push(format!("block{i}.conv2"));
+                if block.downsample().is_some() {
+                    expected_names.push(format!("block{i}.proj"));
+                }
+                expected_names.push(format!("block{i}.add_relu"));
+            }
+            expected_names.push("global_avg_pool".to_string());
+            expected_names.push("fc".to_string());
+            for numerics in [Numerics::Exact, Numerics::Fused, Numerics::QuantizedInt8] {
+                let plan = match numerics {
+                    Numerics::QuantizedInt8 => {
+                        quantized_plan(&model, &calibration_batch(&arch, seed + 100))
+                    }
+                    _ => ExecutionPlan::builder(&model)
+                        .numerics(numerics)
+                        .build()
+                        .unwrap(),
+                };
                 let mut rng = TensorRng::seed_from_u64(53);
                 let x = uniform(&[3, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
                 let expected = plan.run_batch(&x);
@@ -390,10 +383,10 @@ mod tests {
                 assert_eq!(names.last(), Some(&"fc"));
                 assert!(names.contains(&"block0.conv1"));
                 assert!(names.contains(&"global_avg_pool"));
+                assert_eq!(names, expected_names, "under {numerics:?}");
                 // pooled_arch has a stem pool; tiny_arch does not.
                 assert_eq!(names.contains(&"stem.pool"), arch.pool.is_some());
-                // Conv layers must pick up FLOPs from op accounting, and
-                // percentages must sum to ~100.
+                // Conv layers carry FLOPs, and percentages sum to ~100.
                 let stem = &profile.layers[0];
                 assert!(stem.flops > 0, "stem FLOPs missing under {numerics:?}");
                 let pct_sum: f64 = profile.layers.iter().map(|l| l.pct).sum();
@@ -456,7 +449,7 @@ mod tests {
         // and fc bias scalar. That must cover at least every model weight.
         assert!(plan.weight_bytes() >= 4 * 9 * 4 * 5, "stem weights missing");
         assert_eq!(plan.arch(), &arch);
-        assert_eq!(plan.config().numerics, Numerics::Fused);
+        assert_eq!(plan.numerics(), Numerics::Fused);
     }
 
     /// Seeded calibration batch for quantized-plan tests.
@@ -586,8 +579,7 @@ mod tests {
             let batch = calibration_batch(&arch, seed + 100);
             let fp32 = ExecutionPlan::builder(&model).build().unwrap();
             let int8 = quantized_plan(&model, &batch);
-            assert_eq!(int8.config().numerics, Numerics::QuantizedInt8);
-            assert_eq!(int8.config().precision, Precision::Int8);
+            assert_eq!(int8.numerics(), Numerics::QuantizedInt8);
             // True int8 storage: ~4x smaller than the fp32 plan (biases and
             // per-channel scales keep it under exactly 4).
             let ratio = fp32.weight_bytes() as f64 / int8.weight_bytes() as f64;
@@ -626,22 +618,6 @@ mod tests {
                 "row {i}"
             );
         }
-    }
-
-    #[test]
-    fn quantized_profile_batch_is_bit_identical_to_run_batch() {
-        let arch = tiny_arch();
-        let model = warmed_model(&arch, 87);
-        let batch = calibration_batch(&arch, 88);
-        let plan = quantized_plan(&model, &batch);
-        let mut rng = TensorRng::seed_from_u64(89);
-        let x = uniform(&[2, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
-        let expected = plan.run_batch(&x);
-        let (got, profile) = plan.profile_batch(&x);
-        assert_eq!(got, expected);
-        // The int8 conv kernel reports FLOPs through op accounting too.
-        let stem = &profile.layers[0];
-        assert!(stem.flops > 0, "quantized stem FLOPs missing");
     }
 
     #[test]

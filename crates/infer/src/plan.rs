@@ -6,8 +6,7 @@
 //! an `Arc` with no per-thread clones and no interior mutability.
 //!
 //! Plans are built through the typed [`PlanBuilder`]
-//! (`ExecutionPlan::builder(&model)…build()?`); the old
-//! [`ExecutionPlan::compile`] entry survives as a deprecated shim.
+//! (`ExecutionPlan::builder(&model)…build()?`).
 //!
 //! ## Numerics modes
 //!
@@ -28,28 +27,27 @@
 //!   i8×i8→i32 arithmetic with a fused requantize+bias+ReLU epilogue
 //!   (`acc_i32 × (w_scale·in_scale) + bias`); activations travel between
 //!   layers as f32 and are re-quantized at each layer's static scale.
-//!   There is **no dequant-on-load**: the stored weights are the bytes the
-//!   kernels read. Scales are fixed at build time — never derived from the
-//!   batch being served — so quantized output keeps the same
-//!   batch-composition invariance as the f32 paths, and the integer
-//!   accumulation makes it bit-identical at any thread count.
+//!   The stored weights are the bytes the kernels read. Scales are fixed
+//!   at build time — never derived from the batch being served — so
+//!   quantized output keeps the same batch-composition invariance as the
+//!   f32 paths, and the integer accumulation makes it bit-identical at any
+//!   thread count.
 //!
-//! ## Int8 weight storage (`Precision::Int8` + f32 numerics)
+//! ## One forward walk
 //!
-//! With [`Precision::Int8`] under `Exact`/`Fused` numerics, weight tensors
-//! are stored through `graph::quantize` (symmetric per-tensor int8 + one
-//! f32 scale) and dequantized back to f32 once at compile time ("dequant on
-//! load"): the serialized footprint shrinks 4x while execution stays on the
-//! f32 kernels. [`Numerics::QuantizedInt8`] supersedes this for serving —
-//! it keeps the 4x footprint *and* runs integer kernels.
+//! [`ExecutionPlan::run_batch`], [`ExecutionPlan::profile_batch`] and int8
+//! calibration all run the same private walk over the layers, which hands
+//! each layer and its input to a per-layer observer: nothing on the hot
+//! path, a timer when profiling, activation observers when calibrating.
+//! A profile therefore times exactly the code `run_batch` runs.
 
 use hydronas_graph::{
-    quantize_per_channel, quantize_tensor, ActivationObserver, CalibrationMethod, Precision,
+    quantize_per_channel, quantize_tensor, ActivationObserver, CalibrationMethod,
 };
-use hydronas_nn::ResNet;
+use hydronas_nn::{BatchNorm2d, Conv2d, Linear, ResNet};
 use hydronas_tensor::{
-    avg_pool2d_global, conv2d, conv2d_bias_act, conv2d_bias_act_prepacked, conv2d_q8, conv_out_dim,
-    max_pool2d, pack_conv_weight, qgemm_nt_col_scaled, quantize_slice_i8, PackedConvWeight,
+    avg_pool2d_global, conv2d, conv2d_bias_act_prepacked, conv2d_q8, conv_out_dim, max_pool2d,
+    pack_conv_weight, qgemm_nt_col_scaled, quantize_slice_i8, PackedConvWeight,
     QuantizedConvWeight, Tensor,
 };
 use serde::{Deserialize, Serialize};
@@ -71,26 +69,6 @@ pub enum Numerics {
     /// with fused requantization. Requires a calibrated
     /// [`QuantizationScheme`] via [`PlanBuilder::quantization`].
     QuantizedInt8,
-}
-
-/// Compilation options for the deprecated [`ExecutionPlan::compile`] entry;
-/// also readable back from any plan via [`ExecutionPlan::config`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlanConfig {
-    /// Weight storage precision ([`Precision::Int8`] dequantizes on load
-    /// under f32 numerics; reported as `Int8` for quantized plans).
-    pub precision: Precision,
-    /// Kernel fusion / float-rounding contract.
-    pub numerics: Numerics,
-}
-
-impl Default for PlanConfig {
-    fn default() -> PlanConfig {
-        PlanConfig {
-            precision: Precision::Fp32,
-            numerics: Numerics::Fused,
-        }
-    }
 }
 
 /// Weight-scale granularity of a [`QuantizationScheme`].
@@ -156,7 +134,6 @@ impl QuantizationScheme {
 /// of panicking mid-compile.
 pub struct PlanBuilder<'m> {
     model: &'m ResNet,
-    precision: Precision,
     numerics: Numerics,
     quantization: Option<QuantizationScheme>,
 }
@@ -165,14 +142,6 @@ impl<'m> PlanBuilder<'m> {
     /// Selects the numerics contract (default [`Numerics::Fused`]).
     pub fn numerics(mut self, numerics: Numerics) -> PlanBuilder<'m> {
         self.numerics = numerics;
-        self
-    }
-
-    /// Selects the weight *storage* precision for f32 numerics modes
-    /// (default [`Precision::Fp32`]). Ignored under
-    /// [`Numerics::QuantizedInt8`], which is int8 storage by construction.
-    pub fn precision(mut self, precision: Precision) -> PlanBuilder<'m> {
-        self.precision = precision;
         self
     }
 
@@ -195,13 +164,7 @@ impl<'m> PlanBuilder<'m> {
                             .to_string(),
                     ));
                 }
-                Ok(compile_f32(
-                    self.model,
-                    &PlanConfig {
-                        precision: self.precision,
-                        numerics: self.numerics,
-                    },
-                ))
+                Ok(compile_f32(self.model, self.numerics))
             }
             Numerics::QuantizedInt8 => {
                 let scheme = self.quantization.ok_or_else(|| {
@@ -238,7 +201,12 @@ impl<'m> PlanBuilder<'m> {
                         self.model.arch.in_channels
                     )));
                 }
-                compile_quantized(self.model, scheme.granularity, method, &batch)
+                Ok(compile_quantized(
+                    self.model,
+                    scheme.granularity,
+                    method,
+                    &batch,
+                ))
             }
         }
     }
@@ -333,7 +301,7 @@ impl ConvBnOp {
     }
 
     /// `(out_c, in_c, kernel)` of this conv, whatever its storage.
-    fn geometry(&self) -> (usize, usize, usize) {
+    fn weight_dims(&self) -> (usize, usize, usize) {
         match &self.kind {
             ConvKind::Exact { weight, .. } => {
                 let d = weight.dims();
@@ -357,26 +325,14 @@ struct BlockOp {
     proj: Option<ConvBnOp>,
 }
 
-impl BlockOp {
-    fn apply(&self, input: &Tensor) -> Tensor {
-        let mut main = self.conv2.apply(&self.conv1.apply(input));
-        let skip_owned;
-        let skip = match &self.proj {
-            Some(p) => {
-                skip_owned = p.apply(input);
-                &skip_owned
-            }
-            None => input,
-        };
-        // One in-place pass for add + ReLU instead of clone/add/map. Per
-        // element this computes exactly `(main + skip).max(0.0)` — the
-        // same rounding as forward_eval's separate passes, so both
-        // numerics contracts survive the fusion.
-        assert_eq!(main.dims(), skip.dims(), "residual shapes must match");
-        for (m, s) in main.as_mut_slice().iter_mut().zip(skip.as_slice()) {
-            *m = (*m + *s).max(0.0);
-        }
-        main
+/// `main = relu(main + skip)` in one in-place pass instead of
+/// clone/add/map. Per element this computes exactly
+/// `(main + skip).max(0.0)` — the same rounding as forward_eval's separate
+/// passes, so every numerics contract survives the fusion.
+fn add_relu(main: &mut Tensor, skip: &Tensor) {
+    assert_eq!(main.dims(), skip.dims(), "residual shapes must match");
+    for (m, s) in main.as_mut_slice().iter_mut().zip(skip.as_slice()) {
+        *m = (*m + *s).max(0.0);
     }
 }
 
@@ -406,29 +362,13 @@ impl FcOp {
     }
 }
 
-/// Running tally of serialized weight bytes at the plan's precision.
+/// Running tally of serialized weight bytes.
+#[derive(Default)]
 struct SizeLedger {
-    precision: Precision,
     bytes: u64,
 }
 
 impl SizeLedger {
-    /// Stores `values` at the chosen precision, returning the execution
-    /// (dequantized) f32 copy. Int8 costs 1 byte per scalar + one f32
-    /// scale; f32 biases and BN vectors always cost 4 bytes per scalar.
-    fn store_weights(&mut self, values: &[f32]) -> Vec<f32> {
-        match self.precision {
-            Precision::Fp32 => {
-                self.bytes += 4 * values.len() as u64;
-                values.to_vec()
-            }
-            Precision::Int8 => {
-                self.bytes += values.len() as u64 + 4;
-                quantize_tensor(values).dequantize()
-            }
-        }
-    }
-
     /// Records a truly int8-stored tensor: 1 byte per scalar, one f32 per
     /// stored weight scale, plus one f32 for the layer's static input
     /// scale.
@@ -447,7 +387,7 @@ impl SizeLedger {
 /// `Send + Sync` and one instance serves every engine worker.
 pub struct ExecutionPlan {
     arch: hydronas_graph::ArchConfig,
-    config: PlanConfig,
+    numerics: Numerics,
     stem: ConvBnOp,
     stem_pool: Option<(usize, usize, usize)>,
     blocks: Vec<BlockOp>,
@@ -455,93 +395,48 @@ pub struct ExecutionPlan {
     weight_bytes: u64,
 }
 
-fn compile_conv_bn(
-    conv: &hydronas_nn::Conv2d,
-    bn: &hydronas_nn::BatchNorm2d,
-    relu: bool,
+/// Lowers `model` into a plan: every conv+BN through `conv`, called in
+/// walk order (stem, then each block's conv1, conv2 and projection), and
+/// the classifier head through `fc`.
+fn lower(
+    model: &ResNet,
     numerics: Numerics,
-    ledger: &mut SizeLedger,
-) -> ConvBnOp {
-    let gamma = bn.gamma.value.as_slice();
-    let beta = bn.beta.value.as_slice();
-    let mean = bn.running_mean.as_slice();
-    let inv_std: Vec<f32> = bn
-        .running_var
-        .as_slice()
+    mut conv: impl FnMut(&Conv2d, &BatchNorm2d, &mut SizeLedger) -> ConvKind,
+    fc: impl FnOnce(&Linear, &mut SizeLedger) -> FcOp,
+) -> ExecutionPlan {
+    let mut ledger = SizeLedger::default();
+    let mut op = |c: &Conv2d, bn: &BatchNorm2d, relu: bool| ConvBnOp {
+        stride: c.stride,
+        padding: c.padding,
+        relu,
+        kind: conv(c, bn, &mut ledger),
+    };
+    let stem = op(model.stem_conv(), model.stem_bn(), true);
+    let blocks = model
+        .blocks()
         .iter()
-        .map(|&v| 1.0 / (v + bn.eps).sqrt())
+        .map(|b| BlockOp {
+            conv1: op(b.conv1(), b.bn1(), true),
+            conv2: op(b.conv2(), b.bn2(), false),
+            proj: b.downsample().map(|(c, bn)| op(c, bn, false)),
+        })
         .collect();
-    let w = &conv.weight.value;
-    match numerics {
-        Numerics::Exact => {
-            let stored = ledger.store_weights(w.as_slice());
-            ledger.store_f32(gamma);
-            ledger.store_f32(beta);
-            ledger.store_f32(mean);
-            ledger.store_f32(bn.running_var.as_slice());
-            ConvBnOp {
-                stride: conv.stride,
-                padding: conv.padding,
-                relu,
-                kind: ConvKind::Exact {
-                    weight: Tensor::from_vec(stored, w.dims()),
-                    gamma: gamma.to_vec(),
-                    beta: beta.to_vec(),
-                    mean: mean.to_vec(),
-                    inv_std,
-                },
-            }
-        }
-        Numerics::Fused => {
-            let folded = fold_conv_bn(conv, bn, relu);
-            let stored = ledger.store_weights(folded.weight.as_slice());
-            ledger.store_f32(&folded.bias);
-            ConvBnOp {
-                stride: conv.stride,
-                padding: conv.padding,
-                relu,
-                kind: ConvKind::Fused {
-                    weight: pack_conv_weight(&Tensor::from_vec(stored, w.dims())),
-                    bias: folded.bias,
-                },
-            }
-        }
-        Numerics::QuantizedInt8 => {
-            unreachable!("quantized plans are compiled by compile_quantized")
-        }
+    let fc = fc(model.fc(), &mut ledger);
+    ExecutionPlan {
+        arch: model.arch,
+        numerics,
+        stem,
+        stem_pool: model.stem_pool().map(|p| (p.kernel, p.stride, p.padding)),
+        blocks,
+        fc,
+        weight_bytes: ledger.bytes,
     }
 }
 
-/// One BN-folded conv held as plain f32 — the intermediate form the
-/// quantized compile pipeline calibrates on before quantizing.
-struct FoldedConv {
-    weight: Tensor,
-    bias: Vec<f32>,
-    stride: usize,
-    padding: usize,
-    relu: bool,
-}
-
-impl FoldedConv {
-    fn apply(&self, x: &Tensor) -> Tensor {
-        conv2d_bias_act(
-            x,
-            &self.weight,
-            &self.bias,
-            self.relu,
-            self.stride,
-            self.padding,
-        )
-    }
-}
-
-/// Folds a batch norm into its preceding conv:
-/// `W'[o] = W[o]·γ[o]/√(var[o]+ε)`, `b'[o] = β[o] − γ[o]·mean[o]/√(var[o]+ε)`.
-fn fold_conv_bn(
-    conv: &hydronas_nn::Conv2d,
-    bn: &hydronas_nn::BatchNorm2d,
-    relu: bool,
-) -> FoldedConv {
+/// Folds a batch norm into its preceding conv, returning the folded weight
+/// and bias: `W'[o] = W[o]·γ[o]/√(var[o]+ε)`,
+/// `b'[o] = β[o] − γ[o]·mean[o]/√(var[o]+ε)`.
+fn fold_conv_bn(conv: &Conv2d, bn: &BatchNorm2d) -> (Tensor, Vec<f32>) {
     let gamma = bn.gamma.value.as_slice();
     let beta = bn.beta.value.as_slice();
     let mean = bn.running_mean.as_slice();
@@ -558,226 +453,139 @@ fn fold_conv_bn(
         }
         bias[o] = beta[o] - g * mean[o];
     }
-    FoldedConv {
-        weight: Tensor::from_vec(folded, w.dims()),
-        bias,
-        stride: conv.stride,
-        padding: conv.padding,
-        relu,
-    }
+    (Tensor::from_vec(folded, w.dims()), bias)
 }
 
-/// Quantizes one BN-folded conv with the calibrated `input_scale`.
-fn quantize_folded(
-    folded: FoldedConv,
-    input_scale: f32,
+/// Compiles an f32 plan (`Exact` or `Fused`).
+fn compile_f32(model: &ResNet, numerics: Numerics) -> ExecutionPlan {
+    lower(
+        model,
+        numerics,
+        |conv, bn, ledger| match numerics {
+            Numerics::Exact => {
+                let weight = conv.weight.value.clone();
+                let (gamma, beta) = (bn.gamma.value.as_slice(), bn.beta.value.as_slice());
+                let mean = bn.running_mean.as_slice();
+                let var = bn.running_var.as_slice();
+                for values in [weight.as_slice(), gamma, beta, mean, var] {
+                    ledger.store_f32(values);
+                }
+                ConvKind::Exact {
+                    weight,
+                    gamma: gamma.to_vec(),
+                    beta: beta.to_vec(),
+                    mean: mean.to_vec(),
+                    inv_std: var.iter().map(|&v| 1.0 / (v + bn.eps).sqrt()).collect(),
+                }
+            }
+            Numerics::Fused => {
+                let (weight, bias) = fold_conv_bn(conv, bn);
+                ledger.store_f32(weight.as_slice());
+                ledger.store_f32(&bias);
+                ConvKind::Fused {
+                    weight: pack_conv_weight(&weight),
+                    bias,
+                }
+            }
+            Numerics::QuantizedInt8 => {
+                unreachable!("quantized plans are compiled by compile_quantized")
+            }
+        },
+        |fc, ledger| {
+            let weight = fc.weight.value.clone();
+            let bias = fc.bias.value.as_slice().to_vec();
+            ledger.store_f32(weight.as_slice());
+            ledger.store_f32(&bias);
+            FcOp::F32 { weight, bias }
+        },
+    )
+}
+
+/// Quantizes a weight matrix of `rows` output rows per the scheme's
+/// granularity and records its int8 payload; returns the i8 values and
+/// one scale per row.
+fn quantize_weight(
+    values: &[f32],
+    rows: usize,
     granularity: Granularity,
     ledger: &mut SizeLedger,
-) -> ConvBnOp {
-    let dims = folded.weight.dims().to_vec();
-    let (out_c, in_c, kernel) = (dims[0], dims[1], dims[2]);
+) -> (Vec<i8>, Vec<f32>) {
     let (values, scales, stored_scales) = match granularity {
         Granularity::PerChannel => {
-            let q = quantize_per_channel(folded.weight.as_slice(), out_c);
-            (q.values, q.scales, out_c)
+            let q = quantize_per_channel(values, rows);
+            (q.values, q.scales, rows)
         }
         Granularity::PerTensor => {
-            let q = quantize_tensor(folded.weight.as_slice());
-            (q.values, vec![q.scale; out_c], 1)
+            let q = quantize_tensor(values);
+            (q.values, vec![q.scale; rows], 1)
         }
     };
     ledger.store_int8(values.len(), stored_scales);
-    ledger.store_f32(&folded.bias);
-    ConvBnOp {
-        stride: folded.stride,
-        padding: folded.padding,
-        relu: folded.relu,
-        kind: ConvKind::Quantized {
-            weight: QuantizedConvWeight::new(values, scales, out_c, in_c, kernel),
-            input_scale,
-            bias: folded.bias,
-        },
-    }
+    (values, scales)
 }
 
-/// Compiles an f32 plan (`Exact`/`Fused`, optional int8 *storage*).
-fn compile_f32(model: &ResNet, config: &PlanConfig) -> ExecutionPlan {
-    let mut ledger = SizeLedger {
-        precision: config.precision,
-        bytes: 0,
-    };
-    let stem = compile_conv_bn(
-        model.stem_conv(),
-        model.stem_bn(),
-        true,
-        config.numerics,
-        &mut ledger,
-    );
-    let stem_pool = model.stem_pool().map(|p| (p.kernel, p.stride, p.padding));
-    let blocks = model
-        .blocks()
-        .iter()
-        .map(|b| BlockOp {
-            conv1: compile_conv_bn(b.conv1(), b.bn1(), true, config.numerics, &mut ledger),
-            conv2: compile_conv_bn(b.conv2(), b.bn2(), false, config.numerics, &mut ledger),
-            proj: b
-                .downsample()
-                .map(|(conv, bn)| compile_conv_bn(conv, bn, false, config.numerics, &mut ledger)),
-        })
-        .collect();
-    let fc_w = &model.fc().weight.value;
-    let fc_bias = model.fc().bias.value.as_slice().to_vec();
-    let stored_fc = ledger.store_weights(fc_w.as_slice());
-    ledger.store_f32(&fc_bias);
-    ExecutionPlan {
-        arch: model.arch,
-        config: *config,
-        stem,
-        stem_pool,
-        blocks,
-        fc: FcOp::F32 {
-            weight: Tensor::from_vec(stored_fc, fc_w.dims()),
-            bias: fc_bias,
-        },
-        weight_bytes: ledger.bytes,
-    }
-}
-
-/// Compiles a [`Numerics::QuantizedInt8`] plan: fold every BN, run the
-/// calibration batch through the folded f32 network **in exact runtime op
-/// order**, observing each quantization point with an
-/// [`ActivationObserver`], then quantize weights per the scheme.
+/// Compiles a [`Numerics::QuantizedInt8`] plan.
 ///
-/// The observation order matters for nothing but clarity — each observer
-/// sees exactly the tensor its layer will quantize at serve time, and the
-/// observers themselves are order-invariant (see `graph::quantize`).
+/// The calibration batch runs through a temporary [`Numerics::Fused`]
+/// plan — the same BN-folded f32 network — under a [`Calibrator`], so each
+/// scale describes exactly the tensor its layer quantizes at serve time.
+/// That plan is dropped before the batch norms are folded again layer by
+/// layer and quantized, so the build never holds two f32 copies of the
+/// network.
 fn compile_quantized(
     model: &ResNet,
     granularity: Granularity,
     method: CalibrationMethod,
     batch: &Tensor,
-) -> Result<ExecutionPlan, InferError> {
-    // 1. Fold every conv+BN to plain f32.
-    let stem_f = fold_conv_bn(model.stem_conv(), model.stem_bn(), true);
-    let stem_pool = model.stem_pool().map(|p| (p.kernel, p.stride, p.padding));
-    let blocks_f: Vec<(FoldedConv, FoldedConv, Option<FoldedConv>)> = model
-        .blocks()
-        .iter()
-        .map(|b| {
-            (
-                fold_conv_bn(b.conv1(), b.bn1(), true),
-                fold_conv_bn(b.conv2(), b.bn2(), false),
-                b.downsample()
-                    .map(|(conv, bn)| fold_conv_bn(conv, bn, false)),
-            )
-        })
-        .collect();
-
-    // 2. Calibration walk over the folded f32 network.
-    let mut stem_obs = ActivationObserver::new(method);
-    stem_obs.observe(batch.as_slice());
-    let mut x = stem_f.apply(batch);
-    if let Some((kernel, stride, padding)) = stem_pool {
-        x = max_pool2d(&x, kernel, stride, padding).0;
-    }
-    // (conv1_scale, conv2_scale, proj_scale) per block.
-    let mut block_scales: Vec<(f32, f32, Option<f32>)> = Vec::with_capacity(blocks_f.len());
-    for (c1, c2, proj) in &blocks_f {
-        let mut o1 = ActivationObserver::new(method);
-        o1.observe(x.as_slice());
-        let y1 = c1.apply(&x);
-        let mut o2 = ActivationObserver::new(method);
-        o2.observe(y1.as_slice());
-        let mut main = c2.apply(&y1);
-        let proj_scale = proj.as_ref().map(|p| {
-            // The projection reads the same block input conv1 reads, but
-            // gets its own observer so a future per-layer method tweak
-            // cannot silently couple the two.
-            let mut op = ActivationObserver::new(method);
-            op.observe(x.as_slice());
-            let s = op.scale();
-            x = p.apply(&x);
-            s
-        });
-        for (m, s) in main.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            *m = (*m + *s).max(0.0);
-        }
-        block_scales.push((o1.scale(), o2.scale(), proj_scale));
-        x = main;
-    }
-    let pooled = avg_pool2d_global(&x);
-    let mut fc_obs = ActivationObserver::new(method);
-    fc_obs.observe(pooled.as_slice());
-
-    // 3. Quantize weights with the calibrated input scales.
-    let mut ledger = SizeLedger {
-        precision: Precision::Int8,
-        bytes: 0,
+) -> ExecutionPlan {
+    let mut calibrator = Calibrator {
+        method,
+        scales: Vec::new(),
     };
-    let stem = quantize_folded(stem_f, stem_obs.scale(), granularity, &mut ledger);
-    let blocks: Vec<BlockOp> = blocks_f
-        .into_iter()
-        .zip(block_scales)
-        .map(|((c1, c2, proj), (s1, s2, sp))| BlockOp {
-            conv1: quantize_folded(c1, s1, granularity, &mut ledger),
-            conv2: quantize_folded(c2, s2, granularity, &mut ledger),
-            proj: proj.map(|p| {
-                quantize_folded(
-                    p,
-                    sp.expect("projection always calibrated"),
-                    granularity,
-                    &mut ledger,
-                )
-            }),
-        })
-        .collect();
-
-    // FC: transpose [in_f, out_f] -> [out_f, in_f] so each output feature
-    // is one contiguous NT-GEMM row with its own channel scale.
-    let fc_w = &model.fc().weight.value;
-    let (in_f, out_f) = (fc_w.dims()[0], fc_w.dims()[1]);
-    let mut wt = vec![0.0f32; in_f * out_f];
-    let w = fc_w.as_slice();
-    for i in 0..in_f {
-        for o in 0..out_f {
-            wt[o * in_f + i] = w[i * out_f + o];
-        }
-    }
-    let input_scale = fc_obs.scale();
-    let (values, w_scales, stored_scales) = match granularity {
-        Granularity::PerChannel => {
-            let q = quantize_per_channel(&wt, out_f);
-            (q.values, q.scales, out_f)
-        }
-        Granularity::PerTensor => {
-            let q = quantize_tensor(&wt);
-            (q.values, vec![q.scale; out_f], 1)
-        }
-    };
-    let combined: Vec<f32> = w_scales.iter().map(|s| s * input_scale).collect();
-    let fc_bias = model.fc().bias.value.as_slice().to_vec();
-    ledger.store_int8(values.len(), stored_scales);
-    ledger.store_f32(&fc_bias);
-
-    Ok(ExecutionPlan {
-        arch: model.arch,
-        config: PlanConfig {
-            precision: Precision::Int8,
-            numerics: Numerics::QuantizedInt8,
+    compile_f32(model, Numerics::Fused).forward(batch, &mut calibrator);
+    let mut scales = calibrator.scales;
+    let fc_scale = scales.pop().expect("the walk observes the fc input last");
+    let mut conv_scales = scales.into_iter();
+    lower(
+        model,
+        Numerics::QuantizedInt8,
+        |conv, bn, ledger| {
+            let (weight, bias) = fold_conv_bn(conv, bn);
+            let d = weight.dims();
+            let (out_c, in_c, kernel) = (d[0], d[1], d[2]);
+            let (values, scales) = quantize_weight(weight.as_slice(), out_c, granularity, ledger);
+            ledger.store_f32(&bias);
+            ConvKind::Quantized {
+                weight: QuantizedConvWeight::new(values, scales, out_c, in_c, kernel),
+                input_scale: conv_scales.next().expect("one calibrated scale per conv"),
+                bias,
+            }
         },
-        stem,
-        stem_pool,
-        blocks,
-        fc: FcOp::Quantized {
-            wt: values,
-            scales: combined,
-            input_scale,
-            in_f,
-            out_f,
-            bias: fc_bias,
+        |fc, ledger| {
+            // Transpose [in_f, out_f] -> [out_f, in_f] so each output
+            // feature is one contiguous NT-GEMM row with its own scale.
+            let fc_w = &fc.weight.value;
+            let (in_f, out_f) = (fc_w.dims()[0], fc_w.dims()[1]);
+            let w = fc_w.as_slice();
+            let mut wt = vec![0.0f32; in_f * out_f];
+            for i in 0..in_f {
+                for o in 0..out_f {
+                    wt[o * in_f + i] = w[i * out_f + o];
+                }
+            }
+            let (values, w_scales) = quantize_weight(&wt, out_f, granularity, ledger);
+            let bias = fc.bias.value.as_slice().to_vec();
+            ledger.store_f32(&bias);
+            FcOp::Quantized {
+                wt: values,
+                scales: w_scales.iter().map(|s| s * fc_scale).collect(),
+                input_scale: fc_scale,
+                in_f,
+                out_f,
+                bias,
+            }
         },
-        weight_bytes: ledger.bytes,
-    })
+    )
 }
 
 impl ExecutionPlan {
@@ -793,29 +601,13 @@ impl ExecutionPlan {
     ///     .build()?;
     /// ```
     ///
-    /// Defaults match [`PlanConfig::default`]: [`Numerics::Fused`] at
-    /// [`Precision::Fp32`].
+    /// Defaults to [`Numerics::Fused`] with no quantization scheme.
     pub fn builder(model: &ResNet) -> PlanBuilder<'_> {
         PlanBuilder {
             model,
-            precision: Precision::Fp32,
             numerics: Numerics::Fused,
             quantization: None,
         }
-    }
-
-    /// Compiles a trained model into an immutable plan.
-    ///
-    /// Deprecated shim over [`ExecutionPlan::builder`]. Panics if `config`
-    /// asks for [`Numerics::QuantizedInt8`] — the quantized mode needs a
-    /// calibrated [`QuantizationScheme`], which only the builder carries.
-    #[deprecated(note = "use ExecutionPlan::builder(&model)…build()")]
-    pub fn compile(model: &ResNet, config: &PlanConfig) -> ExecutionPlan {
-        ExecutionPlan::builder(model)
-            .precision(config.precision)
-            .numerics(config.numerics)
-            .build()
-            .expect("compile() cannot express QuantizedInt8; use ExecutionPlan::builder")
     }
 
     /// The architecture this plan was compiled from.
@@ -823,19 +615,18 @@ impl ExecutionPlan {
         &self.arch
     }
 
-    /// The compilation options used.
-    pub fn config(&self) -> &PlanConfig {
-        &self.config
+    /// The numerics contract the plan was compiled under.
+    pub fn numerics(&self) -> Numerics {
+        self.numerics
     }
 
-    /// Serialized weight footprint in bytes at the plan's precision.
+    /// Serialized weight footprint in bytes.
     ///
     /// For quantized plans this is the true serving footprint: 1 byte per
     /// weight scalar, one f32 per stored weight scale (per output channel
     /// or per tensor), one f32 static input scale per layer, and f32
-    /// biases. For f32 plans with [`Precision::Int8`] storage it counts
-    /// the serialized int8 payload (execution still reads dequantized
-    /// f32).
+    /// biases. f32 plans count 4 bytes per weight, bias and batch-norm
+    /// scalar.
     pub fn weight_bytes(&self) -> u64 {
         self.weight_bytes
     }
@@ -850,57 +641,35 @@ impl ExecutionPlan {
     /// and returns the largest. Pooling and the residual add are reads
     /// over already-counted buffers and never dominate.
     pub fn activation_bytes(&self, batch: usize, input_hw: usize) -> u64 {
-        let conv_bytes =
-            |op: &ConvBnOp, h: usize, w: usize| -> Option<(u64, usize, usize, usize)> {
-                let (out_c, in_c, kernel) = op.geometry();
-                let oh = conv_out_dim(h, kernel, op.stride, op.padding)?;
-                let ow = conv_out_dim(w, kernel, op.stride, op.padding)?;
-                let col_elem: u64 = if op.is_quantized() { 1 } else { 4 };
-                let input = 4 * (batch * in_c * h * w) as u64;
-                let col = col_elem * (batch * in_c * kernel * kernel * oh * ow) as u64;
-                let output = 4 * (batch * out_c * oh * ow) as u64;
-                Some((input + col + output, out_c, oh, ow))
-            };
-        let mut peak = 0u64;
-        let (mut h, mut w) = (input_hw, input_hw);
-        let Some((stem_bytes, mut c, mut oh, mut ow)) = conv_bytes(&self.stem, h, w) else {
-            return 0;
+        let mut peak = 0;
+        let input = [batch, self.arch.in_channels, input_hw, input_hw];
+        let _ = self.peak_resident(input, &mut peak);
+        peak
+    }
+
+    /// Raises `peak` to each layer's [`Geometry::resident`] at input dims
+    /// `x`, propagating shapes only, in walk order; stops at the first
+    /// window that does not fit.
+    fn peak_resident(&self, mut x: [usize; 4], peak: &mut u64) -> Option<()> {
+        let mut visit = |layer: Layer<'_>, dims| {
+            let geometry = layer.geometry(dims)?;
+            *peak = (*peak).max(geometry.resident);
+            Some(geometry.out)
         };
-        peak = peak.max(stem_bytes);
-        if let Some((kernel, stride, padding)) = self.stem_pool {
-            let Some(ph) = conv_out_dim(oh, kernel, stride, padding) else {
-                return peak;
-            };
-            let Some(pw) = conv_out_dim(ow, kernel, stride, padding) else {
-                return peak;
-            };
-            (oh, ow) = (ph, pw);
+        x = visit(Layer::Stem(&self.stem), x)?;
+        if let Some(pool) = self.stem_pool {
+            x = visit(Layer::StemPool(pool), x)?;
         }
-        (h, w) = (oh, ow);
-        for block in &self.blocks {
-            let Some((b1, _c1_out, h1, w1)) = conv_bytes(&block.conv1, h, w) else {
-                return peak;
-            };
-            peak = peak.max(b1);
-            let Some((b2, c2_out, h2, w2)) = conv_bytes(&block.conv2, h1, w1) else {
-                return peak;
-            };
-            peak = peak.max(b2);
+        for (i, block) in self.blocks.iter().enumerate() {
+            let main = visit(Layer::Conv1(i, &block.conv1), x)?;
+            let main = visit(Layer::Conv2(i, &block.conv2), main)?;
             if let Some(proj) = &block.proj {
-                if let Some((bp, ..)) = conv_bytes(proj, h, w) {
-                    peak = peak.max(bp);
-                }
+                visit(Layer::Proj(i, proj), x)?;
             }
-            (c, h, w) = (c2_out, h2, w2);
+            x = main;
         }
-        let in_f = c;
-        let out_f = self.fc.out_features();
-        let fc_staging: u64 = match &self.fc {
-            FcOp::F32 { .. } => 0,
-            FcOp::Quantized { .. } => (batch * in_f) as u64,
-        };
-        let fc_bytes = 4 * (batch * in_f) as u64 + fc_staging + 4 * (batch * out_f) as u64;
-        peak.max(fc_bytes)
+        let pooled = visit(Layer::GlobalAvgPool, x)?;
+        visit(Layer::Fc(&self.fc), pooled).map(drop)
     }
 
     /// The shared FC head: `pooled [N, in_f] -> logits [N, out_f]`.
@@ -910,7 +679,7 @@ impl ExecutionPlan {
             FcOp::F32 { weight, bias } => {
                 let out_f = weight.dims()[1];
                 let mut out = Tensor::zeros(&[n, out_f]);
-                match self.config.numerics {
+                match self.numerics {
                     Numerics::Fused => hydronas_tensor::gemm_bias_batched(
                         pooled.as_slice(),
                         weight.as_slice(),
@@ -965,6 +734,43 @@ impl ExecutionPlan {
         }
     }
 
+    /// The forward walk behind [`run_batch`](Self::run_batch),
+    /// [`profile_batch`](Self::profile_batch) and int8 calibration: visits
+    /// each layer once — stem, stem pool, each block's conv1, conv2,
+    /// projection and add+ReLU, global pool, fc — handing it and its input
+    /// to `observer`.
+    fn forward<O: LayerObserver>(&self, input: &Tensor, observer: &mut O) -> Tensor {
+        assert_eq!(input.shape().ndim(), 4, "plan input must be NCHW");
+        assert_eq!(
+            input.dims()[1],
+            self.arch.in_channels,
+            "input channel mismatch"
+        );
+        let mut x = observer.layer(Layer::Stem(&self.stem), input, || self.stem.apply(input));
+        if let Some(pool) = self.stem_pool {
+            let (kernel, stride, padding) = pool;
+            x = observer.layer(Layer::StemPool(pool), &x, || {
+                max_pool2d(&x, kernel, stride, padding).0
+            });
+        }
+        for (i, block) in self.blocks.iter().enumerate() {
+            let y = observer.layer(Layer::Conv1(i, &block.conv1), &x, || block.conv1.apply(&x));
+            let mut main =
+                observer.layer(Layer::Conv2(i, &block.conv2), &y, || block.conv2.apply(&y));
+            // Free conv1's output before the projection allocates its own.
+            drop(y);
+            let proj = block
+                .proj
+                .as_ref()
+                .map(|p| observer.layer(Layer::Proj(i, p), &x, || p.apply(&x)));
+            let skip = proj.as_ref().unwrap_or(&x);
+            observer.layer(Layer::AddRelu(i), skip, || add_relu(&mut main, skip));
+            x = main;
+        }
+        let pooled = observer.layer(Layer::GlobalAvgPool, &x, || avg_pool2d_global(&x));
+        observer.layer(Layer::Fc(&self.fc), &pooled, || self.fc_forward(&pooled))
+    }
+
     /// Runs the plan over a batch: `[N, C, H, W] -> logits [N, classes]`.
     ///
     /// In [`Numerics::Fused`] mode every GEMM on this path goes through the
@@ -977,21 +783,7 @@ impl ExecutionPlan {
     /// are static and per-sample, and the integer kernels are exact, so
     /// batched rows match single runs bit-for-bit at any thread count.
     pub fn run_batch(&self, input: &Tensor) -> Tensor {
-        assert_eq!(input.shape().ndim(), 4, "plan input must be NCHW");
-        assert_eq!(
-            input.dims()[1],
-            self.arch.in_channels,
-            "input channel mismatch"
-        );
-        let mut x = self.stem.apply(input);
-        if let Some((kernel, stride, padding)) = self.stem_pool {
-            x = max_pool2d(&x, kernel, stride, padding).0;
-        }
-        for block in &self.blocks {
-            x = block.apply(&x);
-        }
-        let pooled = avg_pool2d_global(&x);
-        self.fc_forward(&pooled)
+        self.forward(input, &mut ())
     }
 
     /// Runs one `[C, H, W]` sample and returns its logits.
@@ -1002,55 +794,20 @@ impl ExecutionPlan {
         self.run_batch(&batched).as_slice().to_vec()
     }
 
-    /// Runs the plan like [`run_batch`](Self::run_batch) while timing
-    /// every layer, returning the logits (bit-identical to `run_batch`)
-    /// plus a [`LayerProfile`] with per-layer wall time, FLOPs, bytes,
-    /// and share of the forward pass.
+    /// Runs the plan like [`run_batch`](Self::run_batch) — the same walk
+    /// over the same kernels, so the logits are bit-identical — while
+    /// timing every layer, returning the logits plus a [`LayerProfile`]
+    /// with per-layer wall time, FLOPs, bytes, and share of the forward
+    /// pass.
     ///
-    /// FLOPs and bytes come from the tensor op-accounting counters, so
-    /// they need a telemetry session: if none is active this opens a
-    /// private one for the duration of the call (which, like any
-    /// session, **clears previously recorded telemetry data**). Counts
-    /// are best-effort per op coverage — fused conv kernels report
-    /// FLOPs but not bytes, pooling reports bytes but not FLOPs.
+    /// FLOPs and bytes are computed from each layer's geometry (see
+    /// [`LayerCost`]), the same for every numerics mode, so profiling
+    /// needs no telemetry session and leaves any recorded telemetry as it
+    /// is.
     pub fn profile_batch(&self, input: &Tensor) -> (Tensor, LayerProfile) {
-        assert_eq!(input.shape().ndim(), 4, "plan input must be NCHW");
-        assert_eq!(
-            input.dims()[1],
-            self.arch.in_channels,
-            "input channel mismatch"
-        );
-        let mut prof = Profiler::new();
-        let mut x = prof.step("stem", || self.stem.apply(input));
-        if let Some((kernel, stride, padding)) = self.stem_pool {
-            x = prof.step("stem.pool", || max_pool2d(&x, kernel, stride, padding).0);
-        }
-        for (idx, block) in self.blocks.iter().enumerate() {
-            // Mirrors `BlockOp::apply` op-for-op (conv1 → conv2 →
-            // projection → in-place add+ReLU) so the result stays
-            // bit-identical to the unprofiled path.
-            let block_in = x;
-            let c1 = prof.step(&format!("block{idx}.conv1"), || {
-                block.conv1.apply(&block_in)
-            });
-            let mut main = prof.step(&format!("block{idx}.conv2"), || block.conv2.apply(&c1));
-            let skip_owned = block
-                .proj
-                .as_ref()
-                .map(|p| prof.step(&format!("block{idx}.proj"), || p.apply(&block_in)));
-            let skip = skip_owned.as_ref().unwrap_or(&block_in);
-            prof.step(&format!("block{idx}.add_relu"), || {
-                assert_eq!(main.dims(), skip.dims(), "residual shapes must match");
-                for (m, s) in main.as_mut_slice().iter_mut().zip(skip.as_slice()) {
-                    *m = (*m + *s).max(0.0);
-                }
-            });
-            x = main;
-        }
-        let pooled = prof.step("global_avg_pool", || avg_pool2d_global(&x));
-        let out = prof.step("fc", || self.fc_forward(&pooled));
-        let n = pooled.dims()[0];
-        (out, prof.finish(n))
+        let mut timer = Timer::default();
+        let out = self.forward(input, &mut timer);
+        (out, timer.finish(input.dims()[0]))
     }
 }
 
@@ -1061,10 +818,14 @@ pub struct LayerCost {
     pub name: String,
     /// Wall-clock time spent in this layer, milliseconds (wall field).
     pub wall_ms: f64,
-    /// FLOPs attributed by the tensor op-accounting counters.
+    /// Multiply-add FLOPs: `2·N·out_c·(in_c·k²)·(oh·ow)` for a conv,
+    /// `2·N·in_f·out_f` for the fc, 0 for pooling and the residual add.
     pub flops: u64,
-    /// Bytes moved per the op-accounting counters (0 where an op does
-    /// not report bytes, e.g. fused conv kernels).
+    /// Bytes moved. Convs and the fc count their GEMM's weight, column
+    /// (im2col or pooled input) and output once each, operands at the
+    /// kernel's element width (1 byte on int8 plans, 4 on f32) and outputs
+    /// at 4; pooling counts its input and outputs as its kernels'
+    /// telemetry counters do; the residual add counts 0.
     pub bytes: u64,
     /// Share of the whole forward pass's wall time, percent.
     pub pct: f64,
@@ -1081,43 +842,170 @@ pub struct LayerProfile {
     pub layers: Vec<LayerCost>,
 }
 
-/// Times closures and snapshots op-accounting counter deltas around
-/// them. Holds a private telemetry session when the caller had none, so
-/// FLOP/byte counters are live either way.
-struct Profiler {
-    _session: Option<hydronas_telemetry::Session>,
-    layers: Vec<LayerCost>,
+/// One step of the forward walk: which layer runs, with the op it runs.
+/// Block layers carry their block index.
+#[derive(Clone, Copy)]
+enum Layer<'p> {
+    Stem(&'p ConvBnOp),
+    /// Stem max pool `(kernel, stride, padding)`.
+    StemPool((usize, usize, usize)),
+    Conv1(usize, &'p ConvBnOp),
+    Conv2(usize, &'p ConvBnOp),
+    Proj(usize, &'p ConvBnOp),
+    AddRelu(usize),
+    GlobalAvgPool,
+    Fc(&'p FcOp),
 }
 
-impl Profiler {
-    fn new() -> Profiler {
-        let session = if hydronas_telemetry::enabled() {
-            None
-        } else {
-            Some(hydronas_telemetry::session())
-        };
-        Profiler {
-            _session: session,
-            layers: Vec::new(),
+/// Shape and cost of one layer at one input shape.
+#[derive(Default)]
+struct Geometry {
+    /// Output dims, NCHW; global pooling and the fc yield `[N, F, 1, 1]`.
+    out: [usize; 4],
+    /// As [`LayerCost::flops`].
+    flops: u64,
+    /// As [`LayerCost::bytes`].
+    bytes: u64,
+    /// Transient bytes resident while a conv or the fc runs: f32 input +
+    /// column or int8 staging + f32 output. 0 for pooling and the
+    /// residual add, which are reads over already-counted buffers and
+    /// never dominate.
+    resident: u64,
+}
+
+impl Layer<'_> {
+    /// Label used in [`LayerProfile`]s — hydrobench's `layer.*` metrics
+    /// key on these.
+    fn name(self) -> String {
+        match self {
+            Layer::Stem(_) => "stem".to_string(),
+            Layer::StemPool(_) => "stem.pool".to_string(),
+            Layer::Conv1(i, _) => format!("block{i}.conv1"),
+            Layer::Conv2(i, _) => format!("block{i}.conv2"),
+            Layer::Proj(i, _) => format!("block{i}.proj"),
+            Layer::AddRelu(i) => format!("block{i}.add_relu"),
+            Layer::GlobalAvgPool => "global_avg_pool".to_string(),
+            Layer::Fc(_) => "fc".to_string(),
         }
     }
 
-    fn step<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let flops_before = hydronas_telemetry::counter_suffix_sum(".flops");
-        let bytes_before = hydronas_telemetry::counter_suffix_sum(".bytes");
+    /// Whether the layer quantizes its input on an int8 plan (every conv
+    /// and the fc).
+    fn quantizes_input(self) -> bool {
+        matches!(
+            self,
+            Layer::Stem(_) | Layer::Conv1(..) | Layer::Conv2(..) | Layer::Proj(..) | Layer::Fc(_)
+        )
+    }
+
+    /// The layer's [`Geometry`] at input dims `[n, c, h, w]`, or `None`
+    /// when its window does not fit the input.
+    fn geometry(self, [n, c, h, w]: [usize; 4]) -> Option<Geometry> {
+        let conv = |op: &ConvBnOp| {
+            let (out_c, in_c, kernel) = op.weight_dims();
+            let oh = conv_out_dim(h, kernel, op.stride, op.padding)?;
+            let ow = conv_out_dim(w, kernel, op.stride, op.padding)?;
+            let elem = if op.is_quantized() { 1 } else { 4 };
+            // The im2col GEMM: [out_c, rows] x [rows, cols] -> [out_c, cols].
+            let (rows, cols) = (in_c * kernel * kernel, n * oh * ow);
+            let column = elem * rows * cols;
+            let output = 4 * out_c * cols;
+            Some(Geometry {
+                out: [n, out_c, oh, ow],
+                flops: (2 * out_c * rows * cols) as u64,
+                bytes: (elem * out_c * rows + column + output) as u64,
+                resident: (4 * n * in_c * h * w + column + output) as u64,
+            })
+        };
+        match self {
+            Layer::Stem(op) | Layer::Conv1(_, op) | Layer::Conv2(_, op) | Layer::Proj(_, op) => {
+                conv(op)
+            }
+            Layer::StemPool((kernel, stride, padding)) => {
+                let oh = conv_out_dim(h, kernel, stride, padding)?;
+                let ow = conv_out_dim(w, kernel, stride, padding)?;
+                Some(Geometry {
+                    out: [n, c, oh, ow],
+                    bytes: (4 * (n * c * h * w + 2 * n * c * oh * ow)) as u64,
+                    ..Geometry::default()
+                })
+            }
+            Layer::AddRelu(_) => Some(Geometry {
+                out: [n, c, h, w],
+                ..Geometry::default()
+            }),
+            Layer::GlobalAvgPool => Some(Geometry {
+                out: [n, c, 1, 1],
+                bytes: (4 * (n * c * h * w + n * c)) as u64,
+                ..Geometry::default()
+            }),
+            Layer::Fc(fc) => {
+                let (in_f, out_f) = (c, fc.out_features());
+                let quantized = matches!(fc, FcOp::Quantized { .. });
+                let elem = if quantized { 1 } else { 4 };
+                let staging = if quantized { n * in_f } else { 0 };
+                let output = 4 * n * out_f;
+                Some(Geometry {
+                    out: [n, out_f, 1, 1],
+                    flops: (2 * n * in_f * out_f) as u64,
+                    bytes: (elem * (in_f * out_f + n * in_f) + output) as u64,
+                    resident: (4 * n * in_f + staging + output) as u64,
+                })
+            }
+        }
+    }
+}
+
+/// `dims` padded with trailing 1s to four axes (the pooled `[N, C]`
+/// becomes `[N, C, 1, 1]`).
+fn nchw(dims: &[usize]) -> [usize; 4] {
+    let mut d = [1; 4];
+    d[..dims.len()].copy_from_slice(dims);
+    d
+}
+
+/// Receives every layer of the forward walk, in execution order.
+trait LayerObserver {
+    /// Runs one layer: `run` computes it from `input` (for the residual
+    /// add, the skip operand — the main path is updated in place).
+    fn layer<T>(&mut self, layer: Layer<'_>, input: &Tensor, run: impl FnOnce() -> T) -> T;
+}
+
+/// The hot path: observes nothing, so the walk compiles down to the bare
+/// forward pass and no layer name is ever formatted.
+impl LayerObserver for () {
+    #[inline(always)]
+    fn layer<T>(&mut self, _: Layer<'_>, _: &Tensor, run: impl FnOnce() -> T) -> T {
+        run()
+    }
+}
+
+/// Profiling observer: wall-times each layer and takes its FLOPs and
+/// bytes from the layer's [`Geometry`], so it needs no telemetry session.
+#[derive(Default)]
+struct Timer {
+    layers: Vec<LayerCost>,
+}
+
+impl LayerObserver for Timer {
+    fn layer<T>(&mut self, layer: Layer<'_>, input: &Tensor, run: impl FnOnce() -> T) -> T {
+        let geometry = layer.geometry(nchw(input.dims()));
         let start = Instant::now();
-        let out = f();
+        let out = run();
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        let geometry = geometry.expect("a layer that ran fits its input");
         self.layers.push(LayerCost {
-            name: name.to_string(),
+            name: layer.name(),
             wall_ms,
-            flops: hydronas_telemetry::counter_suffix_sum(".flops").saturating_sub(flops_before),
-            bytes: hydronas_telemetry::counter_suffix_sum(".bytes").saturating_sub(bytes_before),
+            flops: geometry.flops,
+            bytes: geometry.bytes,
             pct: 0.0,
         });
         out
     }
+}
 
+impl Timer {
     fn finish(mut self, batch: usize) -> LayerProfile {
         let total_wall_ms: f64 = self.layers.iter().map(|l| l.wall_ms).sum();
         if total_wall_ms > 0.0 {
@@ -1130,5 +1018,25 @@ impl Profiler {
             total_wall_ms,
             layers: self.layers,
         }
+    }
+}
+
+/// Calibration observer: one [`ActivationObserver`] per quantization
+/// point, each fixing the static int8 scale of one layer's input. Scales
+/// land in walk order — stem, each block's conv1, conv2 and projection,
+/// then the fc — the order [`lower`] builds the layers in.
+struct Calibrator {
+    method: CalibrationMethod,
+    scales: Vec<f32>,
+}
+
+impl LayerObserver for Calibrator {
+    fn layer<T>(&mut self, layer: Layer<'_>, input: &Tensor, run: impl FnOnce() -> T) -> T {
+        if layer.quantizes_input() {
+            let mut observer = ActivationObserver::new(self.method);
+            observer.observe(input.as_slice());
+            self.scales.push(observer.scale());
+        }
+        run()
     }
 }

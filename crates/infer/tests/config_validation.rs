@@ -4,9 +4,7 @@
 //! clock) must come back as typed [`InferError::InvalidConfig`] values —
 //! and the plain struct-literal path must keep working for valid configs.
 
-use hydronas_infer::{
-    Engine, EngineConfig, ExecutionPlan, InferError, InferRequest, RetryConfig, ShedPolicy,
-};
+use hydronas_infer::{Engine, EngineConfig, ExecutionPlan, InferError, ShedPolicy};
 use hydronas_nn::ResNet;
 use hydronas_tensor::{uniform, TensorRng};
 use std::sync::Arc;
@@ -74,37 +72,4 @@ fn struct_literal_configs_still_work_for_valid_values() {
     let mut rng = TensorRng::seed_from_u64(2);
     let x = uniform(&[5, 16, 16], -1.0, 1.0, &mut rng);
     assert_eq!(engine.infer(x).unwrap().batch_size, 1);
-}
-
-#[test]
-fn deprecated_submit_shims_still_delegate_correctly() {
-    // The collapsed entry points keep working through their shims until
-    // external callers migrate to `submit(InferRequest)`.
-    #![allow(deprecated)]
-    let engine = Engine::start(
-        tiny_plan(),
-        EngineConfig::builder()
-            .workers(1)
-            .tick_us(50)
-            .build()
-            .unwrap(),
-    );
-    let mut rng = TensorRng::seed_from_u64(3);
-    let a = uniform(&[5, 16, 16], -1.0, 1.0, &mut rng);
-    let b = uniform(&[5, 16, 16], -1.0, 1.0, &mut rng);
-    let via_shim = engine
-        .submit_with_deadline(a.clone(), 1_000_000)
-        .unwrap()
-        .wait()
-        .unwrap();
-    let via_typed = engine
-        .submit(InferRequest::new(a).deadline_ticks(1_000_000))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(via_shim.logits, via_typed.logits);
-    let retried = engine
-        .infer_with_retry(b, &RetryConfig::new(2))
-        .expect("shim must serve an uncontended queue");
-    assert_eq!(retried.logits.len(), 2);
 }

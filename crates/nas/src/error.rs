@@ -1,12 +1,10 @@
 //! Typed errors for the sweep engine.
 //!
-//! [`SweepError`] is what [`crate::Sweep::run`] returns instead of the
-//! bare `io::Error` the deprecated `run_sweep` produced: every variant
+//! [`SweepError`] is what [`crate::Sweep::run`] returns: every variant
 //! names the journal path (and trial, where one is implicated), and the
 //! original I/O error stays reachable through `std::error::Error::source`.
-//! The old `io::Result` surface is preserved by the deprecated shims via
-//! `From<SweepError> for io::Error`, which keeps the historical error
-//! kinds (`InvalidData` for stale journals) intact.
+//! `From<SweepError> for io::Error` lets `io::Result` callers use `?`,
+//! keeping the error kinds (`InvalidData` for stale journals) intact.
 
 use std::io;
 use std::path::PathBuf;
@@ -53,9 +51,8 @@ impl std::error::Error for SweepError {
 }
 
 impl From<SweepError> for io::Error {
-    /// Maps back onto the historical `io::Result` surface: journal I/O
-    /// keeps its original kind, stale journals keep `InvalidData` (which
-    /// pre-redesign callers match on).
+    /// Maps onto `io::Result`: journal I/O keeps its original kind,
+    /// stale journals become `InvalidData`.
     fn from(e: SweepError) -> io::Error {
         match e {
             SweepError::Journal { source, .. } => source,

@@ -75,10 +75,9 @@ pub use journal::{read_journal, Journal, TrialRecord};
 pub use metrics_cache::{ArchMetrics, GraphMetricsCache, MetricsError};
 pub use nsga2::{nsga2, Individual, Nsga2Config, Nsga2Result};
 pub use progress::{CollectingSink, ProgressSink, StderrTicker, SweepEvent, SweepStats};
-#[allow(deprecated)]
 pub use scheduler::{
-    attempt_seed, injected_failure_ids, run_experiment, run_full_grid, run_sweep,
-    transient_failure_ids, SchedulerConfig, SweepOptions, SweepReport,
+    attempt_seed, injected_failure_ids, run_experiment, run_full_grid, transient_failure_ids,
+    SchedulerConfig, SweepReport,
 };
 pub use space::{InputCombo, SearchSpace, TrialSpec};
 pub use strategies::{random_search, regularized_evolution, EvolutionConfig, SearchResult};

@@ -25,9 +25,8 @@ use crate::space::{full_grid, SearchSpace, TrialSpec};
 use crate::sweep::{DegradationReport, RetryPolicy};
 use hydronas_nn::CancelToken;
 use std::collections::{HashMap, HashSet};
-use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -325,26 +324,6 @@ fn run_trial_with_retry(
     }
 }
 
-/// Optional sweep machinery: journaling, observability, worker sizing.
-/// `SweepOptions::default()` reproduces plain [`run_experiment`].
-#[derive(Default)]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sweep::builder()` with `with_journal` / `with_workers` and `run_with(sink)`"
-)]
-pub struct SweepOptions<'a, 'b> {
-    /// Write-ahead journal: replayed if the file already has records,
-    /// appended to as live trials finish.
-    pub journal: Option<&'a Path>,
-    /// Progress event receiver.
-    pub sink: Option<&'b mut dyn ProgressSink>,
-    /// Worker thread count; defaults to the available parallelism.
-    /// Results are byte-identical for any value (trial outcomes are pure
-    /// functions of `(spec, config)` and the database is re-ordered by
-    /// id), so this only trades memory for throughput.
-    pub workers: Option<usize>,
-}
-
 /// A finished sweep: the ordered database, its execution counters, and
 /// an account of anything a degraded run lost.
 #[derive(Clone, Debug)]
@@ -405,10 +384,10 @@ fn is_cancelled_outcome(outcome: &TrialOutcome) -> bool {
         if FailureCause::from_status(msg) == Some(FailureCause::Cancelled))
 }
 
-/// The engine behind [`crate::sweep::Sweep`] and the deprecated
-/// [`run_sweep`] shim: runs `trials` on the worker pool and collects an
-/// ordered database, with optional journaling, progress reporting,
-/// cancellation, deadlines, and chaos injection.
+/// The engine behind [`crate::sweep::Sweep`]: runs `trials` on the
+/// worker pool and collects an ordered database, with optional
+/// journaling, progress reporting, cancellation, deadlines, and chaos
+/// injection.
 ///
 /// When `params.journal` points at a journal with existing records
 /// (e.g. from a killed or cancelled sweep), those trials are replayed
@@ -688,27 +667,6 @@ pub(crate) fn run_sweep_inner(
     })
 }
 
-/// Runs a set of trials on the worker pool and collects an ordered
-/// database, with optional journaling and progress reporting.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sweep::builder()` — e.g. `Sweep::builder().with_trials(trials).with_journal(path).run_with(sink)`"
-)]
-#[allow(deprecated)]
-pub fn run_sweep(
-    trials: &[TrialSpec],
-    evaluator: &dyn Evaluator,
-    config: &SchedulerConfig,
-    options: SweepOptions,
-) -> io::Result<SweepReport> {
-    let params = SweepParams {
-        journal: options.journal.map(Path::to_path_buf),
-        workers: options.workers,
-        ..SweepParams::from_config(config)
-    };
-    run_sweep_inner(trials, evaluator, &params, options.sink).map_err(io::Error::from)
-}
-
 /// Runs a set of trials in parallel and collects an ordered database.
 pub fn run_experiment(
     trials: &[TrialSpec],
@@ -903,33 +861,6 @@ mod tests {
         }
         assert_eq!(json[0], json[1]);
         assert_eq!(json[0], json[2], "32 workers must match a serial sweep");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_sweep_shim_matches_the_builder() {
-        // The shim must stay a faithful adapter until callers migrate.
-        let trials: Vec<_> = full_grid(&SearchSpace::paper())
-            .into_iter()
-            .take(12)
-            .collect();
-        let config = SchedulerConfig {
-            injected_failures: 1,
-            ..Default::default()
-        };
-        let old = run_sweep(
-            &trials,
-            &SurrogateEvaluator::default(),
-            &config,
-            SweepOptions::default(),
-        )
-        .unwrap();
-        let new = Sweep::builder()
-            .with_trials(trials)
-            .with_injected_failures(1)
-            .run()
-            .unwrap();
-        assert_eq!(old.db.to_json(), new.db.to_json());
     }
 
     #[test]

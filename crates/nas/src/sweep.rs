@@ -1,10 +1,8 @@
 //! The typed, builder-style sweep API.
 //!
-//! [`Sweep::builder`] replaces the positional `run_sweep(trials,
-//! evaluator, config, options)` entry point: every knob is a named
-//! `with_*` method, the configuration structs are `#[non_exhaustive]`
-//! (new knobs never break callers), and [`Sweep::run`] returns a typed
-//! [`SweepError`] instead of a bare `io::Error`.
+//! Every knob of [`Sweep::builder`] is a named `with_*` method, the
+//! configuration structs are `#[non_exhaustive]` (new knobs never break
+//! callers), and [`Sweep::run`] returns a typed [`SweepError`].
 //!
 //! ```no_run
 //! use hydronas_nas::{space, SearchSpace, SurrogateEvaluator, Sweep};

@@ -69,7 +69,7 @@ pub use chrome::chrome_trace;
 pub use logger::{log, log_enabled, log_level, set_log_level, Level};
 pub use quantile::{BucketCount, QuantileHistogram, QuantileSnapshot};
 pub use registry::{
-    add, add_all, counter_suffix_sum, enabled, gauge_add, next_flow_id, push_series,
-    record_quantile, record_value, session, span, Gauge, Histogram, MetricsSnapshot, SeriesPoint,
-    Session, SpanGuard, SpanRecord, SpanSummary,
+    add, add_all, enabled, gauge_add, next_flow_id, push_series, record_quantile, record_value,
+    session, span, Gauge, Histogram, MetricsSnapshot, SeriesPoint, Session, SpanGuard, SpanRecord,
+    SpanSummary,
 };

@@ -371,22 +371,6 @@ pub fn gauge_add(name: &'static str, delta: i64) {
     g.high_watermark = g.high_watermark.max(g.value);
 }
 
-/// Sum of every counter whose name ends with `suffix` — e.g.
-/// `counter_suffix_sum(".flops")` totals FLOPs across all op
-/// categories. Returns 0 without a session. Used by the per-layer
-/// profiler to snapshot op-accounting deltas around a layer.
-pub fn counter_suffix_sum(suffix: &str) -> u64 {
-    if !enabled() {
-        return 0;
-    }
-    let s = lock_or_recover(state());
-    s.counters
-        .iter()
-        .filter(|(k, _)| k.ends_with(suffix))
-        .map(|(_, v)| *v)
-        .sum()
-}
-
 /// Appends one `(step, value)` point to the named time series. No-op
 /// without a session.
 pub fn push_series(name: &'static str, step: f64, value: f64) {
@@ -614,7 +598,6 @@ mod tests {
         gauge_add("t.noop", 1);
         push_series("t.noop", 0.0, 1.0);
         drop(span("t.noop", "noop"));
-        assert_eq!(counter_suffix_sum(".noop"), 0);
         let s = lock_or_recover(state());
         assert_eq!(s.counters.get("t.noop"), None);
         assert!(!s.histograms.contains_key("t.noop"));
@@ -690,18 +673,6 @@ mod tests {
         let q = &m.quantiles["t.lat"];
         assert_eq!(q.count, 5);
         assert!(q.p50 >= 4.0 && q.p50 <= 4.0 * 1.091, "p50 = {}", q.p50);
-    }
-
-    #[test]
-    fn counter_suffix_sum_totals_matching_counters() {
-        let session = session();
-        add("t.op_a.flops", 100);
-        add("t.op_b.flops", 50);
-        add("t.op_a.bytes", 7);
-        assert_eq!(counter_suffix_sum(".flops"), 150);
-        assert_eq!(counter_suffix_sum(".bytes"), 7);
-        assert_eq!(counter_suffix_sum(".missing"), 0);
-        drop(session);
     }
 
     #[test]

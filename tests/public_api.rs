@@ -55,7 +55,6 @@ mod types {
     pub type A37 = prelude::Objective;
     pub type A38 = prelude::OnnxError;
     pub type A39 = prelude::PlanBuilder<'static>;
-    pub type A40 = prelude::PlanConfig;
     pub type A41 = prelude::Point;
     pub type A42 = prelude::PoolConfig;
     pub type A43 = prelude::Precision;
@@ -169,7 +168,6 @@ fn type_snapshot_is_sorted_and_duplicate_free() {
         "Objective",
         "OnnxError",
         "PlanBuilder",
-        "PlanConfig",
         "Point",
         "PoolConfig",
         "Precision",
@@ -214,7 +212,7 @@ fn type_snapshot_is_sorted_and_duplicate_free() {
     }
     // One aliased type per snapshot row (plus the two traits pinned in
     // `types::UsesTraits`).
-    assert_eq!(EXPECTED.len(), 73);
+    assert_eq!(EXPECTED.len(), 72);
 }
 
 /// The error taxonomy stays typed: the facade error wraps each
