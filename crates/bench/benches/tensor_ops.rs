@@ -2,7 +2,9 @@
 //! real training time (GEMM, im2col convolution, pooling).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hydronas_tensor::{conv2d, conv2d_backward, gemm, max_pool2d, uniform, Tensor, TensorRng};
+use hydronas_tensor::{
+    conv2d, conv2d_backward, gemm, max_pool2d, uniform, Epilogue, GemmA, GemmB, Tensor, TensorRng,
+};
 
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
@@ -13,7 +15,8 @@ fn bench_gemm(c: &mut Criterion) {
         let mut out = vec![0.0f32; n * n];
         group.throughput(Throughput::Elements((2 * n * n * n) as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, &n| {
-            bench.iter(|| gemm(&a, &b, &mut out, n, n, n));
+            let (a, b) = (GemmA::Slice(&a), GemmB::Slice(&b));
+            bench.iter(|| gemm(a, b, &mut out, n, n, n, Epilogue::None));
         });
     }
     group.finish();

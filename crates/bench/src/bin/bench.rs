@@ -29,8 +29,8 @@ use hydronas_nas::space::{full_grid, SearchSpace};
 use hydronas_nas::{run_experiment, SchedulerConfig, SurrogateEvaluator};
 use hydronas_nn::{CrossEntropyLoss, Optimizer, ParamVisitor, ResNet, Sgd};
 use hydronas_tensor::{
-    compute_threads, conv2d, conv2d_backward, gemm, qgemm_nt_row_scaled, set_compute_threads,
-    uniform, Tensor, TensorRng,
+    compute_threads, conv2d, conv2d_backward, gemm, qgemm_nt, set_compute_threads, uniform,
+    Epilogue, GemmA, GemmB, QEpilogue, Tensor, TensorRng,
 };
 use serde::{Deserialize, Serialize};
 use std::process::ExitCode;
@@ -172,7 +172,10 @@ fn bench_gemm(reps: usize) -> GemmBench {
     let flops = 2.0 * (size as f64).powi(3);
 
     let t_ref = time_median(reps, || gemm_reference(&a, &b, &mut c, size, size, size));
-    let t_live = time_median(reps, || gemm(&a, &b, &mut c, size, size, size));
+    let (a_op, b_op) = (GemmA::Slice(&a), GemmB::Slice(&b));
+    let t_live = time_median(reps, || {
+        gemm(a_op, b_op, &mut c, size, size, size, Epilogue::None)
+    });
     GemmBench {
         size: size as u64,
         reference_gflops: flops / t_ref / 1e9,
@@ -195,7 +198,10 @@ fn bench_int8_gemm(reps: usize) -> Int8GemmBench {
         .to_vec();
     let mut c32 = vec![0.0f32; size * size];
     let flops = 2.0 * (size as f64).powi(3);
-    let t_f32 = time_median(reps, || gemm(&a32, &b32, &mut c32, size, size, size));
+    let (a_op, b_op) = (GemmA::Slice(&a32), GemmB::Slice(&b32));
+    let t_f32 = time_median(reps, || {
+        gemm(a_op, b_op, &mut c32, size, size, size, Epilogue::None)
+    });
 
     let fill = |salt: u64| -> Vec<i8> {
         (0..size * size)
@@ -213,7 +219,12 @@ fn bench_int8_gemm(reps: usize) -> Int8GemmBench {
     let bias = vec![0.0f32; size];
     let mut c = vec![0.0f32; size * size];
     let t_int8 = time_median(reps, || {
-        qgemm_nt_row_scaled(&a, &bt, &scales, &bias, false, &mut c, size, size, size);
+        let epi = QEpilogue::Rows {
+            scales: &scales,
+            bias: &bias,
+            relu: false,
+        };
+        qgemm_nt(&a, &bt, &mut c, size, size, size, epi);
     });
     Int8GemmBench {
         size: size as u64,
@@ -243,11 +254,16 @@ fn bench_parallel(reps: usize) -> ParallelBench {
     let flops = 2.0 * (size as f64).powi(3);
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
+    let (a_op, b_op) = (GemmA::Slice(&a), GemmB::Slice(&b));
     let restore = compute_threads();
     set_compute_threads(1);
-    let t_single = time_median(reps, || gemm(&a, &b, &mut c, size, size, size));
+    let t_single = time_median(reps, || {
+        gemm(a_op, b_op, &mut c, size, size, size, Epilogue::None)
+    });
     set_compute_threads(threads);
-    let t_multi = time_median(reps, || gemm(&a, &b, &mut c, size, size, size));
+    let t_multi = time_median(reps, || {
+        gemm(a_op, b_op, &mut c, size, size, size, Epilogue::None)
+    });
     set_compute_threads(restore);
 
     ParallelBench {

@@ -373,7 +373,7 @@ fn bench_baseline(model: &ResNet, channels: usize, reps: usize) -> BaselineEval 
 
 /// Times whole-batch execution across a batch-size curve and reports the
 /// best point with its speedups over both baselines.
-fn bench_batched(
+fn bench_batch_curve(
     plan: &ExecutionPlan,
     baseline: &BaselineEval,
     single: &SingleStream,
@@ -1072,7 +1072,7 @@ fn main() -> ExitCode {
         single_stream.latency_ms, single_stream.samples_per_s
     );
     eprintln!("timing whole-batch execution ({reps} reps)...");
-    let batched = bench_batched(&plan, &baseline_eval, &single_stream, reps);
+    let batched = bench_batch_curve(&plan, &baseline_eval, &single_stream, reps);
     for p in &batched.curve {
         eprintln!(
             "  batch {:>2}: {:.3} ms ({:.1} samples/s)",

@@ -64,7 +64,7 @@ pub fn conv2d_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydronas_tensor::approx_eq;
+    use hydronas_tensor::{approx_eq, Epilogue, GemmA, GemmB};
 
     #[test]
     fn reference_gemm_agrees_with_live_kernel_on_finite_data() {
@@ -72,7 +72,8 @@ mod tests {
         let a: Vec<f32> = (0..m * k).map(|v| ((v % 13) as f32) * 0.1 - 0.5).collect();
         let b: Vec<f32> = (0..k * n).map(|v| ((v % 17) as f32) * 0.1 - 0.8).collect();
         let mut want = vec![0.0; m * n];
-        hydronas_tensor::gemm(&a, &b, &mut want, m, k, n);
+        let (a_op, b_op) = (GemmA::Slice(&a), GemmB::Slice(&b));
+        hydronas_tensor::gemm(a_op, b_op, &mut want, m, k, n, Epilogue::None);
         let mut got = vec![0.0; m * n];
         gemm_reference(&a, &b, &mut got, m, k, n);
         for (x, y) in got.iter().zip(want.iter()) {

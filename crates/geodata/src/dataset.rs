@@ -3,7 +3,6 @@
 use crate::region::{study_regions, Region};
 use crate::tile::{synthesize_tile, TileParams};
 use hydronas_tensor::{Tensor, TensorRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Channel packing for the CNN input (paper Figure 1).
@@ -124,7 +123,7 @@ pub fn build_dataset(
 
     let per_sample = mode.channels() * tile_size * tile_size;
     let chunks: Vec<Vec<f32>> = jobs
-        .par_iter()
+        .iter()
         .map(|job| {
             tile_channels(
                 &TileParams {

@@ -1,7 +1,6 @@
 //! Heightmaps: procedural DEM rasters with basic morphometry.
 
 use crate::noise::fbm;
-use rayon::prelude::*;
 
 /// A square single-band elevation raster (meters), row-major.
 #[derive(Clone, Debug, PartialEq)]
@@ -27,7 +26,7 @@ impl Heightmap {
         assert!(size >= 2, "heightmap too small");
         let mut data = vec![0.0f32; size * size];
         let inv = 1.0 / size as f32;
-        data.par_chunks_mut(size).enumerate().for_each(|(y, row)| {
+        data.chunks_mut(size).enumerate().for_each(|(y, row)| {
             for (x, v) in row.iter_mut().enumerate() {
                 let nx = x as f32 * inv * 8.0 * roughness;
                 let ny = y as f32 * inv * 8.0 * roughness;

@@ -46,9 +46,9 @@ use hydronas_graph::{
 };
 use hydronas_nn::{BatchNorm2d, Conv2d, Linear, ResNet};
 use hydronas_tensor::{
-    avg_pool2d_global, conv2d, conv2d_bias_act_prepacked, conv2d_q8, conv_out_dim, max_pool2d,
-    pack_conv_weight, qgemm_nt_col_scaled, quantize_slice_i8, PackedConvWeight,
-    QuantizedConvWeight, Tensor,
+    avg_pool2d_global, conv2d, conv2d_bias_act, conv2d_q8, conv_out_dim, gemm, max_pool2d,
+    pack_conv_weight, qgemm_nt, quantize_slice_i8, Epilogue, GemmA, GemmB, PackedBLayout,
+    PackedConvWeight, QEpilogue, QuantizedConvWeight, Tensor,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -255,7 +255,7 @@ impl ConvBnOp {
     fn apply(&self, input: &Tensor) -> Tensor {
         match &self.kind {
             ConvKind::Fused { weight, bias } => {
-                conv2d_bias_act_prepacked(input, weight, bias, self.relu, self.stride, self.padding)
+                conv2d_bias_act(input, weight, bias, self.relu, self.stride, self.padding)
             }
             ConvKind::Quantized {
                 weight,
@@ -338,8 +338,17 @@ fn add_relu(main: &mut Tensor, skip: &Tensor) {
 
 /// The plan's fully-connected head.
 enum FcOp {
-    /// f32 weight `[in_f, out_f]` (the layout `forward_eval` multiplies).
-    F32 { weight: Tensor, bias: Vec<f32> },
+    /// f32 weight `[in_f, out_f]`, multiplied through the same GEMM call
+    /// `forward_eval` makes, so the bits match the model's own FC.
+    Exact { weight: Tensor, bias: Vec<f32> },
+    /// f32 weight `[in_f, out_f]` packed once as the GEMM's B operand,
+    /// so the head takes the packed path at every batch size and row `i`
+    /// of a batch is bit-identical to sample `i` run alone.
+    Fused {
+        layout: PackedBLayout,
+        weight: Vec<f32>,
+        bias: Vec<f32>,
+    },
     /// Quantized transposed weight `[out_f, in_f]` for the NT int8 GEMM.
     /// `scales[j]` is the combined `w_scale[j] × input_scale` applied in
     /// the column-scaled epilogue.
@@ -347,7 +356,6 @@ enum FcOp {
         wt: Vec<i8>,
         scales: Vec<f32>,
         input_scale: f32,
-        in_f: usize,
         out_f: usize,
         bias: Vec<f32>,
     },
@@ -356,7 +364,8 @@ enum FcOp {
 impl FcOp {
     fn out_features(&self) -> usize {
         match self {
-            FcOp::F32 { weight, .. } => weight.dims()[1],
+            FcOp::Exact { weight, .. } => weight.dims()[1],
+            FcOp::Fused { layout, .. } => layout.n(),
             FcOp::Quantized { out_f, .. } => *out_f,
         }
     }
@@ -496,7 +505,17 @@ fn compile_f32(model: &ResNet, numerics: Numerics) -> ExecutionPlan {
             let bias = fc.bias.value.as_slice().to_vec();
             ledger.store_f32(weight.as_slice());
             ledger.store_f32(&bias);
-            FcOp::F32 { weight, bias }
+            if numerics == Numerics::Exact {
+                return FcOp::Exact { weight, bias };
+            }
+            let layout = PackedBLayout::new(weight.dims()[0], weight.dims()[1]);
+            let mut packed = vec![0.0f32; layout.len()];
+            layout.pack(weight.as_slice(), &mut packed);
+            FcOp::Fused {
+                layout,
+                weight: packed,
+                bias,
+            }
         },
     )
 }
@@ -580,7 +599,6 @@ fn compile_quantized(
                 wt: values,
                 scales: w_scales.iter().map(|s| s * fc_scale).collect(),
                 input_scale: fc_scale,
-                in_f,
                 out_f,
                 bias,
             }
@@ -675,63 +693,36 @@ impl ExecutionPlan {
     /// The shared FC head: `pooled [N, in_f] -> logits [N, out_f]`.
     fn fc_forward(&self, pooled: &Tensor) -> Tensor {
         let (n, in_f) = (pooled.dims()[0], pooled.dims()[1]);
-        match &self.fc {
-            FcOp::F32 { weight, bias } => {
-                let out_f = weight.dims()[1];
-                let mut out = Tensor::zeros(&[n, out_f]);
-                match self.numerics {
-                    Numerics::Fused => hydronas_tensor::gemm_bias_batched(
-                        pooled.as_slice(),
-                        weight.as_slice(),
-                        bias,
-                        out.as_mut_slice(),
-                        n,
-                        in_f,
-                        out_f,
-                    ),
-                    // Exact mode keeps the dispatching entry `forward_eval`
-                    // uses so the bits match the model's own FC call.
-                    Numerics::Exact => hydronas_tensor::gemm_bias(
-                        pooled.as_slice(),
-                        weight.as_slice(),
-                        bias,
-                        out.as_mut_slice(),
-                        n,
-                        in_f,
-                        out_f,
-                    ),
-                    Numerics::QuantizedInt8 => {
-                        unreachable!("quantized plans hold FcOp::Quantized")
-                    }
-                }
-                out
-            }
+        let out_f = self.fc.out_features();
+        let mut out = Tensor::zeros(&[n, out_f]);
+        let (b, bias) = match &self.fc {
+            FcOp::Exact { weight, bias } => (GemmB::Slice(weight.as_slice()), bias),
+            FcOp::Fused {
+                layout,
+                weight,
+                bias,
+            } => (GemmB::Packed(layout, weight), bias),
             FcOp::Quantized {
                 wt,
                 scales,
                 input_scale,
-                in_f: fin,
-                out_f,
                 bias,
+                ..
             } => {
-                assert_eq!(in_f, *fin, "pooled feature width mismatch");
                 let mut staged = vec![0i8; n * in_f];
                 quantize_slice_i8(pooled.as_slice(), *input_scale, &mut staged);
-                let mut out = Tensor::zeros(&[n, *out_f]);
-                qgemm_nt_col_scaled(
-                    &staged,
-                    wt,
+                let epi = QEpilogue::Cols {
                     scales,
                     bias,
-                    false,
-                    out.as_mut_slice(),
-                    n,
-                    in_f,
-                    *out_f,
-                );
-                out
+                    relu: false,
+                };
+                qgemm_nt(&staged, wt, out.as_mut_slice(), n, in_f, out_f, epi);
+                return out;
             }
-        }
+        };
+        let (a, c) = (GemmA::Slice(pooled.as_slice()), out.as_mut_slice());
+        gemm(a, b, c, n, in_f, out_f, Epilogue::ColBias(bias));
+        out
     }
 
     /// The forward walk behind [`run_batch`](Self::run_batch),
@@ -773,9 +764,10 @@ impl ExecutionPlan {
 
     /// Runs the plan over a batch: `[N, C, H, W] -> logits [N, classes]`.
     ///
-    /// In [`Numerics::Fused`] mode every GEMM on this path goes through the
-    /// always-packed `_batched` entries, so row `i` of a batched run is
-    /// bit-identical to running sample `i` alone at any batch size. In
+    /// In [`Numerics::Fused`] mode every GEMM on this path has a prepacked
+    /// operand (the conv weights and the FC weight are packed at build
+    /// time), so it always takes the packed path and row `i` of a batched
+    /// run is bit-identical to running sample `i` alone at any batch size. In
     /// [`Numerics::Exact`] mode the plan instead mirrors
     /// `ResNet::forward_eval` call-for-call, so its output is bit-identical
     /// to the model's eval forward at the same batch size.

@@ -7,6 +7,15 @@
 
 use hydronas_nas::space::{full_grid, SearchSpace, TrialSpec};
 use hydronas_nas::Sweep;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes this binary's tests: recording is process-global while
+/// any session is open, so a a sweep run without a session would otherwise record
+/// into the session another test holds and break its exact counts.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn trials(n: usize) -> Vec<TrialSpec> {
     full_grid(&SearchSpace::paper())
@@ -28,6 +37,7 @@ fn sweep(trials: &[TrialSpec], workers: usize) -> String {
 
 #[test]
 fn multi_worker_sweep_exports_a_stable_chrome_trace() {
+    let _serial = serial();
     let trials = trials(24);
     let session = hydronas_telemetry::session();
     let _ = sweep(&trials, 4);
@@ -124,6 +134,7 @@ fn multi_worker_sweep_exports_a_stable_chrome_trace() {
 
 #[test]
 fn chrome_trace_is_identical_across_reruns_of_the_same_spans() {
+    let _serial = serial();
     let trials = trials(12);
     let session = hydronas_telemetry::session();
     let _ = sweep(&trials, 3);
@@ -137,6 +148,7 @@ fn chrome_trace_is_identical_across_reruns_of_the_same_spans() {
 
 #[test]
 fn telemetry_does_not_change_the_database() {
+    let _serial = serial();
     let trials = trials(24);
     let plain = sweep(&trials, 4);
     let observed = {

@@ -5,8 +5,8 @@
 
 use crate::param::{Param, ParamVisitor};
 use hydronas_tensor::{
-    avg_pool2d_global, conv2d, conv2d_backward, kaiming_normal, max_pool2d, max_pool2d_backward,
-    Tensor, TensorRng,
+    avg_pool2d_global, conv2d, conv2d_backward, gemm, kaiming_normal, max_pool2d,
+    max_pool2d_backward, Epilogue, GemmA, GemmB, Tensor, TensorRng,
 };
 
 /// 2-d convolution without bias (ResNet convention: bias folds into BN).
@@ -406,42 +406,31 @@ impl Linear {
         }
     }
 
+    /// The affine map of [`Linear::forward_eval`], caching the input for
+    /// the backward pass when `train` is set.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(input.shape().ndim(), 2, "Linear expects [N, in]");
-        let (n, in_f) = (input.dims()[0], input.dims()[1]);
-        let out_f = self.weight.value.dims()[1];
-        // Bias is fused into the GEMM's final write-back — one pass over
-        // the output instead of matmul + broadcast add.
-        let mut out = Tensor::zeros(&[n, out_f]);
-        hydronas_tensor::gemm_bias(
-            input.as_slice(),
-            self.weight.value.as_slice(),
-            self.bias.value.as_slice(),
-            out.as_mut_slice(),
-            n,
-            in_f,
-            out_f,
-        );
+        let out = self.forward_eval(input);
         self.cached_input = train.then(|| input.clone());
         out
     }
 
-    /// Read-only affine map: no input caching, shared access. Uses the same
-    /// fused-bias GEMM as [`Linear::forward`], so the output is bit-identical
-    /// to `forward(input, false)`.
+    /// Read-only affine map: no input caching, shared access, so the
+    /// output is bit-identical to `forward(input, false)`. Bias is fused
+    /// into the GEMM's final write-back — one pass over the output
+    /// instead of matmul + broadcast add.
     pub fn forward_eval(&self, input: &Tensor) -> Tensor {
         assert_eq!(input.shape().ndim(), 2, "Linear expects [N, in]");
         let (n, in_f) = (input.dims()[0], input.dims()[1]);
         let out_f = self.weight.value.dims()[1];
         let mut out = Tensor::zeros(&[n, out_f]);
-        hydronas_tensor::gemm_bias(
-            input.as_slice(),
-            self.weight.value.as_slice(),
-            self.bias.value.as_slice(),
+        gemm(
+            GemmA::Slice(input.as_slice()),
+            GemmB::Slice(self.weight.value.as_slice()),
             out.as_mut_slice(),
             n,
             in_f,
             out_f,
+            Epilogue::ColBias(self.bias.value.as_slice()),
         );
         out
     }

@@ -6,6 +6,15 @@
 use hydronas_graph::ArchConfig;
 use hydronas_nn::{train, Dataset, TrainConfig};
 use hydronas_tensor::{Tensor, TensorRng};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes this binary's tests: recording is process-global while
+/// any session is open, so a training run without a session would otherwise record
+/// into the session another test holds and break its exact counts.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn tiny_arch() -> ArchConfig {
     ArchConfig {
@@ -38,6 +47,7 @@ fn toy_dataset(n: usize, hw: usize, seed: u64) -> Dataset {
 
 #[test]
 fn training_emits_per_epoch_series_and_span() {
+    let _serial = serial();
     let data = toy_dataset(32, 8, 4);
     let idx: Vec<usize> = (0..32).collect();
     let config = TrainConfig {
@@ -91,6 +101,7 @@ fn training_emits_per_epoch_series_and_span() {
 
 #[test]
 fn telemetry_does_not_change_training_results() {
+    let _serial = serial();
     let data = toy_dataset(32, 8, 9);
     let idx: Vec<usize> = (0..32).collect();
     let config = TrainConfig {

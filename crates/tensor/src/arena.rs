@@ -11,9 +11,9 @@
 //! A buffer is checked out with [`scratch`] (contents unspecified) or
 //! [`scratch_zeroed`] and returns to its thread's pool when the
 //! [`Scratch`] guard drops. Pools are thread-local, so worker threads
-//! (rayon or the NAS scheduler's scoped pool) never contend; a guard
-//! must drop on the thread that created it, which the RAII shape
-//! guarantees for the closure-scoped uses in this crate.
+//! (compute-pool workers or the NAS scheduler's scoped threads) never
+//! contend; a guard must drop on the thread that created it, which the
+//! RAII shape guarantees for the closure-scoped uses in this crate.
 //!
 //! ## Telemetry
 //!

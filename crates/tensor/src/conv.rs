@@ -1,18 +1,20 @@
 //! 2-d convolution via im2col + GEMM, with full backward passes.
 //!
 //! Layout conventions follow PyTorch: activations are NCHW, weights are
-//! `[out_c, in_c, kh, kw]`. Batch samples are independent, so forward,
-//! backward, and im2col packing fan out across the batch on the
-//! deterministic compute pool ([`crate::parallel`]): each sample's task
-//! owns that sample's output slice (or column block) and its GEMM runs
-//! inline inside the task, so results are bit-identical at any thread
-//! count.
+//! `[out_c, in_c, kh, kw]`.
+//!
+//! * Training runs [`conv2d`] and [`conv2d_backward`]. Batch samples are
+//!   independent, so both fan out across the batch on the deterministic
+//!   compute pool ([`crate::parallel`]): each sample's task owns that
+//!   sample's output slice and its GEMM runs inline inside the task, so
+//!   results are bit-identical at any thread count.
+//! * Serving runs [`conv2d_bias_act`], the one fused conv: a BN-folded
+//!   weight packed once by [`pack_conv_weight`], and the whole batch in
+//!   one GEMM whose column operand im2col writes in packed panel layout,
+//!   the samples unfolding in parallel.
 
 use crate::arena::scratch;
-use crate::gemm::{
-    gemm, gemm_bias_relu_rows, gemm_bias_relu_rows_prepacked, gemm_bias_rows,
-    gemm_bias_rows_prepacked, gemm_nt, PackedA, PackedBLayout,
-};
+use crate::gemm::{gemm, Epilogue, GemmA, GemmB, PackedA, PackedBLayout};
 use crate::parallel::{self, SharedSlice};
 use crate::shape::conv_out_dim;
 use crate::tensor::Tensor;
@@ -82,66 +84,41 @@ impl Conv2dDims {
     }
 }
 
+/// Writes one row of a CHW image's column matrix into `dst`
+/// (`out_h * out_w` values): the tap `(ky, kx)` of channel `plane` under
+/// each output pixel, 0 in the padding. [`im2col`] and the packed im2col
+/// of [`conv2d_bias_act`] share it; both visit rows in `(c, ky, kx)`
+/// order.
+fn unfold_row(plane: &[f32], d: &Conv2dDims, ky: usize, kx: usize, dst: &mut [f32]) {
+    for oy in 0..d.out_h {
+        let iy = (oy * d.stride + ky) as isize - d.padding as isize;
+        let base = oy * d.out_w;
+        if iy < 0 || iy >= d.in_h as isize {
+            dst[base..base + d.out_w].fill(0.0);
+            continue;
+        }
+        let src_row = &plane[iy as usize * d.in_w..(iy as usize + 1) * d.in_w];
+        for ox in 0..d.out_w {
+            let ix = (ox * d.stride + kx) as isize - d.padding as isize;
+            dst[base + ox] = if ix < 0 || ix >= d.in_w as isize {
+                0.0
+            } else {
+                src_row[ix as usize]
+            };
+        }
+    }
+}
+
 /// Unfolds one CHW image into the `[in_c*k*k, out_h*out_w]` column matrix.
 pub fn im2col(img: &[f32], d: &Conv2dDims, col: &mut [f32]) {
-    assert_eq!(col.len(), d.col_rows() * d.col_cols());
-    im2col_into(img, d, col, d.col_cols(), 0);
-}
-
-/// [`im2col`] writing into an arbitrary row-major matrix: row `r` of the
-/// unfolded image lands at `out[r * row_stride + col0 ..][..col_cols]`.
-/// This lets the whole-batch fused conv scatter each sample's columns
-/// straight into its block of the shared `[cr, N*cc]` matrix with no
-/// staging copy.
-fn im2col_into(img: &[f32], d: &Conv2dDims, out: &mut [f32], row_stride: usize, col0: usize) {
-    let shard = SharedSlice::new(out);
-    // SAFETY: exclusive borrow of `out` — no concurrent shards exist.
-    unsafe { im2col_into_shared(img, d, &shard, row_stride, col0) }
-}
-
-/// [`im2col_into`] through a [`SharedSlice`], so the whole-batch conv can
-/// unfold samples from concurrent pool tasks: sample `s`'s writes land at
-/// columns `[col0, col0 + col_cols)` of every row — disjoint element sets
-/// that interleave through the shared wide matrix and therefore cannot be
-/// expressed as contiguous `&mut` chunks.
-///
-/// # Safety
-/// Concurrent callers must target disjoint `(row_stride, col0)` column
-/// ranges of the same logical matrix.
-unsafe fn im2col_into_shared(
-    img: &[f32],
-    d: &Conv2dDims,
-    out: &SharedSlice<'_, f32>,
-    row_stride: usize,
-    col0: usize,
-) {
     assert_eq!(img.len(), d.in_c * d.in_h * d.in_w);
-    let cols = d.col_cols();
-    assert!(col0 + cols <= row_stride);
-    assert!(out.len() >= (d.col_rows() - 1) * row_stride + col0 + cols);
-    for c in 0..d.in_c {
-        let plane = &img[c * d.in_h * d.in_w..(c + 1) * d.in_h * d.in_w];
+    assert_eq!(col.len(), d.col_rows() * d.col_cols());
+    let mut rows = col.chunks_exact_mut(d.col_cols());
+    for plane in img.chunks_exact(d.in_h * d.in_w) {
         for ky in 0..d.kernel {
             for kx in 0..d.kernel {
-                let row = (c * d.kernel + ky) * d.kernel + kx;
-                let dst = out.slice_mut(row * row_stride + col0, cols);
-                for oy in 0..d.out_h {
-                    let iy = (oy * d.stride + ky) as isize - d.padding as isize;
-                    let base = oy * d.out_w;
-                    if iy < 0 || iy >= d.in_h as isize {
-                        dst[base..base + d.out_w].fill(0.0);
-                        continue;
-                    }
-                    let src_row = &plane[iy as usize * d.in_w..(iy as usize + 1) * d.in_w];
-                    for ox in 0..d.out_w {
-                        let ix = (ox * d.stride + kx) as isize - d.padding as isize;
-                        dst[base + ox] = if ix < 0 || ix >= d.in_w as isize {
-                            0.0
-                        } else {
-                            src_row[ix as usize]
-                        };
-                    }
-                }
+                let dst = rows.next().expect("col holds in_c*k*k rows");
+                unfold_row(plane, d, ky, kx, dst);
             }
         }
     }
@@ -205,152 +182,13 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, stride: usize, padding: usize) ->
         // im2col fully overwrites the column matrix, so the scratch
         // checkout never clears — zero allocations per sample once
         // the per-thread arena is warm (pool workers included).
-        let mut col = scratch(d.col_rows() * d.col_cols());
+        let (cr, cc) = (d.col_rows(), d.col_cols());
+        let mut col = scratch(cr * cc);
         im2col(&inp[n * in_sz..(n + 1) * in_sz], &d, &mut col);
         // [out_c, col_rows] x [col_rows, col_cols] -> [out_c, col_cols]
-        gemm(w, &col, out_n, d.out_c, d.col_rows(), d.col_cols());
+        let (a, b) = (GemmA::Slice(w), GemmB::Slice(&col));
+        gemm(a, b, out_n, d.out_c, cr, cc, Epilogue::None);
     });
-    out
-}
-
-/// Fused inference convolution: `conv2d(input, weight) + bias` with an
-/// optional ReLU, all applied inside the GEMM's final write-back.
-///
-/// `bias` is per output channel (`len == out_c`), which in the im2col
-/// formulation `weight [out_c, cr] x col [cr, cc]` is a per-*row* bias —
-/// the [`gemm_bias_rows`] / [`gemm_bias_relu_rows`] epilogues. This is
-/// the execution shape of a conv whose following BatchNorm has been
-/// folded into the weights: one GEMM, no separate bias or activation
-/// pass over the output.
-pub fn conv2d_bias_act(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &[f32],
-    relu: bool,
-    stride: usize,
-    padding: usize,
-) -> Tensor {
-    let d = Conv2dDims::resolve(input.dims(), weight.dims(), stride, padding)
-        .expect("conv2d_bias_act: kernel does not fit input");
-    assert_eq!(bias.len(), d.out_c, "bias must be per output channel");
-    if hydronas_telemetry::enabled() {
-        hydronas_telemetry::add_all(&[
-            ("tensor.conv2d_fused.calls", 1),
-            (
-                "tensor.conv2d_fused.flops",
-                (d.batch * 2 * d.out_c * d.col_rows() * d.col_cols()) as u64,
-            ),
-        ]);
-    }
-    let mut out = Tensor::zeros(&[d.batch, d.out_c, d.out_h, d.out_w]);
-    let in_sz = d.in_c * d.in_h * d.in_w;
-    let out_sz = d.out_c * d.out_h * d.out_w;
-    let w = weight.as_slice();
-    let inp = input.as_slice();
-
-    parallel::par_chunks_mut(out.as_mut_slice(), out_sz, |n, out_n| {
-        let mut col = scratch(d.col_rows() * d.col_cols());
-        im2col(&inp[n * in_sz..(n + 1) * in_sz], &d, &mut col);
-        if relu {
-            gemm_bias_relu_rows(w, &col, bias, out_n, d.out_c, d.col_rows(), d.col_cols());
-        } else {
-            gemm_bias_rows(w, &col, bias, out_n, d.out_c, d.col_rows(), d.col_cols());
-        }
-    });
-    out
-}
-
-/// Whole-batch fused inference convolution: every sample's im2col columns
-/// are concatenated into one `[cr, N*cc]` matrix and multiplied in a
-/// single per-row-bias GEMM call.
-///
-/// This is the batching engine's conv kernel, and it wins twice on a
-/// serving box:
-/// * the `[out_c, cr]` weight panel is packed once per layer instead of
-///   once per sample, and
-/// * deep layers with tiny feature maps (`cc` of 1–16) fill the GEMM
-///   micro-tiles with real columns instead of padding, so the register
-///   kernel stops wasting most of its width.
-///
-/// Numerics: the GEMM goes through the always-packed `_batched` entries,
-/// so each output column's bits are independent of how many samples share
-/// the call — running a batch of one is bit-identical to any row of a
-/// larger batch.
-pub fn conv2d_bias_act_batched(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &[f32],
-    relu: bool,
-    stride: usize,
-    padding: usize,
-) -> Tensor {
-    let d = Conv2dDims::resolve(input.dims(), weight.dims(), stride, padding)
-        .expect("conv2d_bias_act_batched: kernel does not fit input");
-    assert_eq!(bias.len(), d.out_c, "bias must be per output channel");
-    if hydronas_telemetry::enabled() {
-        hydronas_telemetry::add_all(&[
-            ("tensor.conv2d_fused.calls", 1),
-            (
-                "tensor.conv2d_fused.flops",
-                (d.batch * 2 * d.out_c * d.col_rows() * d.col_cols()) as u64,
-            ),
-        ]);
-    }
-    let cr = d.col_rows();
-    let cc = d.col_cols();
-    let wide = d.batch * cc;
-    let in_sz = d.in_c * d.in_h * d.in_w;
-    let inp = input.as_slice();
-
-    // col_wide[r][s*cc + j] = im2col(sample s)[r][j], each sample unfolded
-    // directly into its column block — no staging copy. Samples unfold in
-    // parallel: each task owns columns [s*cc, (s+1)*cc) of every row,
-    // disjoint-but-interleaved shards of the wide matrix.
-    let mut col_wide = scratch(cr * wide);
-    {
-        let shard = SharedSlice::new(&mut col_wide);
-        parallel::run_tasks(d.batch, |s| {
-            // SAFETY: per-sample column blocks are pairwise disjoint.
-            unsafe {
-                im2col_into_shared(&inp[s * in_sz..(s + 1) * in_sz], &d, &shard, wide, s * cc);
-            }
-        });
-    }
-
-    // [out_c, cr] x [cr, N*cc] -> [out_c, N*cc], bias per channel row.
-    let mut c_wide = scratch(d.out_c * wide);
-    if relu {
-        crate::gemm::gemm_bias_relu_rows_batched(
-            weight.as_slice(),
-            &col_wide,
-            bias,
-            &mut c_wide,
-            d.out_c,
-            cr,
-            wide,
-        );
-    } else {
-        crate::gemm::gemm_bias_rows_batched(
-            weight.as_slice(),
-            &col_wide,
-            bias,
-            &mut c_wide,
-            d.out_c,
-            cr,
-            wide,
-        );
-    }
-
-    // Scatter [out_c, N*cc] back to NCHW.
-    let mut out = Tensor::zeros(&[d.batch, d.out_c, d.out_h, d.out_w]);
-    let o = out.as_mut_slice();
-    for s in 0..d.batch {
-        for ch in 0..d.out_c {
-            let dst = (s * d.out_c + ch) * cc;
-            let src = ch * wide + s * cc;
-            o[dst..dst + cc].copy_from_slice(&c_wide[src..src + cc]);
-        }
-    }
     out
 }
 
@@ -378,15 +216,10 @@ impl PackedConvWeight {
     pub fn kernel(&self) -> usize {
         self.kernel
     }
-
-    /// Packed floats held (panel padding included).
-    pub fn packed_len(&self) -> usize {
-        self.a.packed_len()
-    }
 }
 
 /// Packs an `[O, I, kh, kw]` conv weight into the GEMM panel layout
-/// [`conv2d_bias_act_prepacked`] consumes. Pack once at plan-compile time;
+/// [`conv2d_bias_act`] consumes. Pack once at plan-compile time;
 /// every subsequent conv call skips its weight-packing pass entirely.
 pub fn pack_conv_weight(weight: &Tensor) -> PackedConvWeight {
     let dims = weight.dims();
@@ -404,15 +237,12 @@ pub fn pack_conv_weight(weight: &Tensor) -> PackedConvWeight {
 /// [`im2col`] writing straight into a packed-B buffer: each unfolded row
 /// is staged in a cache-hot row buffer, then scattered to its panels in
 /// `NR`-wide chunks — the row-major `[cr, N*cc]` column matrix is never
-/// materialized, and the GEMM's `pack_b` pass disappears with it.
-/// Shared-shard variant of the packed im2col (see [`im2col_into_shared`]
-/// for the shape of the argument): the panel layout maps each sample's
-/// logical columns to element-disjoint positions, so samples may unfold
-/// from concurrent pool tasks.
+/// materialized, and the GEMM's B-packing pass disappears with it. The
+/// sample's columns land at `[col0, col0 + out_h*out_w)`.
 ///
 /// # Safety
 /// Concurrent callers must target disjoint `col0` column blocks of the
-/// same layout.
+/// same layout; the panel mapping keeps them disjoint in `out`.
 unsafe fn im2col_packed(
     img: &[f32],
     d: &Conv2dDims,
@@ -421,47 +251,42 @@ unsafe fn im2col_packed(
     col0: usize,
 ) {
     assert_eq!(img.len(), d.in_c * d.in_h * d.in_w);
-    let cols = d.col_cols();
-    let mut rowbuf = scratch(cols);
-    for c in 0..d.in_c {
-        let plane = &img[c * d.in_h * d.in_w..(c + 1) * d.in_h * d.in_w];
+    let mut rowbuf = scratch(d.col_cols());
+    let mut r = 0;
+    for plane in img.chunks_exact(d.in_h * d.in_w) {
         for ky in 0..d.kernel {
             for kx in 0..d.kernel {
-                let row = (c * d.kernel + ky) * d.kernel + kx;
-                for oy in 0..d.out_h {
-                    let iy = (oy * d.stride + ky) as isize - d.padding as isize;
-                    let base = oy * d.out_w;
-                    if iy < 0 || iy >= d.in_h as isize {
-                        rowbuf[base..base + d.out_w].fill(0.0);
-                        continue;
-                    }
-                    let src_row = &plane[iy as usize * d.in_w..(iy as usize + 1) * d.in_w];
-                    for ox in 0..d.out_w {
-                        let ix = (ox * d.stride + kx) as isize - d.padding as isize;
-                        rowbuf[base + ox] = if ix < 0 || ix >= d.in_w as isize {
-                            0.0
-                        } else {
-                            src_row[ix as usize]
-                        };
-                    }
-                }
-                layout.write_row_shared(out, row, col0, &rowbuf);
+                unfold_row(plane, d, ky, kx, &mut rowbuf);
+                layout.write_row_shared(out, r, col0, &rowbuf);
+                r += 1;
             }
         }
     }
 }
 
-/// [`conv2d_bias_act_batched`] over a pre-packed weight: the serving-path
-/// conv kernel.
+/// Fused inference convolution over a prepacked weight: `conv2d(input,
+/// weight) + bias` with an optional ReLU, all applied inside the GEMM's
+/// final write-back — the serving path's conv kernel.
 ///
-/// On top of the whole-batch GEMM this removes every per-call packing
-/// pass: the weight panels were packed once at plan-compile time, and
-/// im2col writes the column matrix directly in packed panel layout
-/// (one write instead of a staging write plus `pack_b`'s read + write).
-/// Numerics are bit-identical to [`conv2d_bias_act_batched`] on the same
-/// operands — the packed panels hold the same floats in the same places,
-/// and the tile sweep accumulates in the same order.
-pub fn conv2d_bias_act_prepacked(
+/// `bias` is per output channel (`len == out_c`), which in the im2col
+/// formulation `weight [out_c, cr] x col [cr, cc]` is a per-*row* bias
+/// ([`Epilogue::RowBias`] / [`Epilogue::RowBiasRelu`]). This is the
+/// execution shape of a conv whose following BatchNorm has been folded
+/// into the weights: one GEMM, no separate bias or activation pass over
+/// the output.
+///
+/// The whole batch is one GEMM call against a `[cr, N*cc]` column matrix,
+/// which wins twice on a serving box: deep layers with tiny feature maps
+/// (`cc` of 1–16) fill the GEMM micro-tiles with real columns instead of
+/// padding, and no operand is packed per call — the weight panels were
+/// packed once by [`pack_conv_weight`], and every sample's im2col writes
+/// its columns directly in packed panel layout, in parallel.
+///
+/// Numerics: both operands are prepacked, so the GEMM takes its packed
+/// path at any shape, and each output column's bits are independent of
+/// how many samples share the call — a batch of one is bit-identical to
+/// any row of a larger batch.
+pub fn conv2d_bias_act(
     input: &Tensor,
     weight: &PackedConvWeight,
     bias: &[f32],
@@ -471,7 +296,7 @@ pub fn conv2d_bias_act_prepacked(
 ) -> Tensor {
     let wdims = [weight.out_c, weight.in_c, weight.kernel, weight.kernel];
     let d = Conv2dDims::resolve(input.dims(), &wdims, stride, padding)
-        .expect("conv2d_bias_act_prepacked: kernel does not fit input");
+        .expect("conv2d_bias_act: kernel does not fit input");
     assert_eq!(bias.len(), d.out_c, "bias must be per output channel");
     if hydronas_telemetry::enabled() {
         hydronas_telemetry::add_all(&[
@@ -493,8 +318,7 @@ pub fn conv2d_bias_act_prepacked(
     {
         let shard = SharedSlice::new(&mut col_pack);
         parallel::run_tasks(d.batch, |s| {
-            // SAFETY: per-sample column blocks are pairwise disjoint, and
-            // the panel mapping keeps them disjoint in the packed buffer.
+            // SAFETY: per-sample column blocks are pairwise disjoint.
             unsafe {
                 im2col_packed(
                     &inp[s * in_sz..(s + 1) * in_sz],
@@ -510,11 +334,13 @@ pub fn conv2d_bias_act_prepacked(
 
     // [out_c, cr] x [cr, N*cc] -> [out_c, N*cc], bias per channel row.
     let mut c_wide = scratch(d.out_c * wide);
-    if relu {
-        gemm_bias_relu_rows_prepacked(&weight.a, &layout, &col_pack, bias, &mut c_wide);
+    let epi = if relu {
+        Epilogue::RowBiasRelu(bias)
     } else {
-        gemm_bias_rows_prepacked(&weight.a, &layout, &col_pack, bias, &mut c_wide);
-    }
+        Epilogue::RowBias(bias)
+    };
+    let (a, b) = (GemmA::Packed(&weight.a), GemmB::Packed(&layout, &col_pack));
+    gemm(a, b, &mut c_wide, d.out_c, cr, wide, epi);
 
     // Scatter [out_c, N*cc] back to NCHW.
     let mut out = Tensor::zeros(&[d.batch, d.out_c, d.out_h, d.out_w]);
@@ -586,17 +412,18 @@ pub fn conv2d_backward(
             // The GEMM fully overwrites gcol, so unspecified scratch
             // contents are fine.
             let mut gcol = scratch(cr * cc);
-            gemm(w_t.as_slice(), go_n, &mut gcol, cr, d.out_c, cc);
+            let (a, b) = (GemmA::Slice(w_t.as_slice()), GemmB::Slice(go_n));
+            gemm(a, b, &mut gcol, cr, d.out_c, cc, Epilogue::None);
             col2im(&gcol, &d, gi_n);
 
             // grad wrt weight: grad_out [out_c, cc] x col^T [cc, cr].
             // The im2col matrix [cr, cc] already *is* col^T in
-            // transposed storage, so the NT GEMM variant reads it
-            // directly instead of materializing a transposed copy per
-            // sample.
+            // transposed storage, so the GEMM reads it as a transposed B
+            // instead of materializing a transposed copy per sample.
             let mut col = scratch(cr * cc);
             im2col(&inp[n * in_sz..(n + 1) * in_sz], &d, &mut col);
-            gemm_nt(go_n, &col, gw_n, d.out_c, cc, cr);
+            let (a, b) = (GemmA::Slice(go_n), GemmB::Transposed(&col));
+            gemm(a, b, gw_n, d.out_c, cc, cr, Epilogue::None);
         },
     );
 
@@ -682,37 +509,50 @@ mod tests {
         }
     }
 
-    /// The whole-batch conv must be (a) correct against the dispatching
-    /// fused conv within float-reassociation tolerance and (b) bit-identical
-    /// per sample across batch sizes. The geometry sits in the GEMM
-    /// small/packed divergence zone (k = 32·3·3 = 288 > KC, per-sample
-    /// column count 9) where a dispatching kernel would flip paths — and
-    /// bits — as the batch grows.
+    /// The fused conv must be (a) correct against the direct reference
+    /// within float-reassociation tolerance, (b) bit-identical per sample
+    /// across batch sizes, and (c) with ReLU exactly `max(0, no-ReLU)`.
+    /// The geometry sits in the GEMM small/packed divergence zone
+    /// (k = 32·3·3 = 288 > KC, per-sample column count 9) where a
+    /// shape-dispatched GEMM would flip paths — and bits — as the batch
+    /// grows.
     #[test]
-    fn batched_fused_conv_is_correct_and_batch_size_invariant() {
+    fn fused_conv_is_correct_and_batch_size_invariant() {
         let mut rng = TensorRng::seed_from_u64(43);
         let (batch, in_c, out_c, h, k, s, p) = (4usize, 32usize, 8usize, 5usize, 3usize, 1, 0);
         let input = uniform(&[batch, in_c, h, h], -1.0, 1.0, &mut rng);
         let weight = uniform(&[out_c, in_c, k, k], -0.5, 0.5, &mut rng);
+        let packed = pack_conv_weight(&weight);
         let bias: Vec<f32> = (0..out_c).map(|i| i as f32 * 0.1 - 0.3).collect();
-        for &relu in &[false, true] {
-            let wide = conv2d_bias_act_batched(&input, &weight, &bias, relu, s, p);
-            let reference = conv2d_bias_act(&input, &weight, &bias, relu, s, p);
-            assert_eq!(wide.dims(), reference.dims());
-            for (got, want) in wide.as_slice().iter().zip(reference.as_slice()) {
-                assert!(
-                    approx_eq(*got, *want, 1e-4),
-                    "batched conv drifted from fused reference: {got} vs {want}"
-                );
-            }
-            // Each sample re-run alone must reproduce its batched bits.
+        let reference = naive_conv(&input, &weight, s, p);
+        let plane = reference.numel() / (batch * out_c);
+        let plain = conv2d_bias_act(&input, &packed, &bias, false, s, p);
+        assert_eq!(plain.dims(), reference.dims());
+        for (i, (got, want)) in plain
+            .as_slice()
+            .iter()
+            .zip(reference.as_slice())
+            .enumerate()
+        {
+            let want = want + bias[(i / plane) % out_c];
+            assert!(
+                approx_eq(*got, want, 1e-4),
+                "fused conv drifted from the direct reference: {got} vs {want}"
+            );
+        }
+        let relu = conv2d_bias_act(&input, &packed, &bias, true, s, p);
+        for (&r, &v) in relu.as_slice().iter().zip(plain.as_slice()) {
+            assert_eq!(r.to_bits(), v.max(0.0).to_bits(), "ReLU is max(0, no-ReLU)");
+        }
+        // Each sample re-run alone must reproduce its batched bits.
+        for (relu, wide) in [(false, &plain), (true, &relu)] {
             let in_sz = in_c * h * h;
             for sample in 0..batch {
                 let one = Tensor::from_vec(
                     input.as_slice()[sample * in_sz..(sample + 1) * in_sz].to_vec(),
                     &[1, in_c, h, h],
                 );
-                let alone = conv2d_bias_act_batched(&one, &weight, &bias, relu, s, p);
+                let alone = conv2d_bias_act(&one, &packed, &bias, relu, s, p);
                 let plane = alone.numel();
                 for (j, (got, want)) in wide.as_slice()[sample * plane..(sample + 1) * plane]
                     .iter()
@@ -722,83 +562,94 @@ mod tests {
                     assert_eq!(
                         got.to_bits(),
                         want.to_bits(),
-                        "sample {sample} elem {j} changed bits with batch size"
+                        "sample {sample} elem {j} changed bits with batch size (relu={relu})"
                     );
                 }
             }
         }
     }
 
-    /// The prepacked conv is the batched conv with the packing moved to
-    /// build time — its output must match bit for bit across geometries
-    /// (stride, padding, multi-row-block out_c, multi-k-block cr).
+    /// The packed im2col must write exactly the panels that row-major
+    /// im2col plus packing would, so the fused conv equals the all-slice
+    /// GEMM over the row-major `[cr, N*cc]` column matrix bit for bit,
+    /// with the bias (and ReLU) fused exactly as an unfused pass would
+    /// apply them. Geometries cover stride, padding, multi-row-block
+    /// out_c and multi-k-block cr, all on the GEMM's packed path.
     #[test]
-    fn prepacked_conv_is_bit_identical_to_batched_fused_conv() {
+    fn packed_im2col_matches_row_major_im2col_and_packing() {
         let mut rng = TensorRng::seed_from_u64(47);
         for &(in_c, out_c, h, k, s, p) in &[
             (32usize, 100usize, 7usize, 3usize, 1usize, 1usize),
             (32, 8, 9, 3, 2, 1),
             (3, 24, 9, 7, 2, 3),
         ] {
-            let input = uniform(&[3, in_c, h, h], -1.0, 1.0, &mut rng);
+            let batch = 3;
+            let input = uniform(&[batch, in_c, h, h], -1.0, 1.0, &mut rng);
             let weight = uniform(&[out_c, in_c, k, k], -0.5, 0.5, &mut rng);
             let packed = pack_conv_weight(&weight);
             let bias: Vec<f32> = (0..out_c).map(|i| i as f32 * 0.05 - 0.2).collect();
+            let d = Conv2dDims::resolve(input.dims(), weight.dims(), s, p).unwrap();
+            let (cr, cc) = (d.col_rows(), d.col_cols());
+            let (wide, in_sz) = (batch * cc, in_c * h * h);
+            let case = format!("in_c={in_c} out_c={out_c} h={h} k={k} s={s} p={p}");
+
+            // Row-major [cr, N*cc]: each sample's im2col in its column block.
+            let mut col_wide = vec![0.0f32; cr * wide];
+            let mut col = vec![0.0f32; cr * cc];
+            for n in 0..batch {
+                im2col(&input.as_slice()[n * in_sz..(n + 1) * in_sz], &d, &mut col);
+                for r in 0..cr {
+                    col_wide[r * wide + n * cc..][..cc].copy_from_slice(&col[r * cc..][..cc]);
+                }
+            }
+            let layout = PackedBLayout::new(cr, wide);
+            let mut want_panels = vec![f32::NAN; layout.len()];
+            layout.pack(&col_wide, &mut want_panels);
+            let mut got_panels = vec![f32::NAN; layout.len()];
+            {
+                let shard = SharedSlice::new(&mut got_panels);
+                for n in 0..batch {
+                    let img = &input.as_slice()[n * in_sz..(n + 1) * in_sz];
+                    // SAFETY: one writer at a time.
+                    unsafe { im2col_packed(img, &d, &layout, &shard, n * cc) };
+                }
+            }
+            layout.zero_pad_lanes(&mut got_panels);
+            for (i, (x, y)) in got_panels.iter().zip(&want_panels).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{case}: panel float {i} differs");
+            }
+
+            let mut unfused = vec![0.0f32; out_c * wide];
+            let (a, b) = (GemmA::Slice(weight.as_slice()), GemmB::Slice(&col_wide));
+            gemm(a, b, &mut unfused, out_c, cr, wide, Epilogue::None);
             for &relu in &[false, true] {
-                let want = conv2d_bias_act_batched(&input, &weight, &bias, relu, s, p);
-                let got = conv2d_bias_act_prepacked(&input, &packed, &bias, relu, s, p);
-                assert_eq!(got.dims(), want.dims());
-                for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "in_c={in_c} out_c={out_c} h={h} k={k} s={s} p={p} relu={relu}: \
-                         prepacked conv diverged at {i}"
-                    );
+                let got = conv2d_bias_act(&input, &packed, &bias, relu, s, p);
+                for n in 0..batch {
+                    for ch in 0..out_c {
+                        for j in 0..cc {
+                            let v = unfused[ch * wide + n * cc + j] + bias[ch];
+                            let want = if relu { v.max(0.0) } else { v };
+                            let x = got.as_slice()[(n * out_c + ch) * cc + j];
+                            assert_eq!(
+                                x.to_bits(),
+                                want.to_bits(),
+                                "{case} relu={relu}: sample {n} channel {ch} col {j}"
+                            );
+                        }
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn fused_bias_act_matches_unfused_bit_exactly() {
-        // The fused path must equal conv2d + per-channel bias (+ ReLU)
-        // bit-for-bit: same im2col, same GEMM accumulation order, the
-        // bias/activation merely folded into the write-back.
-        let mut rng = TensorRng::seed_from_u64(41);
-        for &(h, k, s, p) in &[(8, 3, 1, 1), (9, 7, 2, 3), (16, 3, 2, 1)] {
-            let input = uniform(&[3, 4, h, h], -1.0, 1.0, &mut rng);
-            let weight = uniform(&[6, 4, k, k], -0.5, 0.5, &mut rng);
-            let bias: Vec<f32> = (0..6).map(|i| i as f32 * 0.1 - 0.3).collect();
-            let plain = conv2d(&input, &weight, s, p);
-            let d = Conv2dDims::resolve(input.dims(), weight.dims(), s, p).unwrap();
-            let plane = d.out_h * d.out_w;
-            let with_bias: Vec<f32> = plain
-                .as_slice()
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| v + bias[(i / plane) % d.out_c])
-                .collect();
-
-            let fused = conv2d_bias_act(&input, &weight, &bias, false, s, p);
-            assert_eq!(fused.as_slice(), &with_bias[..], "h={h} k={k} s={s} p={p}");
-
-            let fused_relu = conv2d_bias_act(&input, &weight, &bias, true, s, p);
-            for (&a, &b) in fused_relu.as_slice().iter().zip(with_bias.iter()) {
-                assert_eq!(a, b.max(0.0), "h={h} k={k} s={s} p={p}");
-            }
-        }
-    }
-
-    #[test]
     fn fused_conv_batch_rows_are_batch_invariant() {
-        // Per-sample processing + the GEMM determinism contract: a
-        // sample's fused-conv output cannot depend on its batch mates —
+        // A sample's fused-conv output cannot depend on its batch mates —
         // the property the batching engine's bit-identity rests on.
         let mut rng = TensorRng::seed_from_u64(42);
         let a = uniform(&[1, 3, 10, 10], -1.0, 1.0, &mut rng);
         let b = uniform(&[1, 3, 10, 10], -1.0, 1.0, &mut rng);
-        let weight = uniform(&[5, 3, 3, 3], -0.5, 0.5, &mut rng);
+        let weight = pack_conv_weight(&uniform(&[5, 3, 3, 3], -0.5, 0.5, &mut rng));
         let bias = [0.1, -0.2, 0.3, 0.0, -0.4];
         let both = Tensor::stack(&[a.clone(), b.clone()]).reshape(&[2, 3, 10, 10]);
         let out_both = conv2d_bias_act(&both, &weight, &bias, true, 1, 1);

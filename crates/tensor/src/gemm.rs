@@ -1,10 +1,15 @@
 //! Packed, register-blocked single-precision GEMM with fused epilogues.
 //!
-//! `C = A (m x k) * B (k x n)` with row-major storage, structured the way
-//! high-performance BLAS implementations (BLIS/GotoBLAS) are: operands
-//! are repacked into cache-resident panels and the innermost computation
-//! is an `MR x NR` register tile the compiler keeps entirely in vector
-//! registers.
+//! One call, [`gemm`], computes `C = epilogue(A (m x k) * B (k x n))`
+//! into row-major C. [`GemmA`] and [`GemmB`] name where each operand
+//! lives (row-major, transposed, or packed ahead of time) and
+//! [`Epilogue`] names the bias/ReLU fused into the write-back. The kernel
+//! is structured the way high-performance BLAS implementations
+//! (BLIS/GotoBLAS) are: operands are repacked into cache-resident panels
+//! and the innermost computation is an `MR x NR` register tile the
+//! compiler keeps entirely in vector registers. An operand packed ahead
+//! of time ([`PackedA`], a [`PackedBLayout`] buffer) skips its packing
+//! pass.
 //!
 //! ## Blocking
 //!
@@ -31,9 +36,21 @@
 //! reductions). Row blocks are written by exactly one task each, and the
 //! kernel instantiation is fixed for the process lifetime, so results
 //! are bit-identical run-to-run and across worker counts on a given
-//! machine. Tiny problems take an unpacked path (packing overhead would
-//! dominate); path selection depends only on the shape, never on thread
-//! count.
+//! machine.
+//!
+//! Path choice depends only on the shape and on whether an operand is
+//! prepacked, never on thread count. Two slice operands with
+//! `m * k * n` below the packing break-even take an unpacked path
+//! (packing overhead would dominate); every other call, and every call
+//! with a prepacked operand, takes the packed path. The packed path fixes
+//! each element's float association by its `KC`-deep k blocks alone —
+//! never by `m` or `n` — so a prepacked operand buys batch invariance: an
+//! output column computed inside a wide, multi-sample call is
+//! bit-identical to the same column computed alone, which the shape-based
+//! dispatch cannot promise (the small path re-associates k once a problem
+//! crosses the size threshold). A packed panel holds the same floats in
+//! the same places whether it was packed ahead of time or inside the
+//! call, so the operand's storage never changes the bits.
 //!
 //! ## NaN transparency
 //!
@@ -52,26 +69,49 @@ use std::sync::OnceLock;
 const KC: usize = 256;
 /// Column-block width (multiple of every kernel's `NR`).
 const NC: usize = 512;
-/// `m * k * n` below which the unpacked small-problem path runs.
+/// `m * k * n` below which two slice operands take the unpacked path.
 const SMALL_FLOPS: usize = 32 * 1024;
 
-/// Fused operation applied to C while the last k block is written back.
-///
-/// Column-indexed bias serves the linear layer (`[N, in] x [in, out]`,
-/// one bias per output feature column); row-indexed bias serves the
-/// folded inference convolution (`[out_c, cr] x [cr, cc]`, one bias per
-/// output channel row).
+/// The left operand of [`gemm`], `[m x k]`.
 #[derive(Clone, Copy)]
-enum Epilogue<'a> {
+pub enum GemmA<'a> {
+    /// Row-major storage, packed inside the call.
+    Slice(&'a [f32]),
+    /// Packed once ahead of time; always takes the packed path.
+    Packed(&'a PackedA),
+}
+
+/// The right operand of [`gemm`], `[k x n]`.
+#[derive(Clone, Copy)]
+pub enum GemmB<'a> {
+    /// Row-major `[k x n]`, packed inside the call.
+    Slice(&'a [f32]),
+    /// Row-major `[n x k]`, i.e. B stored transposed. Callers that would
+    /// otherwise materialize a transposed copy — conv2d's weight-gradient
+    /// GEMM against the im2col matrix — pack straight from it instead.
+    Transposed(&'a [f32]),
+    /// A buffer holding B in the panel order of its layout, written by
+    /// [`PackedBLayout::pack`] or [`PackedBLayout::write_row`]; always
+    /// takes the packed path.
+    Packed(&'a PackedBLayout, &'a [f32]),
+}
+
+/// Fused operation applied to C while the last k block is written back,
+/// so no second pass over C ever runs.
+#[derive(Clone, Copy)]
+pub enum Epilogue<'a> {
     /// Plain `C = A * B`.
     None,
-    /// `C = A * B + bias` (bias indexed by output column).
-    Bias(&'a [f32]),
-    /// `C = relu(A * B + bias)`.
-    BiasRelu(&'a [f32]),
-    /// `C = A * B + bias` (bias indexed by output row).
+    /// `C[i][j] = (A * B)[i][j] + bias[j]`, one bias per output column
+    /// (`len == n`): the linear layer, `[N, in] x [in, out]`.
+    ColBias(&'a [f32]),
+    /// `C[i][j] = (A * B)[i][j] + bias[i]`, one bias per output row
+    /// (`len == m`): the BN-folded convolution `weight [out_c, cr] x
+    /// col [cr, cc]`, whose bias belongs to the output channel, a row
+    /// of C.
     RowBias(&'a [f32]),
-    /// `C = relu(A * B + bias)` (bias indexed by output row).
+    /// `C[i][j] = max(0, (A * B)[i][j] + bias[i])`: the fused
+    /// conv+BN+ReLU.
     RowBiasRelu(&'a [f32]),
 }
 
@@ -82,24 +122,14 @@ impl Epilogue<'_> {
     fn apply(&self, v: f32, row: usize, col: usize) -> f32 {
         match self {
             Epilogue::None => v,
-            Epilogue::Bias(bias) => v + bias[col],
-            Epilogue::BiasRelu(bias) => (v + bias[col]).max(0.0),
+            Epilogue::ColBias(bias) => v + bias[col],
             Epilogue::RowBias(bias) => v + bias[row],
             Epilogue::RowBiasRelu(bias) => (v + bias[row]).max(0.0),
         }
     }
 }
 
-/// Where the B operand lives.
-#[derive(Clone, Copy)]
-enum BSource<'a> {
-    /// `[k x n]` row-major.
-    RowMajor(&'a [f32]),
-    /// `[n x k]` row-major (i.e. B stored transposed).
-    Transposed(&'a [f32]),
-}
-
-/// Op accounting shared by all GEMM variants: one call, `2*m*k*n`
+/// Op accounting shared by all GEMM paths: one call, `2*m*k*n`
 /// multiply-add FLOPs, and the operand + result bytes. A pure telemetry
 /// side channel — gone after one branch when no session is active.
 #[inline]
@@ -147,10 +177,8 @@ struct Kernel {
     mr: usize,
     /// Row-block height, the unit of parallel work (multiple of `mr`).
     mc: usize,
-    /// Computes one `mc x nc` row block from A storage + packed B.
-    block: for<'a> fn(&[f32], &[f32], &mut [f32], BlockArgs, Epilogue<'a>),
-    /// Same sweep, but A arrives already packed ([`PackedA`]).
-    block_pre: for<'a> fn(&[f32], &[f32], &mut [f32], BlockArgs, Epilogue<'a>),
+    /// Computes one `mc x nc` row block from A and the packed B panels.
+    block: for<'a> fn(GemmA<'a>, &[f32], &mut [f32], BlockArgs, Epilogue<'a>),
 }
 
 /// Returns the per-process microkernel: AVX2+FMA 6x16 when the CPU
@@ -169,7 +197,6 @@ fn kernel() -> Kernel {
                 mr: 6,
                 mc: 96,
                 block: row_block_avx2,
-                block_pre: row_block_avx2_pre,
             };
         }
         Kernel {
@@ -177,7 +204,6 @@ fn kernel() -> Kernel {
             mr: 4,
             mc: 64,
             block: row_block_portable,
-            block_pre: row_block_portable_pre,
         }
     })
 }
@@ -208,43 +234,25 @@ fn pack_a(
     }
 }
 
-/// Packs `kc` steps of `nc` B columns (starting at `pc`, `jc`) into
-/// `ceil(nc/nr)` column panels; panel layout is k-major: step `kk` holds
-/// the `nr` column values contiguously. Columns past `nc` pad with zeros.
-#[allow(clippy::too_many_arguments)]
+/// Packs `kc` k steps of the `nc` B columns starting at `jc` into
+/// `ceil(nc/nr)` column panels, reading B through `at(kk, col)` (k step
+/// within the block, global column); panel layout is k-major: step `kk`
+/// holds the `nr` column values contiguously. Columns past `nc` pad with
+/// zeros.
 fn pack_b(
-    src: BSource,
     out: &mut [f32],
-    k: usize,
-    n: usize,
-    pc: usize,
     kc: usize,
     jc: usize,
     nc: usize,
     nr: usize,
+    at: impl Fn(usize, usize) -> f32,
 ) {
     for (pj, panel) in out.chunks_exact_mut(nr * kc).enumerate() {
         let c0 = jc + pj * nr;
         let cols = nr.min(jc + nc - c0);
-        match src {
-            BSource::RowMajor(b) => {
-                for (kk, dst) in panel.chunks_exact_mut(nr).enumerate() {
-                    let row = &b[(pc + kk) * n..][..n];
-                    for (cc, d) in dst.iter_mut().enumerate() {
-                        *d = if cc < cols { row[c0 + cc] } else { 0.0 };
-                    }
-                }
-            }
-            BSource::Transposed(bt) => {
-                for (kk, dst) in panel.chunks_exact_mut(nr).enumerate() {
-                    for (cc, d) in dst.iter_mut().enumerate() {
-                        *d = if cc < cols {
-                            bt[(c0 + cc) * k + pc + kk]
-                        } else {
-                            0.0
-                        };
-                    }
-                }
+        for (kk, dst) in panel.chunks_exact_mut(nr).enumerate() {
+            for (cc, d) in dst.iter_mut().enumerate() {
+                *d = if cc < cols { at(kk, c0 + cc) } else { 0.0 };
             }
         }
     }
@@ -344,37 +352,36 @@ fn tile_sweep<const MR: usize, const NR: usize, const FMA: bool>(
     }
 }
 
-/// Computes one `mc x nc` row block: packs its A panels, then sweeps the
-/// `MR x NR` register tiles.
+/// Computes one `mc x nc` row block: takes its A panels from a
+/// [`PackedA`] or packs them from the slice, then sweeps the `MR x NR`
+/// register tiles.
 #[inline(always)]
 fn row_block_body<const MR: usize, const NR: usize, const FMA: bool>(
-    a: &[f32],
+    a: GemmA,
     b_pack: &[f32],
     c_block: &mut [f32],
     g: BlockArgs,
     epi: Epilogue,
 ) {
-    let a_panels = g.mc.div_ceil(MR);
-    let mut a_pack = scratch(a_panels * MR * g.kc);
-    pack_a(a, &mut a_pack, g.k, g.ic, g.mc, g.pc, g.kc, MR);
-    tile_sweep::<MR, NR, FMA>(&a_pack, b_pack, c_block, g, epi);
+    let a_len = g.mc.div_ceil(MR) * MR * g.kc;
+    let mut a_staged;
+    let a_pack: &[f32] = match a {
+        // A task starts at a multiple of `MR`, so its panels sit at a
+        // linear offset inside the k block's panel group.
+        GemmA::Packed(packed) => &packed.buf[packed.group * g.pc + g.ic * g.kc..][..a_len],
+        GemmA::Slice(a) => {
+            a_staged = scratch(a_len);
+            pack_a(a, &mut a_staged, g.k, g.ic, g.mc, g.pc, g.kc, MR);
+            &a_staged
+        }
+    };
+    tile_sweep::<MR, NR, FMA>(a_pack, b_pack, c_block, g, epi);
 }
 
 /// Baseline instantiation: 4x8 tiles, plain mul+add. Correct on every
 /// target the workspace builds for.
-fn row_block_portable(a: &[f32], b_pack: &[f32], c_block: &mut [f32], g: BlockArgs, epi: Epilogue) {
+fn row_block_portable(a: GemmA, b_pack: &[f32], c_block: &mut [f32], g: BlockArgs, epi: Epilogue) {
     row_block_body::<4, 8, false>(a, b_pack, c_block, g, epi);
-}
-
-/// Portable row block over a pre-packed A slice.
-fn row_block_portable_pre(
-    a_pack: &[f32],
-    b_pack: &[f32],
-    c_block: &mut [f32],
-    g: BlockArgs,
-    epi: Epilogue,
-) {
-    tile_sweep::<4, 8, false>(a_pack, b_pack, c_block, g, epi);
 }
 
 /// AVX2+FMA instantiation: 6x16 tiles, `mul_add` lowered to vfmadd. The
@@ -383,7 +390,7 @@ fn row_block_portable_pre(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn row_block_avx2_impl(
-    a: &[f32],
+    a: GemmA,
     b_pack: &[f32],
     c_block: &mut [f32],
     g: BlockArgs,
@@ -396,33 +403,8 @@ unsafe fn row_block_avx2_impl(
 /// after `is_x86_feature_detected!` confirms avx2+fma, which is exactly
 /// the safety contract of the `#[target_feature]` function.
 #[cfg(target_arch = "x86_64")]
-fn row_block_avx2(a: &[f32], b_pack: &[f32], c_block: &mut [f32], g: BlockArgs, epi: Epilogue) {
+fn row_block_avx2(a: GemmA, b_pack: &[f32], c_block: &mut [f32], g: BlockArgs, epi: Epilogue) {
     unsafe { row_block_avx2_impl(a, b_pack, c_block, g, epi) }
-}
-
-/// AVX2+FMA row block over a pre-packed A slice.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn row_block_avx2_pre_impl(
-    a_pack: &[f32],
-    b_pack: &[f32],
-    c_block: &mut [f32],
-    g: BlockArgs,
-    epi: Epilogue,
-) {
-    tile_sweep::<6, 16, true>(a_pack, b_pack, c_block, g, epi);
-}
-
-/// Safe shim; same safety contract as [`row_block_avx2`].
-#[cfg(target_arch = "x86_64")]
-fn row_block_avx2_pre(
-    a_pack: &[f32],
-    b_pack: &[f32],
-    c_block: &mut [f32],
-    g: BlockArgs,
-    epi: Epilogue,
-) {
-    unsafe { row_block_avx2_pre_impl(a_pack, b_pack, c_block, g, epi) }
 }
 
 /// Height of one parallel row-block task, always a multiple of `mr` and
@@ -447,21 +429,40 @@ fn par_row_block(m: usize, kern: &Kernel) -> usize {
 
 /// The packed path: NC/KC/MC blocking around the microkernel, row blocks
 /// fanned out as independent compute-pool tasks.
-fn gemm_packed(a: &[f32], b: BSource, c: &mut [f32], m: usize, k: usize, n: usize, epi: Epilogue) {
+///
+/// A slice operand is packed inside the call — B here, once per
+/// `(jc, pc)` block on the calling thread, read-shared by every row task;
+/// A by each row task for its own rows — and a prepacked operand is read
+/// in place. Either way the panels hold the same floats in the same
+/// places.
+fn gemm_packed(a: GemmA, b: GemmB, c: &mut [f32], m: usize, k: usize, n: usize, epi: Epilogue) {
     let kern = kernel();
     let mc_task = par_row_block(m, &kern);
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
-        let b_panels = nc.div_ceil(kern.nr);
+        let nc_padded = nc.div_ceil(kern.nr) * kern.nr;
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             let first = pc == 0;
             let last = pc + kc == k;
-            // B panel packed once per (jc, pc) on the calling thread,
-            // read-shared by every row task.
-            let mut b_pack = scratch(b_panels * kern.nr * kc);
-            pack_b(b, &mut b_pack, k, n, pc, kc, jc, nc, kern.nr);
-            let b_pack = &b_pack[..];
+            let mut b_staged;
+            let b_pack: &[f32] = match b {
+                GemmB::Packed(layout, buf) => &buf[layout.block_offset(jc, pc)..][..nc_padded * kc],
+                GemmB::Slice(rows) => {
+                    b_staged = scratch(nc_padded * kc);
+                    pack_b(&mut b_staged, kc, jc, nc, kern.nr, |kk, col| {
+                        rows[(pc + kk) * n + col]
+                    });
+                    &b_staged
+                }
+                GemmB::Transposed(bt) => {
+                    b_staged = scratch(nc_padded * kc);
+                    pack_b(&mut b_staged, kc, jc, nc, kern.nr, |kk, col| {
+                        bt[col * k + pc + kk]
+                    });
+                    &b_staged
+                }
+            };
             parallel::par_chunks_mut(c, mc_task * n, |bi, c_block| {
                 let ic = bi * mc_task;
                 let mc = mc_task.min(m - ic);
@@ -483,52 +484,74 @@ fn gemm_packed(a: &[f32], b: BSource, c: &mut [f32], m: usize, k: usize, n: usiz
     }
 }
 
-/// Unpacked path for problems too small to amortize packing. Same
-/// per-element ascending-k accumulation; no zero-operand shortcuts.
-fn gemm_small(a: &[f32], b: BSource, c: &mut [f32], k: usize, n: usize, epi: Epilogue) {
-    match b {
-        BSource::RowMajor(b) => {
-            for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
-                c_row.fill(0.0);
-                let a_row = &a[i * k..(i + 1) * k];
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    let b_row = &b[kk * n..kk * n + n];
-                    for (cj, &bj) in c_row.iter_mut().zip(b_row.iter()) {
-                        *cj += aik * bj;
-                    }
-                }
-                for (j, cj) in c_row.iter_mut().enumerate() {
-                    *cj = epi.apply(*cj, i, j);
-                }
+/// Unpacked path for problems too small to amortize packing, B row-major.
+/// Same per-element ascending-k accumulation; no zero-operand shortcuts.
+fn gemm_small(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize, epi: Epilogue) {
+    for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
+        c_row.fill(0.0);
+        let a_row = &a[i * k..(i + 1) * k];
+        for (kk, &aik) in a_row.iter().enumerate() {
+            let b_row = &b[kk * n..kk * n + n];
+            for (cj, &bj) in c_row.iter_mut().zip(b_row.iter()) {
+                *cj += aik * bj;
             }
         }
-        BSource::Transposed(bt) => {
-            for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
-                let a_row = &a[i * k..(i + 1) * k];
-                for (j, cj) in c_row.iter_mut().enumerate() {
-                    let b_row = &bt[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
-                        acc += av * bv;
-                    }
-                    *cj = epi.apply(acc, i, j);
-                }
-            }
+        for (j, cj) in c_row.iter_mut().enumerate() {
+            *cj = epi.apply(*cj, i, j);
         }
     }
 }
 
-/// Shared entry: shape-dispatches between the packed and small paths and
-/// handles degenerate extents.
-fn gemm_dispatch(
-    a: &[f32],
-    b: BSource,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    epi: Epilogue,
-) {
+/// [`gemm_small`] with B stored transposed: one dot product per element.
+fn gemm_small_nt(a: &[f32], bt: &[f32], c: &mut [f32], k: usize, n: usize, epi: Epilogue) {
+    for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
+        let a_row = &a[i * k..(i + 1) * k];
+        for (j, cj) in c_row.iter_mut().enumerate() {
+            let b_row = &bt[j * k..(j + 1) * k];
+            let mut acc = 0.0f32;
+            for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
+                acc += av * bv;
+            }
+            *cj = epi.apply(acc, i, j);
+        }
+    }
+}
+
+/// Matrix multiply with a fused epilogue: `c[m x n] = epi(a[m x k] *
+/// b[k x n])`. `c` is overwritten, not accumulated into.
+///
+/// The operands choose the path: a prepacked operand always takes the
+/// packed path (batch-invariant numerics, see the module docs), and two
+/// slices take the unpacked path below the packing break-even.
+///
+/// # Panics
+/// If an operand, `c` or the bias does not match `m`, `k` and `n`.
+pub fn gemm(a: GemmA, b: GemmB, c: &mut [f32], m: usize, k: usize, n: usize, epi: Epilogue) {
+    match a {
+        GemmA::Slice(a) => assert_eq!(a.len(), m * k, "A size mismatch"),
+        GemmA::Packed(a) => assert_eq!((a.m, a.k), (m, k), "PackedA extent mismatch"),
+    }
+    match b {
+        GemmB::Slice(b) => assert_eq!(b.len(), k * n, "B size mismatch"),
+        GemmB::Transposed(bt) => assert_eq!(bt.len(), n * k, "B^T size mismatch"),
+        GemmB::Packed(layout, buf) => {
+            assert_eq!(
+                (layout.k, layout.n),
+                (k, n),
+                "PackedBLayout extent mismatch"
+            );
+            assert!(buf.len() >= layout.len(), "packed B buffer too small");
+        }
+    }
+    assert_eq!(c.len(), m * n, "C size mismatch");
+    match epi {
+        Epilogue::None => {}
+        Epilogue::ColBias(bias) => assert_eq!(bias.len(), n, "bias length mismatch"),
+        Epilogue::RowBias(bias) | Epilogue::RowBiasRelu(bias) => {
+            assert_eq!(bias.len(), m, "row bias length mismatch")
+        }
+    }
+    record_gemm(m, k, n);
     if m == 0 || n == 0 {
         return;
     }
@@ -541,245 +564,29 @@ fn gemm_dispatch(
         }
         return;
     }
-    if m * k * n < SMALL_FLOPS {
-        gemm_small(a, b, c, k, n, epi);
-    } else {
-        gemm_packed(a, b, c, m, k, n, epi);
+    let small = m * k * n < SMALL_FLOPS;
+    match (a, b) {
+        (GemmA::Slice(a), GemmB::Slice(b)) if small => gemm_small(a, b, c, k, n, epi),
+        (GemmA::Slice(a), GemmB::Transposed(bt)) if small => gemm_small_nt(a, bt, c, k, n, epi),
+        _ => gemm_packed(a, b, c, m, k, n, epi),
     }
-}
-
-/// Matrix multiply of raw row-major slices: `c[m x n] = a[m x k] * b[k x n]`.
-///
-/// `c` is overwritten (not accumulated into).
-pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A size mismatch");
-    assert_eq!(b.len(), k * n, "B size mismatch");
-    assert_eq!(c.len(), m * n, "C size mismatch");
-    record_gemm(m, k, n);
-    gemm_dispatch(a, BSource::RowMajor(b), c, m, k, n, Epilogue::None);
-}
-
-/// Matrix multiply with the right operand stored transposed:
-/// `c[m x n] = a[m x k] * b_t^T` where `b_t` is `[n x k]` row-major.
-///
-/// Callers that would otherwise materialize a transposed copy of B —
-/// conv2d's weight-gradient GEMM against the im2col matrix — pack
-/// straight from the transposed storage instead.
-pub fn gemm_nt(a: &[f32], b_t: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A size mismatch");
-    assert_eq!(b_t.len(), n * k, "B^T size mismatch");
-    assert_eq!(c.len(), m * n, "C size mismatch");
-    record_gemm(m, k, n);
-    gemm_dispatch(a, BSource::Transposed(b_t), c, m, k, n, Epilogue::None);
-}
-
-/// GEMM with a per-output-column bias: `c = a * b + bias` (bias length
-/// `n`), fused into the final write-back — no second pass over C.
-pub fn gemm_bias(a: &[f32], b: &[f32], bias: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A size mismatch");
-    assert_eq!(b.len(), k * n, "B size mismatch");
-    assert_eq!(c.len(), m * n, "C size mismatch");
-    assert_eq!(bias.len(), n, "bias length mismatch");
-    record_gemm(m, k, n);
-    gemm_dispatch(a, BSource::RowMajor(b), c, m, k, n, Epilogue::Bias(bias));
-}
-
-/// GEMM with bias and ReLU fused into the final write-back:
-/// `c = max(0, a * b + bias)` — the inference-style fused linear layer.
-pub fn gemm_bias_relu(
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "A size mismatch");
-    assert_eq!(b.len(), k * n, "B size mismatch");
-    assert_eq!(c.len(), m * n, "C size mismatch");
-    assert_eq!(bias.len(), n, "bias length mismatch");
-    record_gemm(m, k, n);
-    gemm_dispatch(
-        a,
-        BSource::RowMajor(b),
-        c,
-        m,
-        k,
-        n,
-        Epilogue::BiasRelu(bias),
-    );
-}
-
-/// GEMM with a per-output-row bias: `c[i][j] = (a * b)[i][j] + bias[i]`
-/// (bias length `m`), fused into the final write-back.
-///
-/// This is the epilogue shape of a bias-carrying convolution computed as
-/// `weight [out_c, cr] x col [cr, cc]`: the bias belongs to the output
-/// channel, which is a *row* of C, not a column. The inference engine's
-/// conv+BN folding depends on it.
-pub fn gemm_bias_rows(
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "A size mismatch");
-    assert_eq!(b.len(), k * n, "B size mismatch");
-    assert_eq!(c.len(), m * n, "C size mismatch");
-    assert_eq!(bias.len(), m, "row bias length mismatch");
-    record_gemm(m, k, n);
-    gemm_dispatch(a, BSource::RowMajor(b), c, m, k, n, Epilogue::RowBias(bias));
-}
-
-/// GEMM with per-output-row bias and ReLU fused into the final
-/// write-back: `c[i][j] = max(0, (a * b)[i][j] + bias[i])` — the fused
-/// conv+BN+ReLU inference kernel.
-pub fn gemm_bias_relu_rows(
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "A size mismatch");
-    assert_eq!(b.len(), k * n, "B size mismatch");
-    assert_eq!(c.len(), m * n, "C size mismatch");
-    assert_eq!(bias.len(), m, "row bias length mismatch");
-    record_gemm(m, k, n);
-    gemm_dispatch(
-        a,
-        BSource::RowMajor(b),
-        c,
-        m,
-        k,
-        n,
-        Epilogue::RowBiasRelu(bias),
-    );
-}
-
-/// Dispatch that never takes the small-problem path: degenerate extents
-/// are handled, everything else goes to the packed kernel.
-///
-/// The packed kernel accumulates each output element over fixed `KC`-deep
-/// k blocks, so its per-element float association depends only on `k` —
-/// never on `m` or `n`. The `_batched` entries below use this to give the
-/// inference engine its bit-stability contract: an output column computed
-/// inside a wide, multi-sample GEMM call is bit-identical to the same
-/// column computed alone, which the shape-based small/packed dispatch
-/// cannot promise (the small path re-associates k once a problem crosses
-/// the size threshold).
-fn gemm_dispatch_packed(
-    a: &[f32],
-    b: BSource,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    epi: Epilogue,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        for (i, row) in c.chunks_exact_mut(n).enumerate() {
-            for (j, cj) in row.iter_mut().enumerate() {
-                *cj = epi.apply(0.0, i, j);
-            }
-        }
-        return;
-    }
-    gemm_packed(a, b, c, m, k, n, epi);
-}
-
-/// [`gemm_bias`] with batch-invariant numerics: always the packed path,
-/// so results do not change bits when rows are batched into one call.
-pub fn gemm_bias_batched(
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "A size mismatch");
-    assert_eq!(b.len(), k * n, "B size mismatch");
-    assert_eq!(c.len(), m * n, "C size mismatch");
-    assert_eq!(bias.len(), n, "bias length mismatch");
-    record_gemm(m, k, n);
-    gemm_dispatch_packed(a, BSource::RowMajor(b), c, m, k, n, Epilogue::Bias(bias));
-}
-
-/// [`gemm_bias_rows`] with batch-invariant numerics: always the packed
-/// path, so an output column keeps its bits no matter how many samples'
-/// columns share the call.
-pub fn gemm_bias_rows_batched(
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "A size mismatch");
-    assert_eq!(b.len(), k * n, "B size mismatch");
-    assert_eq!(c.len(), m * n, "C size mismatch");
-    assert_eq!(bias.len(), m, "row bias length mismatch");
-    record_gemm(m, k, n);
-    gemm_dispatch_packed(a, BSource::RowMajor(b), c, m, k, n, Epilogue::RowBias(bias));
-}
-
-/// [`gemm_bias_relu_rows`] with batch-invariant numerics (see
-/// [`gemm_bias_rows_batched`]).
-pub fn gemm_bias_relu_rows_batched(
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "A size mismatch");
-    assert_eq!(b.len(), k * n, "B size mismatch");
-    assert_eq!(c.len(), m * n, "C size mismatch");
-    assert_eq!(bias.len(), m, "row bias length mismatch");
-    record_gemm(m, k, n);
-    gemm_dispatch_packed(
-        a,
-        BSource::RowMajor(b),
-        c,
-        m,
-        k,
-        n,
-        Epilogue::RowBiasRelu(bias),
-    );
 }
 
 /// An A operand packed once into the kernel's `MR`-row panels, reusable
-/// across any number of GEMM calls.
+/// across any number of GEMM calls ([`GemmA::Packed`]).
 ///
-/// `pack_a` normally runs inside every row-block task — for a weight
+/// Packing A normally runs inside every row-block task — for a weight
 /// matrix that never changes (the inference plan's folded conv weights)
 /// that work is identical on every call *and* repeated once per column
 /// block of B. Packing ahead of time removes it from the serving hot path
-/// entirely. Panel contents and traversal order match `pack_a` exactly,
-/// so results stay bit-identical to the `_batched` entries.
+/// entirely.
 pub struct PackedA {
     m: usize,
     k: usize,
-    mr: usize,
-    mc: usize,
-    row_blocks: usize,
-    /// Panel-group offsets indexed `[pc_idx * row_blocks + row_block]`.
-    offsets: Vec<usize>,
+    /// `m` rounded up to whole `mr`-row panels.
+    group: usize,
+    /// k-block-major: the block starting at k index `pc` holds all
+    /// `group / mr` row panels, `kc` steps each, from offset `group * pc`.
     buf: Vec<f32>,
 }
 
@@ -788,73 +595,36 @@ impl PackedA {
     pub fn pack(a: &[f32], m: usize, k: usize) -> PackedA {
         assert_eq!(a.len(), m * k, "A size mismatch");
         assert!(m > 0 && k > 0, "PackedA requires non-degenerate extents");
-        let kern = kernel();
-        let row_blocks = m.div_ceil(kern.mc);
-        let k_blocks = k.div_ceil(KC);
-        let mut offsets = Vec::with_capacity(k_blocks * row_blocks);
-        let mut len = 0usize;
+        let mr = kernel().mr;
+        let group = m.div_ceil(mr) * mr;
+        let mut buf = vec![0.0f32; group * k];
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            for ib in 0..row_blocks {
-                let mc = kern.mc.min(m - ib * kern.mc);
-                offsets.push(len);
-                len += mc.div_ceil(kern.mr) * kern.mr * kc;
-            }
+            pack_a(a, &mut buf[group * pc..][..group * kc], k, 0, m, pc, kc, mr);
         }
-        let mut buf = vec![0.0f32; len];
-        for (pc_idx, pc) in (0..k).step_by(KC).enumerate() {
-            let kc = KC.min(k - pc);
-            for ib in 0..row_blocks {
-                let ic = ib * kern.mc;
-                let mc = kern.mc.min(m - ic);
-                let off = offsets[pc_idx * row_blocks + ib];
-                let group = mc.div_ceil(kern.mr) * kern.mr * kc;
-                pack_a(a, &mut buf[off..off + group], k, ic, mc, pc, kc, kern.mr);
-            }
-        }
-        PackedA {
-            m,
-            k,
-            mr: kern.mr,
-            mc: kern.mc,
-            row_blocks,
-            offsets,
-            buf,
-        }
-    }
-
-    /// Output rows (`m`).
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Inner dimension (`k`).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Packed floats held (panel padding included) — the plan's memory
-    /// accounting reads this.
-    pub fn packed_len(&self) -> usize {
-        self.buf.len()
+        PackedA { m, k, group, buf }
     }
 }
 
-/// Addressing scheme of a packed B operand, letting producers write B in
-/// packed panel layout directly instead of materializing a row-major
-/// matrix that `pack_b` would immediately re-copy.
+/// Addressing scheme of a packed B operand ([`GemmB::Packed`]), letting
+/// producers write B in packed panel layout directly instead of
+/// materializing a row-major matrix that the GEMM would immediately
+/// re-copy.
 ///
 /// The fused-im2col convolution is the customer: each unfolded image row
 /// lands straight in its panels, which turns three passes over the column
-/// matrix (im2col write, `pack_b` read + write) into one.
+/// matrix (im2col write, packing read + write) into one. A constant
+/// operand (the inference plan's FC weight) is packed once with
+/// [`PackedBLayout::pack`].
+///
+/// The buffer holds one block per `(jc, pc)` pair, column blocks outer:
+/// `ceil(nc/nr)` column panels of `kc` steps each.
 pub struct PackedBLayout {
     k: usize,
     n: usize,
     nr: usize,
-    k_blocks: usize,
-    /// Block offsets indexed `[jc_idx * k_blocks + pc_idx]`.
-    offsets: Vec<usize>,
-    len: usize,
+    /// `n` rounded up to whole `nr`-column panels.
+    n_padded: usize,
 }
 
 impl PackedBLayout {
@@ -865,37 +635,24 @@ impl PackedBLayout {
             "PackedBLayout requires non-degenerate extents"
         );
         let nr = kernel().nr;
-        let k_blocks = k.div_ceil(KC);
-        let mut offsets = Vec::with_capacity(n.div_ceil(NC) * k_blocks);
-        let mut len = 0usize;
-        for jc in (0..n).step_by(NC) {
-            let nc = NC.min(n - jc);
-            for pc in (0..k).step_by(KC) {
-                let kc = KC.min(k - pc);
-                offsets.push(len);
-                len += nc.div_ceil(nr) * nr * kc;
-            }
-        }
         PackedBLayout {
             k,
             n,
             nr,
-            k_blocks,
-            offsets,
-            len,
+            n_padded: n.div_ceil(nr) * nr,
         }
     }
 
     /// Floats a packed buffer must hold (callers allocate, typically from
     /// the scratch arena).
     pub fn len(&self) -> usize {
-        self.len
+        self.n_padded * self.k
     }
 
     /// True only for layouts that hold no floats (never: extents are
     /// non-degenerate by construction).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Inner dimension (`k`).
@@ -906,6 +663,13 @@ impl PackedBLayout {
     /// Output columns (`n`).
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// Offset of the block for column block `jc` and k block `pc`. Every
+    /// column block before `jc` is a full `NC` (a multiple of `nr`) wide,
+    /// so only the last block's panels are narrower than `NC`.
+    fn block_offset(&self, jc: usize, pc: usize) -> usize {
+        jc * self.k + NC.min(self.n_padded - jc) * pc
     }
 
     /// Scatters the contiguous B-row segment `b[r][col0 .. col0+src.len()]`
@@ -938,19 +702,17 @@ impl PackedBLayout {
     ) {
         debug_assert!(r < self.k, "row out of range");
         debug_assert!(col0 + src.len() <= self.n, "segment exceeds columns");
-        let pc_idx = r / KC;
-        let kk = r - pc_idx * KC;
-        let kc = KC.min(self.k - pc_idx * KC);
+        let pc = r / KC * KC;
+        let kk = r - pc;
+        let kc = KC.min(self.k - pc);
         let mut j = col0;
         let mut si = 0usize;
         while si < src.len() {
-            let jc_idx = j / NC;
-            let jn0 = jc_idx * NC;
-            let block = self.offsets[jc_idx * self.k_blocks + pc_idx];
-            let pj = (j - jn0) / self.nr;
-            let lane = (j - jn0) % self.nr;
-            let take = (self.nr - lane).min(src.len() - si).min(jn0 + NC - j);
-            let dst = block + (pj * kc + kk) * self.nr + lane;
+            let jc = j / NC * NC;
+            let pj = (j - jc) / self.nr;
+            let lane = (j - jc) % self.nr;
+            let take = (self.nr - lane).min(src.len() - si).min(jc + NC - j);
+            let dst = self.block_offset(jc, pc) + (pj * kc + kk) * self.nr + lane;
             buf.slice_mut(dst, take)
                 .copy_from_slice(&src[si..si + take]);
             j += take;
@@ -970,11 +732,10 @@ impl PackedBLayout {
         if lane0 == 0 {
             return;
         }
-        let jc_idx = last_jc / NC;
         let pj = nc / self.nr;
-        for pc_idx in 0..self.k_blocks {
-            let kc = KC.min(self.k - pc_idx * KC);
-            let block = self.offsets[jc_idx * self.k_blocks + pc_idx];
+        for pc in (0..self.k).step_by(KC) {
+            let kc = KC.min(self.k - pc);
+            let block = self.block_offset(last_jc, pc);
             for kk in 0..kc {
                 let dst = block + (pj * kc + kk) * self.nr + lane0;
                 buf[dst..dst + self.nr - lane0].fill(0.0);
@@ -986,100 +747,12 @@ impl PackedBLayout {
     /// of [`PackedBLayout::write_row`] for callers that already hold B.
     pub fn pack(&self, b: &[f32], buf: &mut [f32]) {
         assert_eq!(b.len(), self.k * self.n, "B size mismatch");
-        assert!(buf.len() >= self.len, "packed buffer too small");
+        assert!(buf.len() >= self.len(), "packed buffer too small");
         for r in 0..self.k {
             self.write_row(buf, r, 0, &b[r * self.n..(r + 1) * self.n]);
         }
         self.zero_pad_lanes(buf);
     }
-}
-
-/// Packed-path driver over pre-packed operands: identical NC/KC/MC
-/// blocking and tile traversal to [`gemm_packed`], minus every per-call
-/// packing pass.
-fn gemm_packed_prepacked(
-    a: &PackedA,
-    layout: &PackedBLayout,
-    b_buf: &[f32],
-    c: &mut [f32],
-    epi: Epilogue,
-) {
-    let kern = kernel();
-    debug_assert_eq!(a.mr, kern.mr, "PackedA built under a different kernel");
-    debug_assert_eq!(a.mc, kern.mc, "PackedA built under a different kernel");
-    let (m, k, n) = (a.m, a.k, layout.n);
-    assert_eq!(a.k, layout.k, "inner dimension mismatch");
-    assert!(b_buf.len() >= layout.len, "packed B buffer too small");
-    let mc_task = par_row_block(m, &kern);
-    for (jc_idx, jc) in (0..n).step_by(NC).enumerate() {
-        let nc = NC.min(n - jc);
-        let b_group = nc.div_ceil(kern.nr) * kern.nr;
-        for (pc_idx, pc) in (0..k).step_by(KC).enumerate() {
-            let kc = KC.min(k - pc);
-            let first = pc == 0;
-            let last = pc + kc == k;
-            let b_pack =
-                &b_buf[layout.offsets[jc_idx * layout.k_blocks + pc_idx]..][..b_group * kc];
-            // Within one pc group the `mr`-row panels of consecutive MC
-            // blocks are laid out back to back (only the final block may
-            // be short), so a task starting at row `ic` — any multiple of
-            // `mr` — addresses its panels at a linear offset from the
-            // group base. That frees the task height from the `kern.mc`
-            // packing granularity.
-            let pc_base = a.offsets[pc_idx * a.row_blocks];
-            parallel::par_chunks_mut(c, mc_task * n, |bi, c_block| {
-                let ic = bi * mc_task;
-                let mc = mc_task.min(m - ic);
-                let a_group = mc.div_ceil(a.mr) * a.mr;
-                let a_pack = &a.buf[pc_base + (ic / a.mr) * a.mr * kc..][..a_group * kc];
-                let g = BlockArgs {
-                    k,
-                    n,
-                    ic,
-                    mc,
-                    pc,
-                    kc,
-                    jc,
-                    nc,
-                    first,
-                    last,
-                };
-                (kern.block_pre)(a_pack, b_pack, c_block, g, epi);
-            });
-        }
-    }
-}
-
-/// [`gemm_bias_rows_batched`] over pre-packed operands: A packed once
-/// ahead of time ([`PackedA`]), B written directly in panel layout by the
-/// producer ([`PackedBLayout`]). Bit-identical to the `_batched` entries —
-/// same panels, same accumulation order — with zero per-call packing.
-pub fn gemm_bias_rows_prepacked(
-    a: &PackedA,
-    layout: &PackedBLayout,
-    b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-) {
-    assert_eq!(c.len(), a.m * layout.n, "C size mismatch");
-    assert_eq!(bias.len(), a.m, "row bias length mismatch");
-    record_gemm(a.m, a.k, layout.n);
-    gemm_packed_prepacked(a, layout, b, c, Epilogue::RowBias(bias));
-}
-
-/// [`gemm_bias_relu_rows_batched`] over pre-packed operands (see
-/// [`gemm_bias_rows_prepacked`]).
-pub fn gemm_bias_relu_rows_prepacked(
-    a: &PackedA,
-    layout: &PackedBLayout,
-    b: &[f32],
-    bias: &[f32],
-    c: &mut [f32],
-) {
-    assert_eq!(c.len(), a.m * layout.n, "C size mismatch");
-    assert_eq!(bias.len(), a.m, "row bias length mismatch");
-    record_gemm(a.m, a.k, layout.n);
-    gemm_packed_prepacked(a, layout, b, c, Epilogue::RowBiasRelu(bias));
 }
 
 impl Tensor {
@@ -1092,12 +765,13 @@ impl Tensor {
         assert_eq!(k, k2, "inner dimension mismatch: {k} vs {k2}");
         let mut out = Tensor::zeros(&[m, n]);
         gemm(
-            self.as_slice(),
-            other.as_slice(),
+            GemmA::Slice(self.as_slice()),
+            GemmB::Slice(other.as_slice()),
             out.as_mut_slice(),
             m,
             k,
             n,
+            Epilogue::None,
         );
         out
     }
@@ -1122,13 +796,22 @@ mod tests {
         c
     }
 
-    /// The `_batched` entries must give bit-identical results for a column
+    /// `[k x n]` B packed into a fresh buffer, poisoned first so any lane
+    /// the packing misses shows up as NaN.
+    fn pack_b_buf(b: &[f32], k: usize, n: usize) -> (PackedBLayout, Vec<f32>) {
+        let layout = PackedBLayout::new(k, n);
+        let mut buf = vec![f32::NAN; layout.len()];
+        layout.pack(b, &mut buf);
+        (layout, buf)
+    }
+
+    /// A prepacked operand must give bit-identical results for a column
     /// (or row) whether it is computed alone or inside a wider call. The
     /// shape is chosen inside the small/packed divergence zone (`k > KC`,
-    /// per-sample `m*k*n < SMALL_FLOPS`) where the dispatching entries
-    /// would flip kernels — and therefore bits — as the batch grows.
+    /// per-sample `m*k*cc < SMALL_FLOPS`) where two slices would flip
+    /// kernels — and therefore bits — as the batch grows.
     #[test]
-    fn batched_entries_are_batch_size_invariant() {
+    fn prepacked_operands_are_batch_size_invariant() {
         let (m, k, cc, samples) = (8usize, 300usize, 4usize, 6usize);
         assert!(k > KC && m * k * cc < SMALL_FLOPS);
         let wide = samples * cc;
@@ -1139,8 +822,18 @@ mod tests {
             .map(|i| ((i * 53 % 97) as f32 - 48.0) * 0.02)
             .collect();
         let row_bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.1 - 0.4).collect();
+        let packed_a = PackedA::pack(&a, m, k);
+        let epi = Epilogue::RowBiasRelu(&row_bias);
         let mut c_wide = vec![0.0f32; m * wide];
-        gemm_bias_relu_rows_batched(&a, &b, &row_bias, &mut c_wide, m, k, wide);
+        gemm(
+            GemmA::Packed(&packed_a),
+            GemmB::Slice(&b),
+            &mut c_wide,
+            m,
+            k,
+            wide,
+            epi,
+        );
         for s in 0..samples {
             // Extract sample s's [k, cc] column block and run it alone.
             let mut bs = vec![0.0f32; k * cc];
@@ -1149,20 +842,29 @@ mod tests {
                     .copy_from_slice(&b[r * wide + s * cc..r * wide + (s + 1) * cc]);
             }
             let mut cs = vec![0.0f32; m * cc];
-            gemm_bias_relu_rows_batched(&a, &bs, &row_bias, &mut cs, m, k, cc);
+            gemm(
+                GemmA::Packed(&packed_a),
+                GemmB::Slice(&bs),
+                &mut cs,
+                m,
+                k,
+                cc,
+                epi,
+            );
             for i in 0..m {
                 for j in 0..cc {
                     assert_eq!(
                         c_wide[i * wide + s * cc + j].to_bits(),
                         cs[i * cc + j].to_bits(),
-                        "rows variant diverged at sample {s}, ({i},{j})"
+                        "row-bias call diverged at sample {s}, ({i},{j})"
                     );
                 }
             }
         }
 
-        // Same contract for the column-bias entry, batching samples as
-        // rows (the FC layout: one pooled feature vector per row).
+        // Same contract for the column-bias epilogue over a prepacked B,
+        // batching samples as rows (the FC layout: one pooled feature
+        // vector per row).
         let (rows, kf, nf) = (6usize, 300usize, 4usize);
         let af: Vec<f32> = (0..rows * kf)
             .map(|i| ((i * 41 % 89) as f32 - 44.0) * 0.025)
@@ -1171,36 +873,32 @@ mod tests {
             .map(|i| ((i * 29 % 83) as f32 - 41.0) * 0.03)
             .collect();
         let col_bias: Vec<f32> = (0..nf).map(|j| j as f32 * 0.2 - 0.3).collect();
+        let (layout, bf_pack) = pack_b_buf(&bf, kf, nf);
+        let b_packed = GemmB::Packed(&layout, &bf_pack);
+        let epi = Epilogue::ColBias(&col_bias);
         let mut c_all = vec![0.0f32; rows * nf];
-        gemm_bias_batched(&af, &bf, &col_bias, &mut c_all, rows, kf, nf);
+        gemm(GemmA::Slice(&af), b_packed, &mut c_all, rows, kf, nf, epi);
         for s in 0..rows {
             let mut c_one = vec![0.0f32; nf];
-            gemm_bias_batched(
-                &af[s * kf..(s + 1) * kf],
-                &bf,
-                &col_bias,
-                &mut c_one,
-                1,
-                kf,
-                nf,
-            );
+            let a_one = GemmA::Slice(&af[s * kf..(s + 1) * kf]);
+            gemm(a_one, b_packed, &mut c_one, 1, kf, nf, epi);
             for j in 0..nf {
                 assert_eq!(
                     c_all[s * nf + j].to_bits(),
                     c_one[j].to_bits(),
-                    "column-bias variant diverged at row {s}, col {j}"
+                    "column-bias call diverged at row {s}, col {j}"
                 );
             }
         }
     }
 
-    /// The prepacked entries must reproduce the `_batched` entries bit for
-    /// bit: same panels, same blocking, same accumulation order — only the
-    /// packing moment moves. The shape spans multiple row blocks (`m` >
-    /// both kernels' MC), two k blocks, and two column blocks with a
-    /// ragged final panel, so every offset path is exercised.
+    /// Prepacked operands must reproduce the all-slice packed path bit for
+    /// bit: same panels, same blocking, same accumulation order — only
+    /// the packing moment moves. The shape spans multiple row blocks
+    /// (`m` > both kernels' MC), two k blocks, and two column blocks with
+    /// a ragged final panel, so every offset path is exercised.
     #[test]
-    fn prepacked_entries_match_batched_bit_for_bit() {
+    fn prepacked_operands_match_slices_bit_for_bit() {
         let (m, k, n) = (150usize, 300usize, NC + 23);
         let a: Vec<f32> = (0..m * k)
             .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.03)
@@ -1210,23 +908,24 @@ mod tests {
             .collect();
         let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.01 - 0.6).collect();
         let packed_a = PackedA::pack(&a, m, k);
-        let layout = PackedBLayout::new(k, n);
-        // Poison the packed buffer to prove zero_pad_lanes covers every
-        // lane the kernel could read beyond column n.
-        let mut b_pack = vec![f32::NAN; layout.len()];
-        layout.pack(&b, &mut b_pack);
+        // The poisoned buffer proves zero_pad_lanes covers every lane the
+        // kernel could read beyond column n.
+        let (layout, b_pack) = pack_b_buf(&b, k, n);
 
-        let mut want = vec![0.0f32; m * n];
-        let mut got = vec![0.0f32; m * n];
-        gemm_bias_rows_batched(&a, &b, &bias, &mut want, m, k, n);
-        gemm_bias_rows_prepacked(&packed_a, &layout, &b_pack, &bias, &mut got);
-        for (i, (x, y)) in got.iter().zip(want.iter()).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "row-bias diverged at {i}");
-        }
-        gemm_bias_relu_rows_batched(&a, &b, &bias, &mut want, m, k, n);
-        gemm_bias_relu_rows_prepacked(&packed_a, &layout, &b_pack, &bias, &mut got);
-        for (i, (x, y)) in got.iter().zip(want.iter()).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "relu variant diverged at {i}");
+        for epi in [Epilogue::RowBias(&bias), Epilogue::RowBiasRelu(&bias)] {
+            let mut want = vec![0.0f32; m * n];
+            gemm(GemmA::Slice(&a), GemmB::Slice(&b), &mut want, m, k, n, epi);
+            for (a_op, b_op) in [
+                (GemmA::Packed(&packed_a), GemmB::Packed(&layout, &b_pack)),
+                (GemmA::Packed(&packed_a), GemmB::Slice(&b)),
+                (GemmA::Slice(&a), GemmB::Packed(&layout, &b_pack)),
+            ] {
+                let mut got = vec![0.0f32; m * n];
+                gemm(a_op, b_op, &mut got, m, k, n, epi);
+                for (i, (x, y)) in got.iter().zip(want.iter()).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "prepacked call diverged at {i}");
+                }
+            }
         }
 
         // write_row with arbitrary segment splits must land every element
@@ -1244,9 +943,10 @@ mod tests {
         }
     }
 
-    /// `_batched` entries still have to be *correct*, not just stable.
+    /// Prepacked operands still have to be *correct*, not just stable —
+    /// on a shape two slices would send down the small path.
     #[test]
-    fn batched_entries_match_naive_reference() {
+    fn prepacked_operands_match_naive_reference() {
         let (m, k, n) = (5usize, 300usize, 7usize);
         let a: Vec<f32> = (0..m * k)
             .map(|i| ((i * 31 % 71) as f32 - 35.0) * 0.02)
@@ -1257,9 +957,12 @@ mod tests {
         let reference = naive(&a, &b, m, k, n);
         let row_bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.3 - 0.6).collect();
         let col_bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.2 - 0.5).collect();
+        let packed_a = PackedA::pack(&a, m, k);
+        let (layout, b_pack) = pack_b_buf(&b, k, n);
 
         let mut c = vec![0.0f32; m * n];
-        gemm_bias_rows_batched(&a, &b, &row_bias, &mut c, m, k, n);
+        let (pa, pb) = (GemmA::Packed(&packed_a), GemmB::Packed(&layout, &b_pack));
+        gemm(pa, pb, &mut c, m, k, n, Epilogue::RowBias(&row_bias));
         for i in 0..m {
             for j in 0..n {
                 assert!(approx_eq(
@@ -1269,14 +972,22 @@ mod tests {
                 ));
             }
         }
-        gemm_bias_relu_rows_batched(&a, &b, &row_bias, &mut c, m, k, n);
+        gemm(pa, pb, &mut c, m, k, n, Epilogue::RowBiasRelu(&row_bias));
         for i in 0..m {
             for j in 0..n {
                 let want = (reference[i * n + j] + row_bias[i]).max(0.0);
                 assert!(approx_eq(c[i * n + j], want, 1e-4));
             }
         }
-        gemm_bias_batched(&a, &b, &col_bias, &mut c, m, k, n);
+        gemm(
+            GemmA::Slice(&a),
+            pb,
+            &mut c,
+            m,
+            k,
+            n,
+            Epilogue::ColBias(&col_bias),
+        );
         for i in 0..m {
             for j in 0..n {
                 assert!(approx_eq(
@@ -1286,6 +997,11 @@ mod tests {
                 ));
             }
         }
+    }
+
+    /// Plain row-major `gemm` on slices, the call most tests make.
+    fn gemm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        gemm(GemmA::Slice(a), GemmB::Slice(b), c, m, k, n, Epilogue::None);
     }
 
     #[test]
@@ -1309,7 +1025,7 @@ mod tests {
         let a: Vec<f32> = (0..m * k).map(|v| ((v * 37 % 11) as f32) - 5.0).collect();
         let b: Vec<f32> = (0..k * n).map(|v| ((v * 17 % 7) as f32) - 3.0).collect();
         let mut c = vec![0.0; m * n];
-        gemm(&a, &b, &mut c, m, k, n);
+        gemm_nn(&a, &b, &mut c, m, k, n);
         let want = naive(&a, &b, m, k, n);
         for (x, y) in c.iter().zip(want.iter()) {
             assert!(approx_eq(*x, *y, 1e-5), "{x} vs {y}");
@@ -1322,7 +1038,7 @@ mod tests {
         let a: Vec<f32> = (0..m * k).map(|v| ((v % 13) as f32) * 0.25 - 1.0).collect();
         let b: Vec<f32> = (0..k * n).map(|v| ((v % 7) as f32) * 0.5 - 1.5).collect();
         let mut c = vec![0.0; m * n];
-        gemm(&a, &b, &mut c, m, k, n);
+        gemm_nn(&a, &b, &mut c, m, k, n);
         let want = naive(&a, &b, m, k, n);
         for (x, y) in c.iter().zip(want.iter()) {
             assert!(approx_eq(*x, *y, 1e-4), "{x} vs {y}");
@@ -1335,7 +1051,7 @@ mod tests {
         let a: Vec<f32> = (0..m * k).map(|v| ((v % 23) as f32) * 0.1).collect();
         let b: Vec<f32> = (0..k * n).map(|v| ((v % 19) as f32) * 0.2 - 1.0).collect();
         let mut c = vec![0.0; m * n];
-        gemm(&a, &b, &mut c, m, k, n);
+        gemm_nn(&a, &b, &mut c, m, k, n);
         let want = naive(&a, &b, m, k, n);
         for (x, y) in c.iter().zip(want.iter()) {
             assert!(approx_eq(*x, *y, 1e-4));
@@ -1343,7 +1059,7 @@ mod tests {
     }
 
     #[test]
-    fn gemm_nt_matches_explicit_transpose() {
+    fn transposed_b_matches_explicit_transpose() {
         let (m, k, n) = (7, 13, 5);
         let a: Vec<f32> = (0..m * k).map(|v| ((v * 37 % 11) as f32) - 5.0).collect();
         let b: Vec<f32> = (0..k * n).map(|v| ((v * 17 % 7) as f32) - 3.0).collect();
@@ -1355,7 +1071,8 @@ mod tests {
             }
         }
         let mut via_nt = vec![0.0; m * n];
-        gemm_nt(&a, &b_t, &mut via_nt, m, k, n);
+        let b_op = GemmB::Transposed(&b_t);
+        gemm(GemmA::Slice(&a), b_op, &mut via_nt, m, k, n, Epilogue::None);
         let want = naive(&a, &b, m, k, n);
         for (x, y) in via_nt.iter().zip(want.iter()) {
             assert!(approx_eq(*x, *y, 1e-5), "{x} vs {y}");
@@ -1363,7 +1080,7 @@ mod tests {
     }
 
     #[test]
-    fn gemm_nt_packed_path_matches_naive() {
+    fn transposed_b_packed_path_matches_naive() {
         let (m, k, n) = (130, 20, 140);
         let a: Vec<f32> = (0..m * k).map(|v| ((v % 23) as f32) * 0.1).collect();
         let b_t: Vec<f32> = (0..n * k).map(|v| ((v % 19) as f32) * 0.2 - 1.0).collect();
@@ -1374,50 +1091,37 @@ mod tests {
             }
         }
         let mut c = vec![0.0; m * n];
-        gemm_nt(&a, &b_t, &mut c, m, k, n);
+        let b_op = GemmB::Transposed(&b_t);
+        gemm(GemmA::Slice(&a), b_op, &mut c, m, k, n, Epilogue::None);
         let want = naive(&a, &b, m, k, n);
         for (x, y) in c.iter().zip(want.iter()) {
             assert!(approx_eq(*x, *y, 1e-4));
         }
     }
 
-    #[test]
-    fn gemm_bias_adds_per_column() {
+    /// The 2x2 epilogue cases: `a` is the identity, so C is B plus bias.
+    fn epilogue_2x2(b: [f32; 4], epi: Epilogue) -> [f32; 4] {
         let a = [1.0, 0.0, 0.0, 1.0];
-        let b = [1.0, 2.0, 3.0, 4.0];
-        let bias = [10.0, 20.0];
         let mut c = [0.0; 4];
-        gemm_bias(&a, &b, &bias, &mut c, 2, 2, 2);
+        gemm(GemmA::Slice(&a), GemmB::Slice(&b), &mut c, 2, 2, 2, epi);
+        c
+    }
+
+    #[test]
+    fn col_bias_adds_per_column() {
+        let c = epilogue_2x2([1.0, 2.0, 3.0, 4.0], Epilogue::ColBias(&[10.0, 20.0]));
         assert_eq!(c, [11.0, 22.0, 13.0, 24.0]);
     }
 
     #[test]
-    fn gemm_bias_relu_clamps_negatives() {
-        let a = [1.0, 0.0, 0.0, 1.0];
-        let b = [1.0, -2.0, 3.0, -4.0];
-        let bias = [0.5, 1.0];
-        let mut c = [0.0; 4];
-        gemm_bias_relu(&a, &b, &bias, &mut c, 2, 2, 2);
-        assert_eq!(c, [1.5, 0.0, 3.5, 0.0]);
-    }
-
-    #[test]
-    fn gemm_bias_rows_adds_per_row() {
-        let a = [1.0, 0.0, 0.0, 1.0];
-        let b = [1.0, 2.0, 3.0, 4.0];
-        let bias = [10.0, 20.0];
-        let mut c = [0.0; 4];
-        gemm_bias_rows(&a, &b, &bias, &mut c, 2, 2, 2);
+    fn row_bias_adds_per_row() {
+        let c = epilogue_2x2([1.0, 2.0, 3.0, 4.0], Epilogue::RowBias(&[10.0, 20.0]));
         assert_eq!(c, [11.0, 12.0, 23.0, 24.0]);
     }
 
     #[test]
-    fn gemm_bias_relu_rows_clamps_negatives() {
-        let a = [1.0, 0.0, 0.0, 1.0];
-        let b = [1.0, -2.0, 3.0, -4.0];
-        let bias = [0.5, 1.0];
-        let mut c = [0.0; 4];
-        gemm_bias_relu_rows(&a, &b, &bias, &mut c, 2, 2, 2);
+    fn row_bias_relu_clamps_negatives() {
+        let c = epilogue_2x2([1.0, -2.0, 3.0, -4.0], Epilogue::RowBiasRelu(&[0.5, 1.0]));
         assert_eq!(c, [1.5, 0.0, 4.0, 0.0]);
     }
 
@@ -1430,10 +1134,11 @@ mod tests {
         let a: Vec<f32> = (0..m * k).map(|v| ((v % 13) as f32) * 0.1 - 0.5).collect();
         let b: Vec<f32> = (0..k * n).map(|v| ((v % 17) as f32) * 0.1 - 0.8).collect();
         let bias: Vec<f32> = (0..m).map(|v| v as f32 * 0.01 - 0.4).collect();
+        let (a_op, b_op) = (GemmA::Slice(&a), GemmB::Slice(&b));
         let mut fused = vec![0.0; m * n];
-        gemm_bias_rows(&a, &b, &bias, &mut fused, m, k, n);
+        gemm(a_op, b_op, &mut fused, m, k, n, Epilogue::RowBias(&bias));
         let mut unfused = vec![0.0; m * n];
-        gemm(&a, &b, &mut unfused, m, k, n);
+        gemm_nn(&a, &b, &mut unfused, m, k, n);
         for (i, (row, want)) in unfused
             .chunks_exact_mut(n)
             .zip(fused.chunks_exact(n))
@@ -1446,7 +1151,7 @@ mod tests {
         }
         // And the ReLU variant is exactly max(0, unfused + bias).
         let mut relu = vec![0.0; m * n];
-        gemm_bias_relu_rows(&a, &b, &bias, &mut relu, m, k, n);
+        gemm(a_op, b_op, &mut relu, m, k, n, Epilogue::RowBiasRelu(&bias));
         for (v, &w) in unfused.iter().zip(relu.iter()) {
             assert_eq!(v.max(0.0), w);
         }
@@ -1454,11 +1159,9 @@ mod tests {
 
     #[test]
     fn row_bias_zero_inner_dimension_is_epilogue_of_zero() {
-        let a: [f32; 0] = [];
-        let b: [f32; 0] = [];
-        let bias = [1.0, -2.0];
         let mut c = [9.0; 4];
-        gemm_bias_rows(&a, &b, &bias, &mut c, 2, 0, 2);
+        let (a, b) = (GemmA::Slice(&[]), GemmB::Slice(&[]));
+        gemm(a, b, &mut c, 2, 0, 2, Epilogue::RowBias(&[1.0, -2.0]));
         assert_eq!(c, [1.0, 1.0, -2.0, -2.0]);
     }
 
@@ -1469,9 +1172,10 @@ mod tests {
         let b: Vec<f32> = (0..k * n).map(|v| ((v % 17) as f32) * 0.1 - 0.8).collect();
         let bias: Vec<f32> = (0..n).map(|v| v as f32 * 0.01).collect();
         let mut fused = vec![0.0; m * n];
-        gemm_bias(&a, &b, &bias, &mut fused, m, k, n);
+        let (a_op, b_op) = (GemmA::Slice(&a), GemmB::Slice(&b));
+        gemm(a_op, b_op, &mut fused, m, k, n, Epilogue::ColBias(&bias));
         let mut unfused = vec![0.0; m * n];
-        gemm(&a, &b, &mut unfused, m, k, n);
+        gemm_nn(&a, &b, &mut unfused, m, k, n);
         for (row, want) in unfused.chunks_exact_mut(n).zip(fused.chunks_exact(n)) {
             for ((v, &bv), &w) in row.iter_mut().zip(bias.iter()).zip(want.iter()) {
                 *v += bv;
@@ -1490,7 +1194,7 @@ mod tests {
         let mut b = vec![1.0f32; k * n];
         b[0] = f32::NAN; // row 0 of B, hit only through a zero A entry in row 1
         let mut c = vec![0.0; m * n];
-        gemm(&a, &b, &mut c, m, k, n);
+        gemm_nn(&a, &b, &mut c, m, k, n);
         assert!(
             c[0].is_nan() && c[2].is_nan(),
             "0 * NaN must reach C, got {c:?}"
@@ -1502,7 +1206,7 @@ mod tests {
         let mut b = vec![1.0f32; k * n];
         b[5] = f32::NAN;
         let mut c = vec![0.0; m * n];
-        gemm(&a, &b, &mut c, m, k, n);
+        gemm_nn(&a, &b, &mut c, m, k, n);
         assert!(
             c.iter().any(|v| v.is_nan()),
             "packed path must propagate NaN through zero A"
@@ -1511,14 +1215,12 @@ mod tests {
 
     #[test]
     fn zero_inner_dimension_yields_epilogue_of_zero() {
-        let a: [f32; 0] = [];
-        let b: [f32; 0] = [];
-        let bias = [1.0, -2.0];
+        let (a, b) = (GemmA::Slice(&[]), GemmB::Slice(&[]));
         let mut c = [9.0; 4];
-        gemm_bias(&a, &b, &bias, &mut c, 2, 0, 2);
+        gemm(a, b, &mut c, 2, 0, 2, Epilogue::ColBias(&[1.0, -2.0]));
         assert_eq!(c, [1.0, -2.0, 1.0, -2.0]);
         let mut c = [9.0; 4];
-        gemm(&a, &b, &mut c, 2, 0, 2);
+        gemm(a, b, &mut c, 2, 0, 2, Epilogue::None);
         assert_eq!(c, [0.0; 4]);
     }
 

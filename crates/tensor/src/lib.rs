@@ -12,10 +12,12 @@
 //! pool ([`parallel`]) along the outermost independent dimension (batch or
 //! row block), sized by `HYDRONAS_THREADS` / [`set_compute_threads`] and
 //! bit-identical at any thread count. The GEMM at the bottom of the stack
-//! is a packed, register-blocked kernel ([`gemm`]) with fused bias/ReLU
-//! epilogues, and kernel workspaces come from per-thread scratch arenas
-//! ([`arena`]) — pool workers included — so the steady-state training loop
-//! performs no per-sample heap allocations.
+//! is one packed, register-blocked kernel ([`gemm`]) whose operands
+//! ([`GemmA`], [`GemmB`]) may be packed ahead of time and whose bias/ReLU
+//! [`Epilogue`] is fused into the write-back, and kernel workspaces come
+//! from per-thread scratch arenas ([`arena`]) — pool workers included —
+//! so the steady-state training loop performs no per-sample heap
+//! allocations.
 //!
 //! ## Quick example
 //!
@@ -41,21 +43,14 @@ mod tensor;
 
 pub use arena::{scratch, scratch_zeroed, Scratch};
 pub use conv::{
-    col2im, conv2d, conv2d_backward, conv2d_bias_act, conv2d_bias_act_batched,
-    conv2d_bias_act_prepacked, im2col, pack_conv_weight, Conv2dDims, PackedConvWeight,
+    col2im, conv2d, conv2d_backward, conv2d_bias_act, im2col, pack_conv_weight, Conv2dDims,
+    PackedConvWeight,
 };
-pub use gemm::{
-    gemm, gemm_bias, gemm_bias_batched, gemm_bias_relu, gemm_bias_relu_rows,
-    gemm_bias_relu_rows_batched, gemm_bias_relu_rows_prepacked, gemm_bias_rows,
-    gemm_bias_rows_batched, gemm_bias_rows_prepacked, gemm_nt, PackedA, PackedBLayout,
-};
+pub use gemm::{gemm, Epilogue, GemmA, GemmB, PackedA, PackedBLayout};
 pub use init::{kaiming_normal, kaiming_uniform, uniform, TensorRng};
 pub use parallel::{compute_threads, set_compute_threads};
 pub use pool::{avg_pool2d_global, max_pool2d, max_pool2d_backward, PoolDims};
-pub use quant::{
-    conv2d_q8, qgemm_nt_col_scaled, qgemm_nt_i32, qgemm_nt_row_scaled, quantize_slice_i8,
-    QuantizedConvWeight,
-};
+pub use quant::{conv2d_q8, qgemm_nt, quantize_slice_i8, QEpilogue, QuantizedConvWeight};
 pub use shape::{conv_out_dim, Shape};
 pub use tensor::Tensor;
 

@@ -2,11 +2,6 @@
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
-
-/// Minimum element count before elementwise loops fan out to rayon; below
-/// this the spawn overhead dominates.
-const PAR_THRESHOLD: usize = 1 << 15;
 
 macro_rules! binop {
     ($name:ident, $op:tt) => {
@@ -24,35 +19,22 @@ impl Tensor {
     binop!(div, /);
 
     /// Elementwise map.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let mut out = self.clone();
         out.map_in_place(f);
         out
     }
 
     /// In-place elementwise map.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32 + Sync) {
-        let data = self.as_mut_slice();
-        if data.len() >= PAR_THRESHOLD {
-            data.par_iter_mut().for_each(|v| *v = f(*v));
-        } else {
-            data.iter_mut().for_each(|v| *v = f(*v));
-        }
+    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
+        self.as_mut_slice().iter_mut().for_each(|v| *v = f(*v));
     }
 
     /// Adds `alpha * other` into `self` (axpy); shapes must match exactly.
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
         assert_eq!(self.dims(), other.dims(), "axpy shape mismatch");
-        let dst = self.as_mut_slice();
-        let src = other.as_slice();
-        if dst.len() >= PAR_THRESHOLD {
-            dst.par_iter_mut()
-                .zip(src.par_iter())
-                .for_each(|(d, &s)| *d += alpha * s);
-        } else {
-            for (d, &s) in dst.iter_mut().zip(src.iter()) {
-                *d += alpha * s;
-            }
+        for (d, &s) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
+            *d += alpha * s;
         }
     }
 
@@ -62,20 +44,12 @@ impl Tensor {
     }
 
     /// Elementwise broadcasting combine with an arbitrary function.
-    pub fn zip_broadcast(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+    pub fn zip_broadcast(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         if self.dims() == other.dims() {
             // Fast path: identical shapes, flat zip.
             let mut out = self.clone();
-            let dst = out.as_mut_slice();
-            let src = other.as_slice();
-            if dst.len() >= PAR_THRESHOLD {
-                dst.par_iter_mut()
-                    .zip(src.par_iter())
-                    .for_each(|(d, &s)| *d = f(*d, s));
-            } else {
-                for (d, &s) in dst.iter_mut().zip(src.iter()) {
-                    *d = f(*d, s);
-                }
+            for (d, &s) in out.as_mut_slice().iter_mut().zip(other.as_slice()) {
+                *d = f(*d, s);
             }
             return out;
         }
@@ -107,11 +81,7 @@ impl Tensor {
 
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        if self.numel() >= PAR_THRESHOLD {
-            self.as_slice().par_iter().sum()
-        } else {
-            self.as_slice().iter().sum()
-        }
+        self.as_slice().iter().sum()
     }
 
     /// Mean of all elements (0 for an empty tensor).
@@ -189,11 +159,7 @@ impl Tensor {
 
     /// Squared L2 norm.
     pub fn sq_norm(&self) -> f32 {
-        if self.numel() >= PAR_THRESHOLD {
-            self.as_slice().par_iter().map(|v| v * v).sum()
-        } else {
-            self.as_slice().iter().map(|v| v * v).sum()
-        }
+        self.as_slice().iter().map(|v| v * v).sum()
     }
 }
 

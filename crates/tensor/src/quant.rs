@@ -118,127 +118,97 @@ fn record_qgemm(m: usize, k: usize, n: usize) {
         hydronas_telemetry::add_all(&[
             ("tensor.qgemm.calls", 1),
             ("tensor.qgemm.flops", (2 * m * k * n) as u64),
-            // i8 operands, f32 (or i32) results.
+            // i8 operands, f32 results.
             ("tensor.qgemm.bytes", (m * k + k * n + 4 * m * n) as u64),
         ]);
     }
 }
 
-fn check_qgemm_shapes(a: &[i8], bt: &[i8], out_len: usize, m: usize, k: usize, n: usize) {
+/// Requantizing epilogue of [`qgemm_nt`]: `C[i][j] = act(acc × scale +
+/// bias)`, one f32 multiply-add per exact i32 accumulator, with `scale`
+/// and `bias` indexed by the named axis and `act` ReLU when `relu` is
+/// set. Each scale is the *combined* `w_scale × input_scale` that maps
+/// the integer accumulator back to real units in one multiply.
+#[derive(Clone, Copy)]
+pub enum QEpilogue<'a> {
+    /// One scale and bias per output row (`len == m`): the convolution
+    /// shape, where row `i` is output channel `i`.
+    Rows {
+        scales: &'a [f32],
+        bias: &'a [f32],
+        relu: bool,
+    },
+    /// One scale and bias per output column (`len == n`): the
+    /// fully-connected shape, where row `i` is a batch sample and column
+    /// `j` an output feature.
+    Cols {
+        scales: &'a [f32],
+        bias: &'a [f32],
+        relu: bool,
+    },
+}
+
+/// Int8 NT GEMM with a fused requantizing epilogue: `C[i][j] =
+/// epi(Σ_k A[i][k]·Bᵀ[j][k])`, `A` `[m, k]` and `Bᵀ` `[n, k]` row-major
+/// i8, `C` `[m, n]` f32. Parallelizes over rows of `C`.
+///
+/// # Panics
+/// If an operand, `c`, or the epilogue's scales or bias do not match `m`,
+/// `k` and `n`.
+pub fn qgemm_nt(a: &[i8], bt: &[i8], c: &mut [f32], m: usize, k: usize, n: usize, epi: QEpilogue) {
     assert_eq!(a.len(), m * k, "A must be [m, k] row-major i8");
     assert_eq!(
         bt.len(),
         n * k,
         "B must be supplied transposed as [n, k] i8"
     );
-    assert_eq!(out_len, m * n, "output must be [m, n]");
+    assert_eq!(c.len(), m * n, "output must be [m, n]");
+    let (scales, bias, relu, per_row) = match epi {
+        QEpilogue::Rows { scales, bias, relu } => (scales, bias, relu, true),
+        QEpilogue::Cols { scales, bias, relu } => (scales, bias, relu, false),
+    };
+    let (axis, len) = if per_row { ("row", m) } else { ("column", n) };
+    assert_eq!(scales.len(), len, "epilogue needs one scale per {axis}");
+    assert_eq!(bias.len(), len, "epilogue needs one bias per {axis}");
+    record_qgemm(m, k, n);
+    if m == 0 || n == 0 {
+        return;
+    }
+    // The axis is fixed per call, so each arm compiles its own loop.
+    if per_row {
+        qgemm_rows(a, bt, c, k, n, |i, _, acc| {
+            requant(acc, scales[i], bias[i], relu)
+        });
+    } else {
+        qgemm_rows(a, bt, c, k, n, |_, j, acc| {
+            requant(acc, scales[j], bias[j], relu)
+        });
+    }
 }
 
-/// Core NT GEMM: parallelizes over rows of `C` and applies `epilogue(row,
-/// col, accumulator)` to each exact i32 dot product.
-fn qgemm_nt_core<E>(a: &[i8], bt: &[i8], c: &mut [f32], m: usize, k: usize, n: usize, epilogue: E)
+/// One requantized output: `act(acc × scale + bias)`, a single f32
+/// multiply-add, so the rounding does not depend on accumulation order.
+#[inline(always)]
+fn requant(acc: i32, scale: f32, bias: f32, relu: bool) -> f32 {
+    let v = acc as f32 * scale + bias;
+    if relu {
+        v.max(0.0)
+    } else {
+        v
+    }
+}
+
+/// The NT GEMM loop: parallelizes over rows of `C` and writes
+/// `epilogue(row, col, acc)` for each exact i32 dot product.
+fn qgemm_rows<E>(a: &[i8], bt: &[i8], c: &mut [f32], k: usize, n: usize, epilogue: E)
 where
     E: Fn(usize, usize, i32) -> f32 + Sync,
 {
-    check_qgemm_shapes(a, bt, c.len(), m, k, n);
-    if m == 0 || n == 0 {
-        return;
-    }
     let dot = dot_kernel();
     parallel::par_chunks_mut(c, n, |i, row| {
         let ar = &a[i * k..(i + 1) * k];
         for (j, out) in row.iter_mut().enumerate() {
-            let acc = dot(ar, &bt[j * k..(j + 1) * k]);
-            *out = epilogue(i, j, acc);
-        }
-    });
-}
-
-/// Raw int8 NT GEMM producing untouched i32 accumulators: `C[i][j] =
-/// Σ_k A[i][k]·Bᵀ[j][k]`. Reference-friendly entry used by tests and
-/// benchmarks; the inference path uses the fused epilogue variants below.
-pub fn qgemm_nt_i32(a: &[i8], bt: &[i8], c: &mut [i32], m: usize, k: usize, n: usize) {
-    check_qgemm_shapes(a, bt, c.len(), m, k, n);
-    record_qgemm(m, k, n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    let dot = dot_kernel();
-    parallel::par_chunks_mut(c, n, |i, row| {
-        let ar = &a[i * k..(i + 1) * k];
-        for (j, out) in row.iter_mut().enumerate() {
-            *out = dot(ar, &bt[j * k..(j + 1) * k]);
-        }
-    });
-}
-
-/// Int8 NT GEMM with a **row-scaled** fused epilogue:
-/// `C[i][j] = act(acc_i32 × scales[i] + bias[i])`, where `act` is ReLU when
-/// `relu` is set. This is the convolution shape — row `i` is output channel
-/// `i`, and `scales[i]` is the *combined* scale `w_scale[i] × input_scale`
-/// that maps the integer accumulator back to real units in one multiply.
-#[allow(clippy::too_many_arguments)]
-pub fn qgemm_nt_row_scaled(
-    a: &[i8],
-    bt: &[i8],
-    scales: &[f32],
-    bias: &[f32],
-    relu: bool,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(
-        scales.len(),
-        m,
-        "row-scaled epilogue needs one scale per row"
-    );
-    assert_eq!(bias.len(), m, "row-scaled epilogue needs one bias per row");
-    record_qgemm(m, k, n);
-    qgemm_nt_core(a, bt, c, m, k, n, |i, _j, acc| {
-        let v = acc as f32 * scales[i] + bias[i];
-        if relu {
-            v.max(0.0)
-        } else {
-            v
-        }
-    });
-}
-
-/// Int8 NT GEMM with a **column-scaled** fused epilogue:
-/// `C[i][j] = act(acc_i32 × scales[j] + bias[j])`. This is the
-/// fully-connected shape — row `i` is a batch sample, column `j` is an
-/// output feature with its own combined scale and bias.
-#[allow(clippy::too_many_arguments)]
-pub fn qgemm_nt_col_scaled(
-    a: &[i8],
-    bt: &[i8],
-    scales: &[f32],
-    bias: &[f32],
-    relu: bool,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(
-        scales.len(),
-        n,
-        "col-scaled epilogue needs one scale per column"
-    );
-    assert_eq!(
-        bias.len(),
-        n,
-        "col-scaled epilogue needs one bias per column"
-    );
-    record_qgemm(m, k, n);
-    qgemm_nt_core(a, bt, c, m, k, n, |_i, j, acc| {
-        let v = acc as f32 * scales[j] + bias[j];
-        if relu {
-            v.max(0.0)
-        } else {
-            v
+            *out = epilogue(i, j, dot(ar, &bt[j * k..(j + 1) * k]));
         }
     });
 }
@@ -407,17 +377,12 @@ pub fn conv2d_q8(
         let img = &input_data[n * in_sz..(n + 1) * in_sz];
         let mut colt = vec![0i8; cc * cr];
         im2col_t_q8(img, &d, input_scale, &mut colt);
-        qgemm_nt_row_scaled(
-            &weight.values,
-            &colt,
-            &combined,
+        let epi = QEpilogue::Rows {
+            scales: &combined,
             bias,
             relu,
-            out_n,
-            d.out_c,
-            cr,
-            cc,
-        );
+        };
+        qgemm_nt(&weight.values, &colt, out_n, d.out_c, cr, cc, epi);
     });
     out
 }
@@ -446,14 +411,30 @@ mod tests {
             .collect()
     }
 
+    /// `qgemm_nt` with unit scales and zero bias: the raw accumulators as
+    /// f32, exact while `|acc| < 2^24` (`127² · 100 < 2^24`).
+    fn qgemm_exact(a: &[i8], bt: &[i8], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let (scales, bias) = (vec![1.0f32; m], vec![0.0f32; m]);
+        let epi = QEpilogue::Rows {
+            scales: &scales,
+            bias: &bias,
+            relu: false,
+        };
+        let mut c = vec![0.0f32; m * n];
+        qgemm_nt(a, bt, &mut c, m, k, n, epi);
+        c
+    }
+
     #[test]
     fn qgemm_matches_naive_reference() {
         for &(m, k, n) in &[(1, 1, 1), (3, 32, 5), (4, 33, 7), (6, 95, 16), (5, 64, 9)] {
             let a = pattern(m * k, 1);
             let bt = pattern(n * k, 2);
-            let mut c = vec![0i32; m * n];
-            qgemm_nt_i32(&a, &bt, &mut c, m, k, n);
-            assert_eq!(c, naive_qgemm(&a, &bt, m, k, n), "shape ({m},{k},{n})");
+            let want: Vec<f32> = naive_qgemm(&a, &bt, m, k, n)
+                .into_iter()
+                .map(|acc| acc as f32)
+                .collect();
+            assert_eq!(qgemm_exact(&a, &bt, m, k, n), want, "shape ({m},{k},{n})");
         }
     }
 
@@ -464,22 +445,25 @@ mod tests {
         let k = 96;
         let a = vec![127i8; k];
         let bt = vec![127i8; k];
-        let mut c = vec![0i32; 1];
-        qgemm_nt_i32(&a, &bt, &mut c, 1, k, 1);
-        assert_eq!(c[0], 127 * 127 * k as i32);
+        assert_eq!(qgemm_exact(&a, &bt, 1, k, 1), [(127 * 127 * k) as f32]);
         let b_neg = vec![-127i8; k];
-        qgemm_nt_i32(&a, &b_neg, &mut c, 1, k, 1);
-        assert_eq!(c[0], -127 * 127 * k as i32);
+        assert_eq!(
+            qgemm_exact(&a, &b_neg, 1, k, 1),
+            [-((127 * 127 * k) as f32)]
+        );
     }
 
     #[test]
     fn row_scaled_epilogue_applies_scale_bias_relu() {
         let a = vec![2i8, -3, 1, 4]; // [2, 2]
         let bt = vec![1i8, 1, 2, -1]; // [2, 2] transposed
-        let scales = vec![0.5f32, 1.0];
-        let bias = vec![10.0f32, -100.0];
+        let epi = QEpilogue::Rows {
+            scales: &[0.5, 1.0],
+            bias: &[10.0, -100.0],
+            relu: true,
+        };
         let mut c = vec![0.0f32; 4];
-        qgemm_nt_row_scaled(&a, &bt, &scales, &bias, true, &mut c, 2, 2, 2);
+        qgemm_nt(&a, &bt, &mut c, 2, 2, 2, epi);
         // Row 0: acc = [-1, 7] -> 0.5*acc + 10 = [9.5, 13.5]
         // Row 1: acc = [5, -2] -> 1.0*acc - 100 -> relu -> [0, 0]
         assert_eq!(c, vec![9.5, 13.5, 0.0, 0.0]);
@@ -489,10 +473,13 @@ mod tests {
     fn col_scaled_epilogue_applies_per_column() {
         let a = vec![1i8, 2, 3, 4]; // [2, 2]
         let bt = vec![1i8, 0, 0, 1]; // identity transposed
-        let scales = vec![2.0f32, 0.5];
-        let bias = vec![1.0f32, -1.0];
+        let epi = QEpilogue::Cols {
+            scales: &[2.0, 0.5],
+            bias: &[1.0, -1.0],
+            relu: false,
+        };
         let mut c = vec![0.0f32; 4];
-        qgemm_nt_col_scaled(&a, &bt, &scales, &bias, false, &mut c, 2, 2, 2);
+        qgemm_nt(&a, &bt, &mut c, 2, 2, 2, epi);
         assert_eq!(c, vec![3.0, 0.0, 7.0, 1.0]);
     }
 
@@ -526,7 +513,8 @@ mod tests {
         let input_scale = 1.0 / 127.0;
         let qw = QuantizedConvWeight::new(values, scales.clone(), out_c, 3, 3);
         let got = conv2d_q8(&input, &qw, input_scale, &bias, true, 1, 1);
-        let reference = crate::conv::conv2d_bias_act(&input, &weight, &bias, true, 1, 1);
+        let packed = crate::conv::pack_conv_weight(&weight);
+        let reference = crate::conv::conv2d_bias_act(&input, &packed, &bias, true, 1, 1);
         assert_eq!(got.dims(), reference.dims());
         let mut max_delta = 0.0f32;
         for (g, r) in got.as_slice().iter().zip(reference.as_slice()) {

@@ -1,10 +1,14 @@
 //! Property-style validation of the packed GEMM against a naive
 //! reference: randomized shapes (including tails smaller than one
-//! register block), the transposed-B variant, fused epilogues, and the
-//! determinism contract (bit-identical output run-to-run and across
-//! concurrent callers on independent threads).
+//! register block), every operand layout the workspace calls `gemm` with
+//! (row-major, transposed B, prepacked A and B), fused epilogues, and the
+//! determinism contract (bit-identical output run-to-run, across operand
+//! layouts on the packed path, and across concurrent callers on
+//! independent threads).
 
-use hydronas_tensor::{approx_eq, gemm, gemm_bias, gemm_bias_relu, gemm_nt, uniform, TensorRng};
+use hydronas_tensor::{
+    approx_eq, gemm, uniform, Epilogue, GemmA, GemmB, PackedA, PackedBLayout, TensorRng,
+};
 
 fn naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = vec![0.0; m * n];
@@ -27,6 +31,11 @@ fn random_operands(m: usize, k: usize, n: usize, seed: u64) -> (Vec<f32>, Vec<f3
     (a, b)
 }
 
+/// Plain `gemm` on two row-major slices.
+fn gemm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm(GemmA::Slice(a), GemmB::Slice(b), c, m, k, n, Epilogue::None);
+}
+
 /// Shapes chosen to cross every dispatch boundary: the small-problem
 /// path, the packed path, k spanning multiple KC=256 blocks, n spanning
 /// multiple NC=512 blocks, and m/n tails of 1..7 — smaller than the
@@ -44,40 +53,102 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (96, 96, 96),
 ];
 
-#[test]
-fn randomized_shapes_match_naive_reference() {
-    for (case, &(m, k, n)) in SHAPES.iter().enumerate() {
-        let (a, b) = random_operands(m, k, n, 1000 + case as u64);
-        let mut c = vec![0.0; m * n];
-        gemm(&a, &b, &mut c, m, k, n);
-        let want = naive(&a, &b, m, k, n);
-        for (i, (x, y)) in c.iter().zip(want.iter()).enumerate() {
-            assert!(
-                approx_eq(*x, *y, 1e-3),
-                "shape ({m},{k},{n}) elem {i}: {x} vs {y}"
-            );
-        }
-    }
+/// Whether two slice operands of this shape take the packed path (the
+/// kernel's small-problem threshold is `m * k * n < 32 * 1024`).
+fn packed_path(m: usize, k: usize, n: usize) -> bool {
+    m * k * n >= 32 * 1024
 }
 
-#[test]
-fn randomized_shapes_match_naive_for_transposed_b() {
-    for (case, &(m, k, n)) in SHAPES.iter().enumerate() {
-        let (a, b) = random_operands(m, k, n, 2000 + case as u64);
+/// The operand layouts the workspace calls `gemm` with: conv forward and
+/// backward, `matmul` and the linear layer pass two slices; the weight
+/// gradient a transposed B; the serving conv a prepacked weight and a
+/// packed im2col matrix; the serving FC a prepacked weight as B.
+#[derive(Clone, Copy, Debug)]
+enum Layout {
+    Slices,
+    TransposedB,
+    PackedAB,
+    PackedB,
+}
+
+const LAYOUTS: [Layout; 4] = [
+    Layout::Slices,
+    Layout::TransposedB,
+    Layout::PackedAB,
+    Layout::PackedB,
+];
+
+/// One `[m x k] x [k x n]` problem held in every storage a layout reads.
+struct Operands {
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Vec<f32>,
+    b: Vec<f32>,
+    b_t: Vec<f32>,
+    packed_a: PackedA,
+    b_layout: PackedBLayout,
+    b_pack: Vec<f32>,
+}
+
+impl Operands {
+    fn new(m: usize, k: usize, n: usize, seed: u64) -> Operands {
+        let (a, b) = random_operands(m, k, n, seed);
         let mut b_t = vec![0.0; n * k];
         for r in 0..k {
             for c in 0..n {
                 b_t[c * k + r] = b[r * n + c];
             }
         }
-        let mut c = vec![0.0; m * n];
-        gemm_nt(&a, &b_t, &mut c, m, k, n);
-        let want = naive(&a, &b, m, k, n);
-        for (i, (x, y)) in c.iter().zip(want.iter()).enumerate() {
-            assert!(
-                approx_eq(*x, *y, 1e-3),
-                "shape ({m},{k},{n}) elem {i}: {x} vs {y}"
-            );
+        let packed_a = PackedA::pack(&a, m, k);
+        let b_layout = PackedBLayout::new(k, n);
+        // Poisoned, so a lane the packing misses would surface as NaN.
+        let mut b_pack = vec![f32::NAN; b_layout.len()];
+        b_layout.pack(&b, &mut b_pack);
+        Operands {
+            m,
+            k,
+            n,
+            a,
+            b,
+            b_t,
+            packed_a,
+            b_layout,
+            b_pack,
+        }
+    }
+
+    /// Runs `gemm` on this problem in `layout` into a dirty C (the kernel
+    /// must fully overwrite it).
+    fn run(&self, layout: Layout, epi: Epilogue) -> Vec<f32> {
+        let a = match layout {
+            Layout::PackedAB => GemmA::Packed(&self.packed_a),
+            Layout::Slices | Layout::TransposedB | Layout::PackedB => GemmA::Slice(&self.a),
+        };
+        let b = match layout {
+            Layout::Slices => GemmB::Slice(&self.b),
+            Layout::TransposedB => GemmB::Transposed(&self.b_t),
+            Layout::PackedAB | Layout::PackedB => GemmB::Packed(&self.b_layout, &self.b_pack),
+        };
+        let mut c = vec![7.0; self.m * self.n];
+        gemm(a, b, &mut c, self.m, self.k, self.n, epi);
+        c
+    }
+}
+
+#[test]
+fn randomized_shapes_match_naive_reference() {
+    for (case, &(m, k, n)) in SHAPES.iter().enumerate() {
+        let ops = Operands::new(m, k, n, 1000 + case as u64);
+        let want = naive(&ops.a, &ops.b, m, k, n);
+        for layout in LAYOUTS {
+            let c = ops.run(layout, Epilogue::None);
+            for (i, (x, y)) in c.iter().zip(want.iter()).enumerate() {
+                assert!(
+                    approx_eq(*x, *y, 1e-3),
+                    "{layout:?} shape ({m},{k},{n}) elem {i}: {x} vs {y}"
+                );
+            }
         }
     }
 }
@@ -85,21 +156,23 @@ fn randomized_shapes_match_naive_for_transposed_b() {
 #[test]
 fn fused_epilogues_match_unfused_bit_for_bit() {
     for (case, &(m, k, n)) in SHAPES.iter().enumerate() {
-        let (a, b) = random_operands(m, k, n, 3000 + case as u64);
+        let ops = Operands::new(m, k, n, 3000 + case as u64);
         let mut rng = TensorRng::seed_from_u64(4000 + case as u64);
-        let bias = uniform(&[n], -0.5, 0.5, &mut rng).as_slice().to_vec();
+        let col_bias = uniform(&[n], -0.5, 0.5, &mut rng).as_slice().to_vec();
+        let row_bias = uniform(&[m], -0.5, 0.5, &mut rng).as_slice().to_vec();
 
-        let mut plain = vec![0.0; m * n];
-        gemm(&a, &b, &mut plain, m, k, n);
-        let mut fused = vec![0.0; m * n];
-        gemm_bias(&a, &b, &bias, &mut fused, m, k, n);
-        let mut fused_relu = vec![0.0; m * n];
-        gemm_bias_relu(&a, &b, &bias, &mut fused_relu, m, k, n);
-
-        for i in 0..m * n {
-            let want = plain[i] + bias[i % n];
-            assert_eq!(fused[i], want, "shape ({m},{k},{n}) elem {i}");
-            assert_eq!(fused_relu[i], want.max(0.0), "shape ({m},{k},{n}) elem {i}");
+        for layout in LAYOUTS {
+            let plain = ops.run(layout, Epilogue::None);
+            let fused = ops.run(layout, Epilogue::ColBias(&col_bias));
+            let fused_rows = ops.run(layout, Epilogue::RowBias(&row_bias));
+            let fused_rows_relu = ops.run(layout, Epilogue::RowBiasRelu(&row_bias));
+            for i in 0..m * n {
+                let at = format!("{layout:?} shape ({m},{k},{n}) elem {i}");
+                assert_eq!(fused[i], plain[i] + col_bias[i % n], "{at}");
+                let want = plain[i] + row_bias[i / n];
+                assert_eq!(fused_rows[i], want, "{at}");
+                assert_eq!(fused_rows_relu[i], want.max(0.0), "{at}");
+            }
         }
     }
 }
@@ -107,13 +180,30 @@ fn fused_epilogues_match_unfused_bit_for_bit() {
 #[test]
 fn results_are_bit_identical_run_to_run() {
     for (case, &(m, k, n)) in SHAPES.iter().enumerate() {
-        let (a, b) = random_operands(m, k, n, 5000 + case as u64);
+        let ops = Operands::new(m, k, n, 5000 + case as u64);
+        let slices = ops.run(Layout::Slices, Epilogue::None);
         let mut c1 = vec![0.0; m * n];
-        gemm(&a, &b, &mut c1, m, k, n);
-        let mut c2 = vec![7.0; m * n]; // dirty C: kernel must fully overwrite
-        gemm(&a, &b, &mut c2, m, k, n);
-        assert_eq!(c1, c2, "shape ({m},{k},{n})");
+        gemm_nn(&ops.a, &ops.b, &mut c1, m, k, n);
+        assert_eq!(c1, slices, "shape ({m},{k},{n})");
+        for layout in LAYOUTS {
+            let c = ops.run(layout, Epilogue::None);
+            assert_eq!(
+                c,
+                ops.run(layout, Epilogue::None),
+                "{layout:?} ({m},{k},{n})"
+            );
+            // On the packed path, where and when an operand was packed
+            // never changes the bits.
+            if packed_path(m, k, n) {
+                let (c, s) = (bits(&c), bits(&slices));
+                assert_eq!(c, s, "{layout:?} ({m},{k},{n}) differs from slices");
+            }
+        }
     }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 #[test]
@@ -124,7 +214,7 @@ fn results_are_bit_identical_across_concurrent_worker_threads() {
     let (m, k, n) = (67, 513, 129); // packed path, tails in every dimension
     let (a, b) = random_operands(m, k, n, 6000);
     let mut serial = vec![0.0; m * n];
-    gemm(&a, &b, &mut serial, m, k, n);
+    gemm_nn(&a, &b, &mut serial, m, k, n);
 
     let results: Vec<Vec<f32>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..8)
@@ -133,8 +223,8 @@ fn results_are_bit_identical_across_concurrent_worker_threads() {
                     let mut c = vec![0.0; m * n];
                     // Twice per thread so the second call runs on a warm
                     // (reused) arena.
-                    gemm(&a, &b, &mut c, m, k, n);
-                    gemm(&a, &b, &mut c, m, k, n);
+                    gemm_nn(&a, &b, &mut c, m, k, n);
+                    gemm_nn(&a, &b, &mut c, m, k, n);
                     c
                 })
             })
@@ -152,7 +242,7 @@ fn inf_propagates_like_nan() {
     let (a, mut b) = random_operands(m, k, n, 7000);
     b[3] = f32::INFINITY;
     let mut c = vec![0.0; m * n];
-    gemm(&a, &b, &mut c, m, k, n);
+    gemm_nn(&a, &b, &mut c, m, k, n);
     assert!(
         c.iter().any(|v| !v.is_finite()),
         "Inf in B must reach C even through zero/denormal A entries"

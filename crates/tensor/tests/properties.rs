@@ -3,7 +3,7 @@
 
 use hydronas_tensor::{
     approx_eq, avg_pool2d_global, conv2d, conv2d_backward, conv_out_dim, gemm, max_pool2d,
-    max_pool2d_backward, Tensor,
+    max_pool2d_backward, Epilogue, GemmA, GemmB, Tensor,
 };
 use proptest::prelude::*;
 
@@ -24,11 +24,11 @@ proptest! {
         let (m, k, n) = (6, 5, 4);
         let sum: Vec<f32> = a1.iter().zip(&a2).map(|(x, y)| x + y).collect();
         let mut c_sum = vec![0.0; m * n];
-        gemm(&sum, &b, &mut c_sum, m, k, n);
+        gemm(GemmA::Slice(&sum), GemmB::Slice(&b), &mut c_sum, m, k, n, Epilogue::None);
         let mut c1 = vec![0.0; m * n];
-        gemm(&a1, &b, &mut c1, m, k, n);
+        gemm(GemmA::Slice(&a1), GemmB::Slice(&b), &mut c1, m, k, n, Epilogue::None);
         let mut c2 = vec![0.0; m * n];
-        gemm(&a2, &b, &mut c2, m, k, n);
+        gemm(GemmA::Slice(&a2), GemmB::Slice(&b), &mut c2, m, k, n, Epilogue::None);
         for ((s, x), y) in c_sum.iter().zip(&c1).zip(&c2) {
             prop_assert!(approx_eq(*s, x + y, 1e-3), "{s} vs {}", x + y);
         }

@@ -6,7 +6,7 @@
 //! tile (scalar-tail handling), single-row and single-column outputs, and
 //! sizes that split unevenly across compute-pool tasks.
 
-use hydronas_tensor::{qgemm_nt_col_scaled, qgemm_nt_i32, qgemm_nt_row_scaled, quantize_slice_i8};
+use hydronas_tensor::{qgemm_nt, quantize_slice_i8, QEpilogue};
 use proptest::prelude::*;
 
 fn naive_qgemm(a: &[i8], bt: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
@@ -64,9 +64,17 @@ proptest! {
         };
         let a = fill(m * k, 1);
         let bt = fill(n * k, 2);
-        let mut c = vec![0i32; m * n];
-        qgemm_nt_i32(&a, &bt, &mut c, m, k, n);
-        prop_assert_eq!(c, naive_qgemm(&a, &bt, m, k, n));
+        // Unit scales and zero bias hand back the raw accumulators as
+        // f32, exactly: |acc| <= 127² · 100 < 2^24.
+        let (scales, bias) = (vec![1.0f32; m], vec![0.0f32; m]);
+        let epi = QEpilogue::Rows { scales: &scales, bias: &bias, relu: false };
+        let mut c = vec![0.0f32; m * n];
+        qgemm_nt(&a, &bt, &mut c, m, k, n, epi);
+        let want: Vec<f32> = naive_qgemm(&a, &bt, m, k, n)
+            .into_iter()
+            .map(|acc| acc as f32)
+            .collect();
+        prop_assert_eq!(c, want);
     }
 
     #[test]
@@ -93,7 +101,8 @@ proptest! {
         let row_scales: Vec<f32> = (0..m).map(|i| 1e-4 + i as f32 * 1e-5).collect();
         let row_bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.01 - 0.05).collect();
         let mut c = vec![0.0f32; m * n];
-        qgemm_nt_row_scaled(&a, &bt, &row_scales, &row_bias, relu, &mut c, m, k, n);
+        let epi = QEpilogue::Rows { scales: &row_scales, bias: &row_bias, relu };
+        qgemm_nt(&a, &bt, &mut c, m, k, n, epi);
         for i in 0..m {
             for j in 0..n {
                 let v = acc[i * n + j] as f32 * row_scales[i] + row_bias[i];
@@ -104,7 +113,8 @@ proptest! {
         // Col-scaled: same contract per output column.
         let col_scales: Vec<f32> = (0..n).map(|j| 2e-4 + j as f32 * 1e-5).collect();
         let col_bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.02 - 0.04).collect();
-        qgemm_nt_col_scaled(&a, &bt, &col_scales, &col_bias, relu, &mut c, m, k, n);
+        let epi = QEpilogue::Cols { scales: &col_scales, bias: &col_bias, relu };
+        qgemm_nt(&a, &bt, &mut c, m, k, n, epi);
         for i in 0..m {
             for j in 0..n {
                 let v = acc[i * n + j] as f32 * col_scales[j] + col_bias[j];

@@ -5,8 +5,8 @@
 //! sessions serialize through the telemetry session lock.
 
 use hydronas_tensor::{
-    avg_pool2d_global, conv2d, conv2d_backward, gemm, gemm_nt, max_pool2d, uniform, Tensor,
-    TensorRng,
+    avg_pool2d_global, conv2d, conv2d_backward, gemm, max_pool2d, uniform, Epilogue, GemmA, GemmB,
+    Tensor, TensorRng,
 };
 
 #[test]
@@ -16,10 +16,19 @@ fn gemm_records_calls_flops_and_bytes() {
     let a = vec![1.0f32; m * k];
     let b = vec![1.0f32; k * n];
     let mut c = vec![0.0f32; m * n];
-    gemm(&a, &b, &mut c, m, k, n);
+    gemm(
+        GemmA::Slice(&a),
+        GemmB::Slice(&b),
+        &mut c,
+        m,
+        k,
+        n,
+        Epilogue::None,
+    );
 
     let b_t = vec![1.0f32; n * k];
-    gemm_nt(&a, &b_t, &mut c, m, k, n);
+    let b_op = GemmB::Transposed(&b_t);
+    gemm(GemmA::Slice(&a), b_op, &mut c, m, k, n, Epilogue::None);
 
     let counters = session.metrics().counters;
     assert_eq!(counters["tensor.gemm.calls"], 2);
@@ -77,6 +86,14 @@ fn kernels_record_nothing_without_a_session() {
     let a = vec![1.0f32; 6];
     let b = vec![1.0f32; 6];
     let mut c = vec![0.0f32; 4];
-    gemm(&a, &b, &mut c, 2, 3, 2);
+    gemm(
+        GemmA::Slice(&a),
+        GemmB::Slice(&b),
+        &mut c,
+        2,
+        3,
+        2,
+        Epilogue::None,
+    );
     assert_eq!(c, vec![3.0, 3.0, 3.0, 3.0]);
 }

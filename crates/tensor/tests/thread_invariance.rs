@@ -10,10 +10,9 @@
 //! physical cores, so these tests are meaningful on any host.
 
 use hydronas_tensor::{
-    conv2d, conv2d_backward, conv2d_bias_act, conv2d_bias_act_batched, conv2d_bias_act_prepacked,
-    conv2d_q8, gemm, gemm_bias_relu_rows_prepacked, max_pool2d, max_pool2d_backward,
-    pack_conv_weight, qgemm_nt_row_scaled, quantize_slice_i8, set_compute_threads, uniform,
-    PackedA, PackedBLayout, QuantizedConvWeight, Tensor, TensorRng,
+    conv2d, conv2d_backward, conv2d_bias_act, conv2d_q8, gemm, max_pool2d, max_pool2d_backward,
+    pack_conv_weight, qgemm_nt, quantize_slice_i8, set_compute_threads, uniform, Epilogue, GemmA,
+    GemmB, PackedA, PackedBLayout, QEpilogue, QuantizedConvWeight, Tensor, TensorRng,
 };
 use std::sync::{Mutex, MutexGuard};
 
@@ -22,6 +21,12 @@ use std::sync::{Mutex, MutexGuard};
 fn config_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Plain `gemm` on two row-major slices.
+fn gemm_nn(a: &Tensor, b: &Tensor, c: &mut [f32], m: usize, k: usize, n: usize) {
+    let (a, b) = (GemmA::Slice(a.as_slice()), GemmB::Slice(b.as_slice()));
+    gemm(a, b, c, m, k, n, Epilogue::None);
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -55,7 +60,7 @@ fn packed_gemm_is_thread_count_invariant() {
     let b = uniform(&[k, n], -1.0, 1.0, &mut rng);
     assert_thread_invariant("gemm packed", || {
         let mut c = vec![0.0f32; m * n];
-        gemm(a.as_slice(), b.as_slice(), &mut c, m, k, n);
+        gemm_nn(&a, &b, &mut c, m, k, n);
         c
     });
 }
@@ -71,7 +76,7 @@ fn gemm_spanning_multiple_k_and_column_blocks_is_invariant() {
     let b = uniform(&[k, n], -1.0, 1.0, &mut rng);
     assert_thread_invariant("gemm multi-block", || {
         let mut c = vec![0.0f32; m * n];
-        gemm(a.as_slice(), b.as_slice(), &mut c, m, k, n);
+        gemm_nn(&a, &b, &mut c, m, k, n);
         c
     });
 }
@@ -84,13 +89,22 @@ fn prepacked_gemm_is_thread_count_invariant() {
     let a = uniform(&[m, k], -1.0, 1.0, &mut rng);
     let b = uniform(&[k, n], -1.0, 1.0, &mut rng);
     let bias = uniform(&[m], -0.5, 0.5, &mut rng);
+    let col_bias = uniform(&[n], -0.5, 0.5, &mut rng);
     let packed_a = PackedA::pack(a.as_slice(), m, k);
     let layout = PackedBLayout::new(k, n);
     let mut b_pack = vec![0.0f32; layout.len()];
     layout.pack(b.as_slice(), &mut b_pack);
-    assert_thread_invariant("gemm prepacked", || {
+    let b_packed = GemmB::Packed(&layout, &b_pack);
+    assert_thread_invariant("gemm prepacked A and B", || {
         let mut c = vec![0.0f32; m * n];
-        gemm_bias_relu_rows_prepacked(&packed_a, &layout, &b_pack, bias.as_slice(), &mut c);
+        let epi = Epilogue::RowBiasRelu(bias.as_slice());
+        gemm(GemmA::Packed(&packed_a), b_packed, &mut c, m, k, n, epi);
+        c
+    });
+    assert_thread_invariant("gemm prepacked B", || {
+        let mut c = vec![0.0f32; m * n];
+        let epi = Epilogue::ColBias(col_bias.as_slice());
+        gemm(GemmA::Slice(a.as_slice()), b_packed, &mut c, m, k, n, epi);
         c
     });
 }
@@ -107,7 +121,7 @@ fn conv2d_forward_is_thread_count_invariant() {
 }
 
 #[test]
-fn fused_conv_variants_are_thread_count_invariant() {
+fn fused_conv_is_thread_count_invariant() {
     let _guard = config_lock();
     let mut rng = TensorRng::seed_from_u64(45);
     let input = uniform(&[6, 4, 12, 12], -1.0, 1.0, &mut rng);
@@ -115,17 +129,7 @@ fn fused_conv_variants_are_thread_count_invariant() {
     let bias = uniform(&[10], -0.5, 0.5, &mut rng);
     let packed = pack_conv_weight(&weight);
     assert_thread_invariant("conv2d_bias_act", || {
-        conv2d_bias_act(&input, &weight, bias.as_slice(), true, 1, 1)
-            .as_slice()
-            .to_vec()
-    });
-    assert_thread_invariant("conv2d_bias_act_batched", || {
-        conv2d_bias_act_batched(&input, &weight, bias.as_slice(), true, 1, 1)
-            .as_slice()
-            .to_vec()
-    });
-    assert_thread_invariant("conv2d_bias_act_prepacked", || {
-        conv2d_bias_act_prepacked(&input, &packed, bias.as_slice(), true, 1, 1)
+        conv2d_bias_act(&input, &packed, bias.as_slice(), true, 1, 1)
             .as_slice()
             .to_vec()
     });
@@ -187,7 +191,7 @@ fn small_path_dispatch_ignores_thread_count() {
     let b = uniform(&[k, n], -1.0, 1.0, &mut rng);
     assert_thread_invariant("gemm small path", || {
         let mut c = vec![0.0f32; m * n];
-        gemm(a.as_slice(), b.as_slice(), &mut c, m, k, n);
+        gemm_nn(&a, &b, &mut c, m, k, n);
         c
     });
 }
@@ -256,7 +260,12 @@ fn int8_gemm_is_thread_count_invariant() {
     let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.01 - 0.1).collect();
     assert_thread_invariant("qgemm row-scaled", || {
         let mut c = vec![0.0f32; m * n];
-        qgemm_nt_row_scaled(&a, &bt, &scales, &bias, true, &mut c, m, k, n);
+        let epi = QEpilogue::Rows {
+            scales: &scales,
+            bias: &bias,
+            relu: true,
+        };
+        qgemm_nt(&a, &bt, &mut c, m, k, n, epi);
         c
     });
 }

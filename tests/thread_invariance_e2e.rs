@@ -143,10 +143,16 @@ fn sweep_journal_is_thread_count_invariant() {
     assert_thread_invariant("sweep journal bytes", || {
         let path = dir.join(format!("journal-{}.jsonl", compute_threads()));
         let _ = std::fs::remove_file(&path); // a leftover journal would replay
+                                             // The journal is written in completion order, so with several
+                                             // sweep workers its line order varies run to run whatever the
+                                             // compute-thread count. One worker makes line order equal trial
+                                             // order, leaving compute threads the only variable under test;
+                                             // multi-worker database identity has its own tests in `nas`.
         let report = Sweep::builder()
             .with_trials(trials.clone())
             .with_evaluator(SurrogateEvaluator::default())
             .with_journal(&path)
+            .with_workers(1)
             .run()
             .expect("sweep runs");
         assert_eq!(report.db.outcomes.len(), trials.len());
