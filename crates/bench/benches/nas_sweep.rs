@@ -5,8 +5,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hydronas_bench::{combo_trials, run_combo};
 use hydronas_nas::space::full_grid;
 use hydronas_nas::{
-    makespan_lpt, nsga2, random_search, regularized_evolution, run_experiment, run_full_grid,
-    EvolutionConfig, InputCombo, Nsga2Config, SchedulerConfig, SearchSpace, SurrogateEvaluator,
+    makespan_lpt, nsga2, random_search, regularized_evolution, run_experiment, EvolutionConfig,
+    InputCombo, Nsga2Config, SchedulerConfig, SearchSpace, SurrogateEvaluator,
 };
 
 fn bench_single_combo(c: &mut Criterion) {
@@ -29,7 +29,13 @@ fn bench_full_grid(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_secs(1));
     group.throughput(Throughput::Elements(1728));
     group.bench_function("1728_trials_surrogate", |bench| {
-        bench.iter(|| run_full_grid(&SurrogateEvaluator::default(), &SchedulerConfig::default()));
+        bench.iter(|| {
+            run_experiment(
+                &full_grid(&SearchSpace::paper()),
+                &SurrogateEvaluator::default(),
+                &SchedulerConfig::default(),
+            )
+        });
     });
     group.finish();
 }

@@ -22,6 +22,7 @@
 //! summary — re-run with the same `--resume` journal to continue.
 
 use hydronas::prelude::*;
+use hydronas_nas::space::full_grid;
 use hydronas_telemetry::{log_error, log_info, log_warn};
 use std::path::PathBuf;
 
@@ -194,10 +195,8 @@ fn main() {
     // `--all` (trace.json/metrics.json join the artifact bundle).
     let observing = args.trace.is_some() || args.metrics.is_some() || args.all;
     let session = observing.then(hydronas_telemetry::session);
-    log_info!(
-        "running the full 1,728-trial experiment (seed {})...",
-        ReproConfig::default().seed
-    );
+    let seed = SchedulerConfig::default().seed;
+    log_info!("running the full 1,728-trial experiment (seed {seed})...");
     if let Some(journal) = &args.resume {
         log_info!(
             "journaling to {} (finished trials are replayed on restart)",
@@ -212,22 +211,20 @@ fn main() {
     };
     let cancel = CancelToken::new();
     ctrl_c::install(cancel.clone());
-    let mut ctrl = RunControl::default().with_cancel(cancel);
+    let mut sweep = Sweep::builder().with_seed(seed).with_cancel(cancel);
     if let Some(journal) = &args.resume {
-        ctrl = ctrl.with_journal(journal);
+        sweep = sweep.with_journal(journal);
     }
     if let Some(limit_s) = args.trial_timeout_s {
-        ctrl = ctrl.with_trial_timeout_s(limit_s);
+        sweep = sweep.with_trial_timeout_s(limit_s);
     }
     if let Some(budget_s) = args.max_wall_s {
-        ctrl = ctrl.with_max_wall_s(budget_s);
+        sweep = sweep.with_max_wall_s(budget_s);
     }
-    let artifacts = ReproConfig::default()
-        .run_controlled(&ctrl, sink)
-        .unwrap_or_else(|e| {
-            log_error!("cannot use journal: {e}");
-            std::process::exit(1);
-        });
+    let artifacts = reproduce(sweep, sink).unwrap_or_else(|e| {
+        log_error!("cannot use journal: {e}");
+        std::process::exit(1);
+    });
     if artifacts.degradation.is_degraded() {
         for line in artifacts.degradation.summary().lines() {
             log_warn!("sweep degraded: {line}");
@@ -242,7 +239,7 @@ fn main() {
     // counters and per-epoch series.
     if session.is_some() {
         log_info!("running the kernel probe (miniature real training)...");
-        match hydronas::kernel_probe(ReproConfig::default().seed) {
+        match hydronas::kernel_probe(seed) {
             Some(acc) => log_info!("kernel probe: {acc:.2}% cross-validated accuracy"),
             None => log_warn!("kernel probe failed; op counters will be empty"),
         }
@@ -434,7 +431,6 @@ fn ablation_energy(db: &ExperimentDb) {
 /// LPT makespan of the full experiment on 1..8 simulated GPUs.
 fn ablation_makespan() {
     use hydronas_nas::makespan_lpt;
-    use hydronas_nas::space::{full_grid, SearchSpace};
     let trials = full_grid(&SearchSpace::paper());
     let (serial, _) = makespan_lpt(&trials, 1);
     println!(
@@ -534,12 +530,13 @@ fn ablation_padding_pruning(db: &ExperimentDb) {
 
 /// How stable is the front cardinality across master seeds?
 fn ablation_seed_sensitivity() {
+    let grid = full_grid(&SearchSpace::paper());
     for seed in [1u64, 2, 3, 4, 5, 7, 9] {
         let config = SchedulerConfig {
             seed,
             ..Default::default()
         };
-        let db = hydronas_nas::run_full_grid(&SurrogateEvaluator::default(), &config);
+        let db = hydronas_nas::run_experiment(&grid, &SurrogateEvaluator::default(), &config);
         let front = db.pareto_outcomes();
         let all_f32 = front.iter().all(|o| o.spec.arch.initial_features == 32);
         println!(

@@ -67,6 +67,10 @@
 //!     eprintln!("{}", report.degradation.summary());
 //! }
 //! ```
+//!
+//! To reproduce the paper, hand a builder to [`reproduce`]: it sets the
+//! paper's 1,728-trial grid as the trial list, runs the sweep, and
+//! renders every table and figure (see the [`prelude`] example).
 
 pub mod error;
 pub mod figures;
@@ -75,7 +79,7 @@ pub mod report;
 pub mod tables;
 
 pub use error::HydroNasError;
-pub use pipeline::{kernel_probe, metrics_json, ReproArtifacts, ReproConfig, RunControl};
+pub use pipeline::{kernel_probe, metrics_json, reproduce, ReproArtifacts};
 pub use report::markdown_report;
 
 /// One-stop imports for examples and downstream users.
@@ -86,18 +90,14 @@ pub use report::markdown_report;
 /// use hydronas::prelude::*;
 ///
 /// let _session = session(); // telemetry: spans, counters, Chrome trace
-/// let ctrl = RunControl::default().with_journal("repro.journal.jsonl");
-/// let artifacts = ReproConfig::default()
-///     .run_controlled(&ctrl, None)
-///     .expect("journal I/O");
+/// let sweep = Sweep::builder().with_journal("repro.journal.jsonl");
+/// let artifacts = reproduce(sweep, None).expect("journal I/O");
 /// println!("{}", artifacts.sweep_summary());
 /// ```
 pub mod prelude {
     pub use crate::error::HydroNasError;
     pub use crate::figures::{figure1, figure2, figure3_csv, figure3_html, figure4_csv};
-    pub use crate::pipeline::{
-        kernel_probe, metrics_json, ReproArtifacts, ReproConfig, RunControl,
-    };
+    pub use crate::pipeline::{kernel_probe, metrics_json, reproduce, ReproArtifacts};
     pub use crate::report::markdown_report;
     pub use crate::tables::{table1, table2, table3, table4, table5};
     pub use hydronas_geodata::{
@@ -109,9 +109,9 @@ pub mod prelude {
         BASELINE_RESNET18,
     };
     pub use hydronas_infer::{
-        DrainStats, Engine, EngineConfig, EngineConfigBuilder, EngineStats, ExecutionPlan,
-        InferError, InferRequest, LayerCost, LayerProfile, Numerics, PlanBuilder, Prediction,
-        PredictionHandle, QuantizationScheme, RetryConfig, ShedPolicy,
+        DrainStats, Engine, EngineConfig, EngineStats, ExecutionPlan, InferError, InferRequest,
+        LayerCost, LayerProfile, Numerics, PlanBuilder, Prediction, PredictionHandle,
+        QuantizationScheme, RetryConfig, ShedPolicy,
     };
     pub use hydronas_latency::{
         predict_all, predict_all_quantized, predict_energy, validate_table2, DeviceId,
@@ -119,24 +119,20 @@ pub mod prelude {
     };
     pub use hydronas_nas::{
         makespan_lpt, nsga2, profile_trial, random_search, read_journal, regularized_evolution,
-        run_full_grid, CancelToken, ChaosConfig, ChaosFault, CollectingSink, DegradationReport,
-        Evaluator, EvolutionConfig, ExperimentDb, FailureCause, InputCombo, MetricsError,
-        Nsga2Config, ProgressSink, RealTrainer, RetryPolicy, SchedulerConfig, SearchSpace,
-        StderrTicker, SurrogateEvaluator, Sweep, SweepBuilder, SweepError, SweepEvent, SweepReport,
-        SweepStats, TrialFailure, TrialOutcome, TrialSpec,
+        CancelToken, ChaosConfig, ChaosFault, CollectingSink, DegradationReport, Evaluator,
+        EvolutionConfig, ExperimentDb, FailureCause, InputCombo, MetricsError, Nsga2Config,
+        ProgressSink, RealTrainer, RetryPolicy, SchedulerConfig, SearchSpace, StderrTicker,
+        SurrogateEvaluator, Sweep, SweepBuilder, SweepError, SweepEvent, SweepReport, SweepStats,
+        TrialFailure, TrialOutcome, TrialSpec,
     };
     pub use hydronas_nn::{
-        augment_batch, kfold_cross_validate, kfold_cross_validate_with_cancel, train,
-        train_with_cancel, Dataset, LrSchedule, ModelImportError, ResNet, TrainConfig,
+        augment_batch, kfold_cross_validate, train, Dataset, LrSchedule, ModelImportError, ResNet,
+        TrainConfig,
     };
     pub use hydronas_pareto::{pareto_front, Objective, Point};
     pub use hydronas_telemetry::{session, Gauge, MetricsSnapshot, QuantileHistogram, Session};
     pub use hydronas_tensor::{compute_threads, set_compute_threads, Tensor, TensorRng};
 }
-
-/// Re-export of `hydronas_geodata::dataset::build_paper_dataset` is pulled
-/// in through the prelude; keep the module graph documented here.
-pub use hydronas_nas::run_full_grid;
 
 #[cfg(test)]
 mod tests {

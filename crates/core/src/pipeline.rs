@@ -6,10 +6,10 @@ use crate::{figures, tables};
 use hydronas_graph::{ArchConfig, PoolConfig};
 use hydronas_nas::space::{full_grid, SearchSpace};
 use hydronas_nas::{
-    CancelToken, DegradationReport, Evaluator, ExperimentDb, InputCombo, ProgressSink, RealTrainer,
-    SchedulerConfig, Sweep, SweepStats, TrialSpec,
+    DegradationReport, Evaluator, ExperimentDb, InputCombo, ProgressSink, RealTrainer,
+    SweepBuilder, SweepStats, TrialSpec,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::path::{Path, PathBuf};
 
 /// Fixed measurement seed for the Table 2 predictor validation. Chosen
@@ -17,75 +17,6 @@ use std::path::{Path, PathBuf};
 /// the paper's published accuracies: 98.96 / 99.31 / 99.65 / 83.68 vs the
 /// paper's 99.00 / 99.10 / 99.00 / 83.40.
 pub const TABLE2_VALIDATION_SEED: u64 = 8;
-
-/// Pipeline configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ReproConfig {
-    /// Master seed (defaults to the calibrated seed of the study).
-    pub seed: u64,
-    /// Tile edge for latency/memory measurement.
-    pub input_hw: usize,
-    /// Simulated environment failures (paper: 11).
-    pub injected_failures: usize,
-}
-
-impl Default for ReproConfig {
-    fn default() -> ReproConfig {
-        let s = SchedulerConfig::default();
-        ReproConfig {
-            seed: s.seed,
-            input_hw: s.input_hw,
-            injected_failures: s.injected_failures,
-        }
-    }
-}
-
-/// Runtime controls of one pipeline run: everything that governs *how*
-/// the sweep executes without being part of the experiment's identity —
-/// journaling, cooperative cancellation, per-trial timeouts, and the
-/// simulated wall-clock budget.
-///
-/// `#[non_exhaustive]`: construct with [`RunControl::default`] and the
-/// `with_*` chainers, so future controls can join without breaking
-/// callers.
-#[derive(Clone, Debug, Default)]
-#[non_exhaustive]
-pub struct RunControl {
-    /// Write-ahead journal path; replayed on restart, so a killed run
-    /// resumes where it stopped.
-    pub journal: Option<PathBuf>,
-    /// Cooperative cancellation token — cancel it (e.g. from a Ctrl-C
-    /// handler) and the sweep drains in-flight trials and returns a
-    /// partial result.
-    pub cancel: CancelToken,
-    /// Per-trial simulated budget in seconds; trials over it fail with a
-    /// timeout status instead of running.
-    pub trial_timeout_s: Option<f64>,
-    /// Total simulated budget; trials past it are skipped deterministically.
-    pub max_wall_s: Option<f64>,
-}
-
-impl RunControl {
-    pub fn with_journal(mut self, path: impl Into<PathBuf>) -> RunControl {
-        self.journal = Some(path.into());
-        self
-    }
-
-    pub fn with_cancel(mut self, cancel: CancelToken) -> RunControl {
-        self.cancel = cancel;
-        self
-    }
-
-    pub fn with_trial_timeout_s(mut self, limit_s: f64) -> RunControl {
-        self.trial_timeout_s = Some(limit_s);
-        self
-    }
-
-    pub fn with_max_wall_s(mut self, budget_s: f64) -> RunControl {
-        self.max_wall_s = Some(budget_s);
-        self
-    }
-}
 
 /// Everything the reproduction produces.
 #[derive(Clone, Debug)]
@@ -111,122 +42,35 @@ pub struct ReproArtifacts {
     pub degradation: DegradationReport,
 }
 
-impl ReproConfig {
-    /// Runs the full 1,728-trial experiment (surrogate evaluator) and
-    /// renders every artifact.
-    pub fn run(&self) -> ReproArtifacts {
-        self.run_with(None, None)
-            .expect("a sweep without a journal performs no I/O")
-    }
-
-    /// [`ReproConfig::run`] with sweep machinery attached: an optional
-    /// write-ahead journal (replayed on restart, so a killed run resumes
-    /// where it stopped) and an optional progress sink. Errs only on
-    /// journal problems — an unreadable/corrupt journal file or one
-    /// recorded against a different trial set.
-    pub fn run_with(
-        &self,
-        journal: Option<&Path>,
-        sink: Option<&mut dyn ProgressSink>,
-    ) -> Result<ReproArtifacts, HydroNasError> {
-        let ctrl = RunControl {
-            journal: journal.map(Path::to_path_buf),
-            ..RunControl::default()
-        };
-        self.run_controlled(&ctrl, sink)
-    }
-
-    /// [`ReproConfig::run_with`] under full runtime control: journaling,
-    /// cooperative cancellation, per-trial timeouts, and a simulated
-    /// wall-clock budget. A cancelled or deadline-limited run still
-    /// returns `Ok` — partial artifacts with
-    /// [`ReproArtifacts::degradation`] describing what was lost.
-    pub fn run_controlled(
-        &self,
-        ctrl: &RunControl,
-        sink: Option<&mut dyn ProgressSink>,
-    ) -> Result<ReproArtifacts, HydroNasError> {
-        let trials = full_grid(&SearchSpace::paper());
-        let report = {
-            let mut span = hydronas_telemetry::span("repro.stage", "sweep");
-            span.attr("trials", trials.len());
-            let mut builder = Sweep::builder()
-                .with_trials(trials)
-                .with_seed(self.seed)
-                .with_input_hw(self.input_hw)
-                .with_injected_failures(self.injected_failures)
-                .with_cancel(ctrl.cancel.clone());
-            if let Some(journal) = &ctrl.journal {
-                builder = builder.with_journal(journal);
-            }
-            if let Some(limit_s) = ctrl.trial_timeout_s {
-                builder = builder.with_trial_timeout_s(limit_s);
-            }
-            if let Some(budget_s) = ctrl.max_wall_s {
-                builder = builder.with_max_wall_s(budget_s);
-            }
-            match sink {
-                Some(sink) => builder.run_with(sink)?,
-                None => builder.run()?,
-            }
-        };
-        let mut artifacts = self.render(report.db);
-        artifacts.sweep = report.stats;
-        artifacts.degradation = report.degradation;
-        Ok(artifacts)
-    }
-
-    /// Renders artifacts from an existing database (e.g. loaded from
-    /// JSON, or produced with a different evaluator).
-    ///
-    /// A database with no valid outcomes — a run cancelled before any
-    /// trial finished — renders placeholder text for the result tables
-    /// and figures instead of panicking, so a degraded pipeline still
-    /// produces a complete (if mostly empty) artifact bundle.
-    pub fn render(&self, db: ExperimentDb) -> ReproArtifacts {
-        let _span = hydronas_telemetry::span("repro.stage", "render");
-        if db.valid().is_empty() {
-            const EMPTY: &str =
-                "(no valid outcomes: the sweep degraded before any trial finished)\n";
-            return ReproArtifacts {
-                table1: tables::table1(),
-                table2: tables::table2(self.input_hw, TABLE2_VALIDATION_SEED),
-                table3: EMPTY.to_string(),
-                table4: EMPTY.to_string(),
-                table4_pool_grouped: EMPTY.to_string(),
-                table5: EMPTY.to_string(),
-                figure1: figures::figure1(self.input_hw),
-                figure2: figures::figure2(),
-                figure3_csv: EMPTY.to_string(),
-                figure4_csv: EMPTY.to_string(),
-                discussion: discussion_section(&db),
-                sweep: SweepStats::default(),
-                degradation: DegradationReport::default(),
-                db,
-            };
+/// Runs the paper's experiment and renders every artifact.
+///
+/// The trial list is always the paper's full 1,728-trial grid,
+/// `full_grid(&SearchSpace::paper())`: it replaces any trials `sweep`
+/// was given. Everything else comes from `sweep` — seed, tile edge,
+/// injected failures, evaluator, journal, cancellation, per-trial
+/// timeout and wall-clock budget — so `Sweep::builder()` with no further
+/// settings reproduces the paper. A cancelled or deadline-limited run
+/// still returns `Ok`: partial artifacts with
+/// [`ReproArtifacts::degradation`] describing what was lost. Errs only on
+/// journal problems — an unreadable or corrupt journal file, or one
+/// recorded against a different trial set.
+pub fn reproduce(
+    sweep: SweepBuilder,
+    sink: Option<&mut dyn ProgressSink>,
+) -> Result<ReproArtifacts, HydroNasError> {
+    let sweep = sweep.with_trials(full_grid(&SearchSpace::paper())).build();
+    let report = {
+        let mut span = hydronas_telemetry::span("repro.stage", "sweep");
+        span.attr("trials", sweep.trials().len());
+        match sink {
+            Some(sink) => sweep.run_with(sink)?,
+            None => sweep.run()?,
         }
-        let discussion = discussion_section(&db);
-        ReproArtifacts {
-            table1: tables::table1(),
-            // The predictor validation is an independent experiment (the
-            // nn-Meter authors ran it, not the paper's NAS sweep), so it
-            // carries its own fixed measurement seed rather than the NAS
-            // master seed.
-            table2: tables::table2(self.input_hw, TABLE2_VALIDATION_SEED),
-            table3: tables::table3(&db),
-            table4: tables::table4(&db),
-            table4_pool_grouped: tables::table4_pool_grouped(&db),
-            table5: tables::table5(&db),
-            figure1: figures::figure1(self.input_hw),
-            figure2: figures::figure2(),
-            figure3_csv: figures::figure3_csv(&db),
-            figure4_csv: figures::figure4_csv(&db),
-            discussion,
-            sweep: SweepStats::default(),
-            degradation: DegradationReport::default(),
-            db,
-        }
-    }
+    };
+    let mut artifacts = ReproArtifacts::render(report.db, sweep.input_hw());
+    artifacts.sweep = report.stats;
+    artifacts.degradation = report.degradation;
+    Ok(artifacts)
 }
 
 /// Section 5 reproduction: per-combination simulated wall-clock.
@@ -302,6 +146,46 @@ pub fn kernel_probe(seed: u64) -> Option<f64> {
 }
 
 impl ReproArtifacts {
+    /// Renders artifacts from an existing database (e.g. loaded from
+    /// JSON, or produced with a different evaluator). `input_hw` is the
+    /// tile edge Table 2 and Figure 1 measure at — the sweep's own.
+    ///
+    /// A database with no valid outcomes — a run cancelled before any
+    /// trial finished — renders placeholder text for the result tables
+    /// and figures instead of panicking, so a degraded pipeline still
+    /// produces a complete (if mostly empty) artifact bundle.
+    pub fn render(db: ExperimentDb, input_hw: usize) -> ReproArtifacts {
+        let _span = hydronas_telemetry::span("repro.stage", "render");
+        let empty = db.valid().is_empty();
+        let or_placeholder = |render: fn(&ExperimentDb) -> String| {
+            if empty {
+                "(no valid outcomes: the sweep degraded before any trial finished)\n".to_string()
+            } else {
+                render(&db)
+            }
+        };
+        ReproArtifacts {
+            table1: tables::table1(),
+            // The predictor validation is an independent experiment (the
+            // nn-Meter authors ran it, not the paper's NAS sweep), so it
+            // carries its own fixed measurement seed rather than the NAS
+            // master seed.
+            table2: tables::table2(input_hw, TABLE2_VALIDATION_SEED),
+            table3: or_placeholder(tables::table3),
+            table4: or_placeholder(tables::table4),
+            table4_pool_grouped: or_placeholder(tables::table4_pool_grouped),
+            table5: or_placeholder(tables::table5),
+            figure1: figures::figure1(input_hw),
+            figure2: figures::figure2(),
+            figure3_csv: or_placeholder(figures::figure3_csv),
+            figure4_csv: or_placeholder(figures::figure4_csv),
+            discussion: discussion_section(&db),
+            sweep: SweepStats::default(),
+            degradation: DegradationReport::default(),
+            db,
+        }
+    }
+
     /// Human-readable sweep execution summary. Falls back to
     /// database-derived counts when the artifacts were rendered from a
     /// pre-existing database (no live sweep ran). A degraded sweep
@@ -371,12 +255,10 @@ impl ReproArtifacts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydronas_nas::space::{full_grid, SearchSpace};
-    use hydronas_nas::{run_experiment, SurrogateEvaluator};
+    use hydronas_nas::{run_experiment, CancelToken, SchedulerConfig, SurrogateEvaluator, Sweep};
 
     /// A reduced pipeline over one input combination, for test speed.
     fn reduced_artifacts() -> ReproArtifacts {
-        let config = ReproConfig::default();
         let trials: Vec<_> = full_grid(&SearchSpace::paper())
             .into_iter()
             .filter(|t| {
@@ -392,7 +274,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        config.render(db)
+        ReproArtifacts::render(db, 32)
     }
 
     #[test]
@@ -439,9 +321,8 @@ mod tests {
         let journal =
             std::env::temp_dir().join(format!("hydronas_pipeline_journal_{}", std::process::id()));
         std::fs::remove_file(&journal).ok();
-        let config = ReproConfig::default();
         let mut sink = hydronas_nas::CollectingSink::default();
-        let a = config.run_with(Some(&journal), Some(&mut sink)).unwrap();
+        let a = reproduce(Sweep::builder().with_journal(&journal), Some(&mut sink)).unwrap();
         assert_eq!(a.sweep.scheduled, 1728);
         assert_eq!(a.sweep.replayed, 0);
         assert_eq!(a.sweep.completed, 1717);
@@ -450,7 +331,7 @@ mod tests {
         assert_eq!(sink.trials.len(), 1728);
         assert_eq!(hydronas_nas::read_journal(&journal).unwrap().len(), 1728);
         // A second run replays the whole journal and lands on the same db.
-        let b = config.run_with(Some(&journal), None).unwrap();
+        let b = reproduce(Sweep::builder().with_journal(&journal), None).unwrap();
         assert_eq!(b.sweep.replayed, 1728);
         assert_eq!(b.db.to_json(), a.db.to_json());
         assert!(b.sweep_summary().contains("replayed  : 1728"));
@@ -461,8 +342,7 @@ mod tests {
     fn cancelled_run_returns_partial_artifacts_not_an_error() {
         let cancel = CancelToken::new();
         cancel.cancel();
-        let ctrl = RunControl::default().with_cancel(cancel);
-        let a = ReproConfig::default().run_controlled(&ctrl, None).unwrap();
+        let a = reproduce(Sweep::builder().with_cancel(cancel), None).unwrap();
         assert!(a.degradation.cancelled);
         assert!(a.db.outcomes.is_empty());
         // Partial artifacts still render; the summary says why.
@@ -478,8 +358,7 @@ mod tests {
 
     #[test]
     fn max_wall_budget_limits_the_pipeline_run() {
-        let ctrl = RunControl::default().with_max_wall_s(3600.0);
-        let a = ReproConfig::default().run_controlled(&ctrl, None).unwrap();
+        let a = reproduce(Sweep::builder().with_max_wall_s(3600.0), None).unwrap();
         assert!(a.degradation.deadline_exhausted);
         assert!(!a.degradation.skipped.is_empty());
         assert_eq!(

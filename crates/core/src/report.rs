@@ -161,7 +161,6 @@ pub fn markdown_report(artifacts: &ReproArtifacts) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::ReproConfig;
     use hydronas_nas::space::{full_grid, SearchSpace};
     use hydronas_nas::{run_experiment, SchedulerConfig, SurrogateEvaluator};
 
@@ -181,7 +180,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        ReproConfig::default().render(db)
+        ReproArtifacts::render(db, 32)
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! queue non-empty starts a *collection window*: it keeps waiting in
 //! tick-sized slices (`tick_us` each) until either `max_batch` requests are
 //! pending or `max_wait_ticks` ticks have elapsed, then drains up to
-//! `max_batch` requests and executes them as one stacked forward pass. The
+//! `max_batch` requests and executes them as one stacked forward pass.
+//! A batch holds one input H×W: the drain stops at the first request
+//! whose dims differ from the head's, which waits for the next drain. The
 //! deadline counts ticks rather than wall-clock timestamps — a simulated
 //! clock in the spirit of the latency simulator — so the policy is
 //! deterministic under test and never blocks an almost-full batch on a
@@ -68,10 +70,11 @@ pub enum ShedPolicy {
 
 /// Batching and threading knobs for [`Engine::start`].
 ///
-/// Construct via [`EngineConfig::builder`] to get validation with typed
-/// errors ([`InferError::InvalidConfig`]); the struct-literal path stays
-/// available but degenerate values (`workers == 0`, `max_batch == 0`,
-/// `queue_capacity == 0`, `tick_us == 0`) panic at [`Engine::start`].
+/// Build one as a struct literal over [`EngineConfig::default`].
+/// [`EngineConfig::validate`] reports a degenerate value (`workers`,
+/// `max_batch`, `queue_capacity` or `tick_us` of zero) as a typed
+/// [`InferError::InvalidConfig`]; [`Engine::start`] panics with that
+/// error's message.
 ///
 /// Defaults: 2 workers, batches of up to 8, a 2-tick collection window,
 /// 200 µs ticks, a queue bounded at 1024 requests,
@@ -113,103 +116,36 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Starts a validating builder over the default configuration.
+    /// Rejects the values that would make the engine hang or panic at
+    /// spawn — zero workers, a zero-size batch or queue, a zero-length
+    /// tick (the wall clock divides by it) — with
+    /// [`InferError::InvalidConfig`] naming the first offending field.
     ///
-    /// [`EngineConfigBuilder::build`] rejects values that would make the
-    /// engine hang or panic at spawn — zero workers, a zero-size batch or
-    /// queue, a zero-length tick — with [`InferError::InvalidConfig`]
-    /// naming the offending knob, instead of asserting inside
-    /// [`Engine::start`].
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder {
-            config: EngineConfig::default(),
-        }
-    }
-}
-
-/// Validating builder for [`EngineConfig`]; see [`EngineConfig::builder`].
-///
-/// Every setter takes and returns the builder by value, so a config reads
-/// as one chain:
-///
-/// ```
-/// use hydronas_infer::{EngineConfig, ShedPolicy};
-///
-/// let config = EngineConfig::builder()
-///     .workers(4)
-///     .max_batch(16)
-///     .shed_policy(ShedPolicy::DropOldest)
-///     .build()
-///     .unwrap();
-/// assert_eq!(config.workers, 4);
-/// assert!(EngineConfig::builder().workers(0).build().is_err());
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct EngineConfigBuilder {
-    config: EngineConfig,
-}
-
-impl EngineConfigBuilder {
-    /// Worker threads executing batches (default 2; zero is rejected).
-    pub fn workers(mut self, workers: usize) -> EngineConfigBuilder {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Largest batch one worker will stack (default 8; zero is rejected).
-    pub fn max_batch(mut self, max_batch: usize) -> EngineConfigBuilder {
-        self.config.max_batch = max_batch;
-        self
-    }
-
-    /// Collection-window length in ticks (default 2; zero means workers
-    /// drain whatever is queued without waiting — valid).
-    pub fn max_wait_ticks(mut self, ticks: u64) -> EngineConfigBuilder {
-        self.config.max_wait_ticks = ticks;
-        self
-    }
-
-    /// Microseconds per tick (default 200; zero is rejected — the wall
-    /// clock divides by it).
-    pub fn tick_us(mut self, tick_us: u64) -> EngineConfigBuilder {
-        self.config.tick_us = tick_us;
-        self
-    }
-
-    /// Bounded queue capacity (default 1024; zero is rejected — nothing
-    /// could ever be admitted).
-    pub fn queue_capacity(mut self, capacity: usize) -> EngineConfigBuilder {
-        self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// How a full queue sheds load (default [`ShedPolicy::RejectNew`]).
-    pub fn shed_policy(mut self, policy: ShedPolicy) -> EngineConfigBuilder {
-        self.config.shed_policy = policy;
-        self
-    }
-
-    /// Manual tick clock for deterministic tests (default off).
-    pub fn manual_clock(mut self, manual: bool) -> EngineConfigBuilder {
-        self.config.manual_clock = manual;
-        self
-    }
-
-    /// Validates and returns the configuration, or
-    /// [`InferError::InvalidConfig`] naming the first degenerate knob.
-    pub fn build(self) -> Result<EngineConfig, InferError> {
-        let c = &self.config;
+    /// ```
+    /// use hydronas_infer::{EngineConfig, InferError};
+    ///
+    /// let config = EngineConfig {
+    ///     workers: 4,
+    ///     max_batch: 16,
+    ///     ..EngineConfig::default()
+    /// };
+    /// assert!(config.validate().is_ok());
+    /// let degenerate = EngineConfig { workers: 0, ..config };
+    /// let field = "workers";
+    /// assert_eq!(degenerate.validate(), Err(InferError::InvalidConfig { field }));
+    /// ```
+    pub fn validate(&self) -> Result<(), InferError> {
         for (field, degenerate) in [
-            ("workers", c.workers == 0),
-            ("max_batch", c.max_batch == 0),
-            ("queue_capacity", c.queue_capacity == 0),
-            ("tick_us", c.tick_us == 0),
+            ("workers", self.workers == 0),
+            ("max_batch", self.max_batch == 0),
+            ("queue_capacity", self.queue_capacity == 0),
+            ("tick_us", self.tick_us == 0),
         ] {
             if degenerate {
                 return Err(InferError::InvalidConfig { field });
             }
         }
-        Ok(self.config)
+        Ok(())
     }
 }
 
@@ -232,7 +168,7 @@ pub enum InferError {
         dims: Vec<usize>,
     },
     /// A degenerate [`EngineConfig`] knob was rejected by
-    /// [`EngineConfigBuilder::build`]; `field` names the offender.
+    /// [`EngineConfig::validate`]; `field` names the offender.
     InvalidConfig { field: &'static str },
     /// A quantized plan could not be built: missing or uncalibrated
     /// [`QuantizationScheme`](crate::QuantizationScheme), invalid
@@ -567,11 +503,14 @@ pub struct Engine {
 
 impl Engine {
     /// Spawns `config.workers` threads over a shared compiled plan.
+    ///
+    /// # Panics
+    /// Panics with the [`InferError::InvalidConfig`] message when
+    /// [`EngineConfig::validate`] rejects `config`.
     pub fn start(plan: Arc<ExecutionPlan>, config: EngineConfig) -> Engine {
-        assert!(config.workers > 0, "need at least one worker");
-        assert!(config.max_batch > 0, "max_batch must be positive");
-        assert!(config.queue_capacity > 0, "queue_capacity must be positive");
-        assert!(config.tick_us > 0, "tick_us must be positive");
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let shared = Arc::new(Shared {
             plan,
             queue: Mutex::new(Queue {
@@ -926,13 +865,22 @@ fn worker_loop(shared: &Shared, config: &EngineConfig) {
                     elapsed += 1;
                 }
             }
-            let take = q.pending.len().min(config.max_batch);
-            if take == 0 {
+            // `Tensor::stack` needs equal dims and the plan takes any
+            // H×W, so a batch is the head request's run of equal-dims
+            // requests; the rest wait for the next drain.
+            let Some(head) = q.pending.front() else {
                 // Another worker drained the queue during our collection
                 // window — go back to sleep instead of executing an empty
                 // batch.
                 continue;
-            }
+            };
+            let dims = head.input.dims();
+            let take = q
+                .pending
+                .iter()
+                .take(config.max_batch)
+                .take_while(|r| r.input.dims() == dims)
+                .count();
             let batch = q.pending.drain(..take).collect::<Vec<Request>>();
             q.executing += 1;
             (batch, window_start.elapsed().as_micros() as u64)

@@ -62,8 +62,8 @@ mod engine;
 mod plan;
 
 pub use engine::{
-    DrainStats, Engine, EngineConfig, EngineConfigBuilder, EngineStats, InferError, InferRequest,
-    Prediction, PredictionHandle, RetryConfig, ShedPolicy,
+    DrainStats, Engine, EngineConfig, EngineStats, InferError, InferRequest, Prediction,
+    PredictionHandle, RetryConfig, ShedPolicy,
 };
 pub use plan::{ExecutionPlan, LayerCost, LayerProfile, Numerics, PlanBuilder, QuantizationScheme};
 

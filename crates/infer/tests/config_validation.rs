@@ -1,8 +1,8 @@
-//! Regression tests for the validating [`EngineConfig::builder`]: the
-//! degenerate configurations `Engine::start` would previously only catch
-//! by panicking (or, for a zero tick, by dividing by zero in the wall
-//! clock) must come back as typed [`InferError::InvalidConfig`] values —
-//! and the plain struct-literal path must keep working for valid configs.
+//! Regression tests for [`EngineConfig::validate`]: the degenerate
+//! configurations `Engine::start` would otherwise hit as a hang or a
+//! divide by zero in the wall clock come back as typed
+//! [`InferError::InvalidConfig`] values, `Engine::start` refuses them,
+//! and a valid struct literal serves.
 
 use hydronas_infer::{Engine, EngineConfig, ExecutionPlan, InferError, ShedPolicy};
 use hydronas_nn::ResNet;
@@ -18,14 +18,27 @@ fn tiny_plan() -> Arc<ExecutionPlan> {
 }
 
 #[test]
-fn builder_rejects_every_degenerate_knob_with_a_typed_error() {
-    for (field, builder) in [
-        ("workers", EngineConfig::builder().workers(0)),
-        ("max_batch", EngineConfig::builder().max_batch(0)),
-        ("queue_capacity", EngineConfig::builder().queue_capacity(0)),
-        ("tick_us", EngineConfig::builder().tick_us(0)),
+fn validate_rejects_every_degenerate_knob_with_a_typed_error() {
+    let base = EngineConfig::default();
+    for (field, config) in [
+        ("workers", EngineConfig { workers: 0, ..base }),
+        (
+            "max_batch",
+            EngineConfig {
+                max_batch: 0,
+                ..base
+            },
+        ),
+        (
+            "queue_capacity",
+            EngineConfig {
+                queue_capacity: 0,
+                ..base
+            },
+        ),
+        ("tick_us", EngineConfig { tick_us: 0, ..base }),
     ] {
-        match builder.build() {
+        match config.validate() {
             Err(InferError::InvalidConfig { field: got }) => {
                 assert_eq!(got, field, "wrong field named");
             }
@@ -33,23 +46,22 @@ fn builder_rejects_every_degenerate_knob_with_a_typed_error() {
         }
     }
     // The error is a std::error::Error with a useful message.
-    let err = EngineConfig::builder().tick_us(0).build().unwrap_err();
+    let err = EngineConfig { tick_us: 0, ..base }.validate().unwrap_err();
     assert!(err.to_string().contains("tick_us"), "{err}");
 }
 
 #[test]
-fn builder_accepts_valid_configs_and_the_engine_serves_them() {
-    let config = EngineConfig::builder()
-        .workers(1)
-        .max_batch(2)
-        .max_wait_ticks(0) // zero window is valid: drain immediately
-        .tick_us(50)
-        .queue_capacity(16)
-        .shed_policy(ShedPolicy::DropOldest)
-        .build()
-        .expect("a fully-specified valid config");
-    assert_eq!(config.workers, 1);
-    assert_eq!(config.shed_policy, ShedPolicy::DropOldest);
+fn valid_configs_pass_validation_and_the_engine_serves_them() {
+    let config = EngineConfig {
+        workers: 1,
+        max_batch: 2,
+        max_wait_ticks: 0, // zero window is valid: drain immediately
+        tick_us: 50,
+        queue_capacity: 16,
+        shed_policy: ShedPolicy::DropOldest,
+        manual_clock: false,
+    };
+    assert_eq!(config.validate(), Ok(()));
     let engine = Engine::start(tiny_plan(), config);
     let mut rng = TensorRng::seed_from_u64(1);
     let x = uniform(&[5, 16, 16], -1.0, 1.0, &mut rng);
@@ -59,8 +71,8 @@ fn builder_accepts_valid_configs_and_the_engine_serves_them() {
 
 #[test]
 fn struct_literal_configs_still_work_for_valid_values() {
-    // The pre-builder construction path is not deprecated for valid
-    // configs; existing callers must keep compiling and serving.
+    // A partial literal over the defaults is the everyday construction
+    // path.
     let config = EngineConfig {
         workers: 1,
         max_batch: 1,
@@ -72,4 +84,16 @@ fn struct_literal_configs_still_work_for_valid_values() {
     let mut rng = TensorRng::seed_from_u64(2);
     let x = uniform(&[5, 16, 16], -1.0, 1.0, &mut rng);
     assert_eq!(engine.infer(x).unwrap().batch_size, 1);
+}
+
+#[test]
+#[should_panic(expected = "invalid engine config: max_batch must be positive")]
+fn engine_start_refuses_a_degenerate_literal() {
+    let _ = Engine::start(
+        tiny_plan(),
+        EngineConfig {
+            max_batch: 0,
+            ..EngineConfig::default()
+        },
+    );
 }

@@ -5,7 +5,7 @@ use crate::space::TrialSpec;
 use crate::surrogate::surrogate_fold_accuracies;
 use hydronas_geodata::{build_dataset, ChannelMode, Region};
 use hydronas_graph::ModelGraph;
-use hydronas_nn::{kfold_cross_validate_with_cancel, CancelToken, Dataset, TrainConfig};
+use hydronas_nn::{kfold_cross_validate, CancelToken, Dataset, TrainConfig};
 use serde::{Deserialize, Serialize};
 
 /// Why a trial produced no outcome.
@@ -247,7 +247,7 @@ impl Evaluator for RealTrainer {
         };
         let started = std::time::Instant::now();
         let (mean_accuracy, folds) =
-            kfold_cross_validate_with_cancel(&arch, &data, self.folds, &config, &self.cancel);
+            kfold_cross_validate(&arch, &data, self.folds, &config, &self.cancel);
         if folds.len() < self.folds || folds.iter().any(|f| f.result.cancelled) {
             return Err(TrialFailure::Cancelled);
         }

@@ -341,11 +341,16 @@ impl ExperimentDb {
 mod combo_tests {
     use super::*;
     use crate::evaluator::SurrogateEvaluator;
-    use crate::scheduler::{run_full_grid, SchedulerConfig};
+    use crate::scheduler::{run_experiment, SchedulerConfig};
+    use crate::space::{full_grid, SearchSpace};
 
     #[test]
     fn six_combo_summaries_partition_the_grid() {
-        let db = run_full_grid(&SurrogateEvaluator::default(), &SchedulerConfig::default());
+        let db = run_experiment(
+            &full_grid(&SearchSpace::paper()),
+            &SurrogateEvaluator::default(),
+            &SchedulerConfig::default(),
+        );
         let summaries = db.summaries_by_combo();
         assert_eq!(summaries.len(), 6);
         let total: usize = summaries.iter().map(|s| s.valid_trials).sum();

@@ -56,10 +56,6 @@ pub struct HalvingResult {
     pub fold_evaluations: usize,
 }
 
-fn pick<T: Copy>(options: &[T], rng: &mut TensorRng) -> T {
-    options[rng.index(options.len())]
-}
-
 /// Runs successive halving over random samples of the space using the
 /// surrogate at variable fidelity. Deterministic per seed.
 pub fn successive_halving(
@@ -78,32 +74,11 @@ pub fn successive_halving(
 
     // Rung-0 candidates.
     let mut candidates: Vec<TrialSpec> = Vec::with_capacity(config.initial_candidates);
-    let mut id = 0usize;
     while candidates.len() < config.initial_candidates {
-        let pool_choice = pick(&space.pool_choices, &mut rng);
-        let arch = hydronas_graph::ArchConfig {
-            in_channels: combo.channels,
-            kernel_size: pick(&space.kernel_sizes, &mut rng),
-            stride: pick(&space.strides, &mut rng),
-            padding: pick(&space.paddings, &mut rng),
-            pool: (pool_choice == 1).then_some(hydronas_graph::PoolConfig {
-                kernel: pick(&space.pool_kernels, &mut rng),
-                stride: pick(&space.pool_strides, &mut rng),
-            }),
-            initial_features: pick(&space.initial_features, &mut rng),
-            num_classes: 2,
-        };
-        if ModelGraph::from_arch(&arch, 32).is_err() {
-            continue;
+        let arch = space.sample(combo.channels, &mut rng);
+        if ModelGraph::from_arch(&arch, 32).is_ok() {
+            candidates.push(TrialSpec::from_arch(arch, combo, candidates.len()));
         }
-        candidates.push(TrialSpec {
-            id,
-            combo,
-            arch,
-            kernel_size_pool: arch.pool.map_or(3, |p| p.kernel),
-            stride_pool: arch.pool.map_or(2, |p| p.stride),
-        });
-        id += 1;
     }
 
     let mut rungs = Vec::new();

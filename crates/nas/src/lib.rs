@@ -76,8 +76,8 @@ pub use metrics_cache::{ArchMetrics, GraphMetricsCache, MetricsError};
 pub use nsga2::{nsga2, Individual, Nsga2Config, Nsga2Result};
 pub use progress::{CollectingSink, ProgressSink, StderrTicker, SweepEvent, SweepStats};
 pub use scheduler::{
-    attempt_seed, injected_failure_ids, run_experiment, run_full_grid, transient_failure_ids,
-    SchedulerConfig, SweepReport,
+    attempt_seed, injected_failure_ids, run_experiment, transient_failure_ids, SchedulerConfig,
+    SweepReport,
 };
 pub use space::{InputCombo, SearchSpace, TrialSpec};
 pub use strategies::{random_search, regularized_evolution, EvolutionConfig, SearchResult};

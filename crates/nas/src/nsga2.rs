@@ -9,7 +9,7 @@
 use crate::evaluator::Evaluator;
 use crate::experiment::OBJECTIVE_SENSES;
 use crate::space::{InputCombo, SearchSpace, TrialSpec};
-use hydronas_graph::{serialized_size_bytes, ArchConfig, ModelGraph, PoolConfig};
+use hydronas_graph::{serialized_size_bytes, ArchConfig, ModelGraph};
 use hydronas_latency::predict_all;
 use hydronas_pareto::{crowding_distance, non_dominated_sort, pareto_front, Point};
 use hydronas_tensor::TensorRng;
@@ -57,44 +57,6 @@ pub struct Nsga2Result {
     pub evaluations: usize,
 }
 
-fn pick<T: Copy>(options: &[T], rng: &mut TensorRng) -> T {
-    options[rng.index(options.len())]
-}
-
-fn sample_arch(space: &SearchSpace, channels: usize, rng: &mut TensorRng) -> ArchConfig {
-    let pool_choice = pick(&space.pool_choices, rng);
-    ArchConfig {
-        in_channels: channels,
-        kernel_size: pick(&space.kernel_sizes, rng),
-        stride: pick(&space.strides, rng),
-        padding: pick(&space.paddings, rng),
-        pool: (pool_choice == 1).then_some(PoolConfig {
-            kernel: pick(&space.pool_kernels, rng),
-            stride: pick(&space.pool_strides, rng),
-        }),
-        initial_features: pick(&space.initial_features, rng),
-        num_classes: 2,
-    }
-}
-
-fn mutate_arch(space: &SearchSpace, arch: &ArchConfig, rng: &mut TensorRng) -> ArchConfig {
-    let mut out = *arch;
-    match rng.index(5) {
-        0 => out.kernel_size = pick(&space.kernel_sizes, rng),
-        1 => out.stride = pick(&space.strides, rng),
-        2 => out.padding = pick(&space.paddings, rng),
-        3 => out.initial_features = pick(&space.initial_features, rng),
-        _ => {
-            let pool_choice = pick(&space.pool_choices, rng);
-            out.pool = (pool_choice == 1).then_some(PoolConfig {
-                kernel: pick(&space.pool_kernels, rng),
-                stride: pick(&space.pool_strides, rng),
-            });
-        }
-    }
-    out
-}
-
 /// Uniform crossover over the five stem dimensions.
 fn crossover(a: &ArchConfig, b: &ArchConfig, rng: &mut TensorRng) -> ArchConfig {
     let coin = |rng: &mut TensorRng| rng.index(2) == 0;
@@ -128,13 +90,7 @@ struct Search<'a> {
 
 impl Search<'_> {
     fn evaluate(&mut self, arch: ArchConfig) -> Option<Individual> {
-        let spec = TrialSpec {
-            id: self.next_id,
-            combo: self.combo,
-            arch,
-            kernel_size_pool: arch.pool.map_or(3, |p| p.kernel),
-            stride_pool: arch.pool.map_or(2, |p| p.stride),
-        };
+        let spec = TrialSpec::from_arch(arch, self.combo, self.next_id);
         self.next_id += 1;
         self.evaluations += 1;
         let graph = ModelGraph::from_arch(&arch, self.config.input_hw).ok()?;
@@ -211,7 +167,7 @@ pub fn nsga2(
 
     let mut population: Vec<Individual> = Vec::with_capacity(config.population);
     while population.len() < config.population {
-        let arch = sample_arch(space, combo.channels, &mut rng);
+        let arch = space.sample(combo.channels, &mut rng);
         if let Some(ind) = search.evaluate(arch) {
             population.push(ind);
         }
@@ -237,7 +193,7 @@ pub fn nsga2(
             let pb = parent(&mut rng, &population);
             let mut child = crossover(&pa, &pb, &mut rng);
             if rng.index(2) == 0 {
-                child = mutate_arch(space, &child, &mut rng);
+                child = space.mutate(&child, &mut rng);
             }
             if let Some(ind) = search.evaluate(child) {
                 offspring.push(ind);

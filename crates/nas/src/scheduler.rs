@@ -21,7 +21,7 @@ use crate::experiment::{ExperimentDb, TrialOutcome, TrialStatus};
 use crate::journal::{Journal, TrialRecord};
 use crate::metrics_cache::GraphMetricsCache;
 use crate::progress::{ProgressSink, SweepEvent, SweepStats};
-use crate::space::{full_grid, SearchSpace, TrialSpec};
+use crate::space::TrialSpec;
 use crate::sweep::{DegradationReport, RetryPolicy};
 use hydronas_nn::CancelToken;
 use std::collections::{HashMap, HashSet};
@@ -678,11 +678,6 @@ pub fn run_experiment(
         .db
 }
 
-/// The paper's full experiment: all 1,728 grid trials.
-pub fn run_full_grid(evaluator: &dyn Evaluator, config: &SchedulerConfig) -> ExperimentDb {
-    run_experiment(&full_grid(&SearchSpace::paper()), evaluator, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -763,7 +758,11 @@ mod tests {
     #[test]
     fn full_grid_yields_1717_valid_outcomes() {
         let config = SchedulerConfig::default();
-        let db = run_full_grid(&SurrogateEvaluator::default(), &config);
+        let db = run_experiment(
+            &full_grid(&SearchSpace::paper()),
+            &SurrogateEvaluator::default(),
+            &config,
+        );
         assert_eq!(db.outcomes.len(), 1728);
         assert_eq!(db.valid().len(), 1717, "the paper's valid trial count");
     }

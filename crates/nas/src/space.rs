@@ -1,6 +1,7 @@
 //! The search space (paper Figure 2) and its enumeration.
 
 use hydronas_graph::{ArchConfig, PoolConfig};
+use hydronas_tensor::TensorRng;
 use serde::{Deserialize, Serialize};
 
 /// One input-data combination: channel mode x training batch size.
@@ -106,6 +107,57 @@ impl SearchSpace {
         }
         out
     }
+
+    /// Samples one configuration uniformly — the searchers' shared
+    /// sampler. The draw order is fixed, since every searcher's results
+    /// depend on it: pool choice, kernel, stride, padding, pool kernel,
+    /// pool stride, width.
+    pub(crate) fn sample(&self, channels: usize, rng: &mut TensorRng) -> ArchConfig {
+        let pool_choice = pick(&self.pool_choices, rng);
+        let kernel_size = pick(&self.kernel_sizes, rng);
+        let stride = pick(&self.strides, rng);
+        let padding = pick(&self.paddings, rng);
+        let pool = self.pool(pool_choice, rng);
+        ArchConfig {
+            in_channels: channels,
+            kernel_size,
+            stride,
+            padding,
+            pool,
+            initial_features: pick(&self.initial_features, rng),
+            num_classes: 2,
+        }
+    }
+
+    /// Re-draws one uniformly chosen dimension of `arch` (the pool counts
+    /// as one dimension).
+    pub(crate) fn mutate(&self, arch: &ArchConfig, rng: &mut TensorRng) -> ArchConfig {
+        let mut out = *arch;
+        match rng.index(5) {
+            0 => out.kernel_size = pick(&self.kernel_sizes, rng),
+            1 => out.stride = pick(&self.strides, rng),
+            2 => out.padding = pick(&self.paddings, rng),
+            3 => out.initial_features = pick(&self.initial_features, rng),
+            _ => {
+                let pool_choice = pick(&self.pool_choices, rng);
+                out.pool = self.pool(pool_choice, rng);
+            }
+        }
+        out
+    }
+
+    /// Draws a pool kernel and stride — both, even when `pool_choice`
+    /// turns the pool off, so the RNG stream does not depend on it.
+    fn pool(&self, pool_choice: usize, rng: &mut TensorRng) -> Option<PoolConfig> {
+        let kernel = pick(&self.pool_kernels, rng);
+        let stride = pick(&self.pool_strides, rng);
+        (pool_choice == 1).then_some(PoolConfig { kernel, stride })
+    }
+}
+
+/// One uniform draw from `options`.
+fn pick<T: Copy>(options: &[T], rng: &mut TensorRng) -> T {
+    options[rng.index(options.len())]
 }
 
 /// One scheduled trial: a configuration paired with its input combination
@@ -122,6 +174,18 @@ pub struct TrialSpec {
 }
 
 impl TrialSpec {
+    /// The trial for a sampled `arch`. A pool-less `arch` records the
+    /// default pool columns (kernel 3, stride 2).
+    pub(crate) fn from_arch(arch: ArchConfig, combo: InputCombo, id: usize) -> TrialSpec {
+        TrialSpec {
+            id,
+            combo,
+            arch,
+            kernel_size_pool: arch.pool.map_or(3, |p| p.kernel),
+            stride_pool: arch.pool.map_or(2, |p| p.stride),
+        }
+    }
+
     /// Stable key for seeding and persistence.
     pub fn key(&self) -> String {
         format!(

@@ -8,7 +8,6 @@
 
 use crate::evaluator::Evaluator;
 use crate::space::{InputCombo, SearchSpace, TrialSpec};
-use hydronas_graph::{ArchConfig, PoolConfig};
 use hydronas_tensor::TensorRng;
 use serde::{Deserialize, Serialize};
 
@@ -22,6 +21,18 @@ pub struct SearchResult {
 }
 
 impl SearchResult {
+    /// Wraps an evaluation history; the most accurate trial (the last on
+    /// ties) is the best.
+    fn from_history(history: Vec<(TrialSpec, f64)>) -> SearchResult {
+        let best = history
+            .iter()
+            .enumerate()
+            .max_by(|(_, a), (_, b)| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(i, _)| i)
+            .unwrap();
+        SearchResult { history, best }
+    }
+
     pub fn best_accuracy(&self) -> f64 {
         self.history[self.best].1
     }
@@ -31,35 +42,12 @@ impl SearchResult {
     }
 }
 
-fn pick<T: Copy>(options: &[T], rng: &mut TensorRng) -> T {
-    options[rng.index(options.len())]
-}
-
-/// Samples one random configuration from the space.
-fn sample_arch(space: &SearchSpace, channels: usize, rng: &mut TensorRng) -> ArchConfig {
-    let pool_choice = pick(&space.pool_choices, rng);
-    ArchConfig {
-        in_channels: channels,
-        kernel_size: pick(&space.kernel_sizes, rng),
-        stride: pick(&space.strides, rng),
-        padding: pick(&space.paddings, rng),
-        pool: (pool_choice == 1).then_some(PoolConfig {
-            kernel: pick(&space.pool_kernels, rng),
-            stride: pick(&space.pool_strides, rng),
-        }),
-        initial_features: pick(&space.initial_features, rng),
-        num_classes: 2,
-    }
-}
-
-fn spec_of(arch: ArchConfig, combo: InputCombo, id: usize) -> TrialSpec {
-    TrialSpec {
-        id,
-        combo,
-        arch,
-        kernel_size_pool: arch.pool.map_or(3, |p| p.kernel),
-        stride_pool: arch.pool.map_or(2, |p| p.stride),
-    }
+/// Mean accuracy of `spec`, 0 when its evaluation fails.
+fn accuracy(evaluator: &dyn Evaluator, spec: &TrialSpec, seed: u64) -> f64 {
+    evaluator
+        .evaluate(spec, seed)
+        .map(|o| o.mean_accuracy)
+        .unwrap_or(0.0)
 }
 
 /// Random search: `budget` uniform samples (with replacement).
@@ -74,21 +62,11 @@ pub fn random_search(
     let mut rng = TensorRng::seed_from_u64(seed);
     let mut history = Vec::with_capacity(budget);
     for id in 0..budget {
-        let arch = sample_arch(space, combo.channels, &mut rng);
-        let spec = spec_of(arch, combo, id);
-        let acc = evaluator
-            .evaluate(&spec, seed)
-            .map(|o| o.mean_accuracy)
-            .unwrap_or(0.0);
+        let spec = TrialSpec::from_arch(space.sample(combo.channels, &mut rng), combo, id);
+        let acc = accuracy(evaluator, &spec, seed);
         history.push((spec, acc));
     }
-    let best = history
-        .iter()
-        .enumerate()
-        .max_by(|(_, a), (_, b)| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(i, _)| i)
-        .unwrap();
-    SearchResult { history, best }
+    SearchResult::from_history(history)
 }
 
 /// Regularized-evolution parameters.
@@ -107,25 +85,6 @@ impl Default for EvolutionConfig {
             budget: 64,
         }
     }
-}
-
-/// Mutates one dimension of a configuration.
-fn mutate(space: &SearchSpace, arch: &ArchConfig, rng: &mut TensorRng) -> ArchConfig {
-    let mut out = *arch;
-    match rng.index(5) {
-        0 => out.kernel_size = pick(&space.kernel_sizes, rng),
-        1 => out.stride = pick(&space.strides, rng),
-        2 => out.padding = pick(&space.paddings, rng),
-        3 => out.initial_features = pick(&space.initial_features, rng),
-        _ => {
-            let pool_choice = pick(&space.pool_choices, rng);
-            out.pool = (pool_choice == 1).then_some(PoolConfig {
-                kernel: pick(&space.pool_kernels, rng),
-                stride: pick(&space.pool_strides, rng),
-            });
-        }
-    }
-    out
 }
 
 /// Regularized evolution (aging evolution): tournament parent selection,
@@ -149,25 +108,10 @@ pub fn regularized_evolution(
     let mut population: std::collections::VecDeque<usize> =
         std::collections::VecDeque::with_capacity(config.population);
 
-    fn eval(
-        history: &mut Vec<(TrialSpec, f64)>,
-        evaluator: &dyn Evaluator,
-        arch: ArchConfig,
-        combo: InputCombo,
-        id: usize,
-        seed: u64,
-    ) {
-        let spec = spec_of(arch, combo, id);
-        let acc = evaluator
-            .evaluate(&spec, seed)
-            .map(|o| o.mean_accuracy)
-            .unwrap_or(0.0);
-        history.push((spec, acc));
-    }
-
     for id in 0..config.population {
-        let arch = sample_arch(space, combo.channels, &mut rng);
-        eval(&mut history, evaluator, arch, combo, id, seed);
+        let spec = TrialSpec::from_arch(space.sample(combo.channels, &mut rng), combo, id);
+        let acc = accuracy(evaluator, &spec, seed);
+        history.push((spec, acc));
         population.push_back(id);
     }
     for id in config.population..config.budget {
@@ -179,25 +123,21 @@ pub fn regularized_evolution(
                 best_idx = candidate;
             }
         }
-        let child = mutate(space, &history[best_idx].0.arch, &mut rng);
-        eval(&mut history, evaluator, child, combo, id, seed);
+        let child = space.mutate(&history[best_idx].0.arch, &mut rng);
+        let spec = TrialSpec::from_arch(child, combo, id);
+        let acc = accuracy(evaluator, &spec, seed);
+        history.push((spec, acc));
         population.push_back(id);
         population.pop_front(); // age out the oldest
     }
-
-    let best = history
-        .iter()
-        .enumerate()
-        .max_by(|(_, a), (_, b)| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(i, _)| i)
-        .unwrap();
-    SearchResult { history, best }
+    SearchResult::from_history(history)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::evaluator::SurrogateEvaluator;
+    use hydronas_graph::ArchConfig;
 
     const COMBO: InputCombo = InputCombo {
         channels: 7,
@@ -271,7 +211,7 @@ mod tests {
         let mut rng = TensorRng::seed_from_u64(1);
         let base = ArchConfig::baseline(5);
         for _ in 0..50 {
-            let m = mutate(&space, &base, &mut rng);
+            let m = space.mutate(&base, &mut rng);
             let mut diffs = 0;
             diffs += usize::from(m.kernel_size != base.kernel_size);
             diffs += usize::from(m.stride != base.stride);

@@ -327,6 +327,12 @@ impl Sweep {
         &self.trials
     }
 
+    /// The tile edge latency and memory are measured at (see
+    /// [`SweepBuilder::with_input_hw`]).
+    pub fn input_hw(&self) -> usize {
+        self.params.input_hw
+    }
+
     /// Runs the sweep without progress reporting.
     pub fn run(&self) -> Result<SweepReport, SweepError> {
         run_sweep_inner(&self.trials, &*self.evaluator, &self.params, None)

@@ -9,7 +9,7 @@
 //! coherent (journals flush, partial results remain usable).
 //!
 //! The token lives in `hydronas-nn` because the deepest cancellation
-//! point is the epoch loop in [`train_with_cancel`](crate::train_with_cancel);
+//! point is the epoch loop in [`train`](crate::train);
 //! higher layers (`hydronas-nas`, the `hydronas` facade) re-export it.
 //!
 //! ```

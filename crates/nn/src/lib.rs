@@ -53,7 +53,4 @@ pub use optim::{Adam, Optimizer, Sgd};
 pub use param::{Param, ParamVisitor};
 pub use resnet::ResNet;
 pub use schedule::LrSchedule;
-pub use trainer::{
-    kfold_cross_validate, kfold_cross_validate_with_cancel, train, train_with_cancel, Dataset,
-    FoldResult, TrainConfig, TrainResult,
-};
+pub use trainer::{kfold_cross_validate, train, Dataset, FoldResult, TrainConfig, TrainResult};

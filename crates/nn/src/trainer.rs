@@ -162,20 +162,12 @@ pub fn evaluate(model: &ResNet, data: &Dataset, batch_size: usize) -> Classifica
 }
 
 /// Trains a fresh model on `train_set`, validating on `val_set`.
+///
+/// `cancel` is checked at every epoch boundary: a cancelled run stops
+/// after the epoch in flight, evaluates the partially trained model, and
+/// reports [`TrainResult::cancelled`] instead of tearing anything down
+/// mid-step. Pass `&CancelToken::new()` to train uninterrupted.
 pub fn train(
-    arch: &ArchConfig,
-    train_set: &Dataset,
-    val_set: &Dataset,
-    config: &TrainConfig,
-) -> TrainResult {
-    train_with_cancel(arch, train_set, val_set, config, &CancelToken::new())
-}
-
-/// [`train`] with cooperative cancellation: the token is checked at every
-/// epoch boundary, so a cancelled run stops after the epoch in flight,
-/// evaluates the partially trained model, and reports
-/// [`TrainResult::cancelled`] instead of tearing anything down mid-step.
-pub fn train_with_cancel(
     arch: &ArchConfig,
     train_set: &Dataset,
     val_set: &Dataset,
@@ -297,25 +289,14 @@ pub fn train_with_cancel(
 
 /// The paper's evaluation protocol: k-fold cross-validation, reporting the
 /// mean validation accuracy across folds.
-pub fn kfold_cross_validate(
-    arch: &ArchConfig,
-    data: &Dataset,
-    k: usize,
-    config: &TrainConfig,
-) -> (f64, Vec<FoldResult>) {
-    kfold_cross_validate_with_cancel(arch, data, k, config, &CancelToken::new())
-}
-
-/// [`kfold_cross_validate`] with cooperative cancellation.
 ///
-/// The token is checked at every fold boundary (and, via
-/// [`train_with_cancel`], at every epoch boundary inside a fold): a
-/// cancelled run stops scheduling new folds and returns the folds it
-/// finished. Callers can detect a partial result by comparing
-/// `results.len()` against `k` or by checking
+/// `cancel` is checked at every fold boundary (and, via [`train`], at
+/// every epoch boundary inside a fold): a cancelled run stops scheduling
+/// new folds and returns the folds it finished. Callers can detect a
+/// partial result by comparing `results.len()` against `k` or by checking
 /// [`TrainResult::cancelled`] on the last fold. The mean accuracy is
 /// taken over the folds that actually ran.
-pub fn kfold_cross_validate_with_cancel(
+pub fn kfold_cross_validate(
     arch: &ArchConfig,
     data: &Dataset,
     k: usize,
@@ -334,7 +315,7 @@ pub fn kfold_cross_validate_with_cancel(
             seed: config.seed.wrapping_add(fold as u64),
             ..*config
         };
-        let result = train_with_cancel(arch, &train_set, &val_set, &fold_config, cancel);
+        let result = train(arch, &train_set, &val_set, &fold_config, cancel);
         results.push(FoldResult { fold, result });
     }
     let mean_acc = results
@@ -430,7 +411,13 @@ mod tests {
             learning_rate: 0.05,
             ..Default::default()
         };
-        let result = train(&tiny_arch(), &train_set, &val_set, &config);
+        let result = train(
+            &tiny_arch(),
+            &train_set,
+            &val_set,
+            &config,
+            &CancelToken::new(),
+        );
         assert!(!result.diverged);
         assert_eq!(result.epoch_losses.len(), 8);
         let first = result.epoch_losses[0];
@@ -463,7 +450,8 @@ mod tests {
             batch_size: 4,
             ..Default::default()
         };
-        let (mean, folds) = kfold_cross_validate(&tiny_arch(), &data, 2, &config);
+        let (mean, folds) =
+            kfold_cross_validate(&tiny_arch(), &data, 2, &config, &CancelToken::new());
         assert_eq!(folds.len(), 2);
         assert!((0.0..=100.0).contains(&mean));
         let manual: f64 = folds
@@ -484,7 +472,7 @@ mod tests {
             epochs: 1,
             ..Default::default()
         };
-        let _ = train(&arch, &data, &data, &config);
+        let _ = train(&arch, &data, &data, &config, &CancelToken::new());
     }
 
     #[test]
@@ -504,6 +492,7 @@ mod tests {
             &data.subset(&train_idx),
             &data.subset(&val_idx),
             &config,
+            &CancelToken::new(),
         );
         assert!(!result.diverged);
         // The toy task's signal (channel-0 mean sign) is invariant under
@@ -524,7 +513,13 @@ mod tests {
             batch_size: 8,
             ..Default::default()
         };
-        let plain = train(&tiny_arch(), &data.subset(&idx), &data.subset(&idx), &base);
+        let plain = train(
+            &tiny_arch(),
+            &data.subset(&idx),
+            &data.subset(&idx),
+            &base,
+            &CancelToken::new(),
+        );
         let aug = train(
             &tiny_arch(),
             &data.subset(&idx),
@@ -533,6 +528,7 @@ mod tests {
                 augment: true,
                 ..base
             },
+            &CancelToken::new(),
         );
         assert_ne!(plain.epoch_losses, aug.epoch_losses);
     }
@@ -553,6 +549,7 @@ mod tests {
             &data.subset(&idx),
             &data.subset(&idx),
             &config,
+            &CancelToken::new(),
         );
         assert!(!result.diverged);
         assert_eq!(result.epoch_losses.len(), 4);
@@ -569,7 +566,7 @@ mod tests {
             batch_size: 8,
             ..Default::default()
         };
-        let result = train_with_cancel(
+        let result = train(
             &tiny_arch(),
             &data.subset(&idx),
             &data.subset(&idx),
@@ -597,6 +594,7 @@ mod tests {
             &data.subset(&idx),
             &data.subset(&idx),
             &config,
+            &CancelToken::new(),
         );
         assert!(!result.cancelled);
         assert_eq!(result.epoch_losses.len(), 1);
@@ -612,7 +610,7 @@ mod tests {
         };
         let token = CancelToken::new();
         token.cancel();
-        let (_, folds) = kfold_cross_validate_with_cancel(&tiny_arch(), &data, 2, &config, &token);
+        let (_, folds) = kfold_cross_validate(&tiny_arch(), &data, 2, &config, &token);
         assert!(folds.is_empty());
     }
 

@@ -4,7 +4,7 @@
 //! assertions cannot race with unrelated tests.
 
 use hydronas_graph::ArchConfig;
-use hydronas_nn::{train, Dataset, TrainConfig};
+use hydronas_nn::{train, CancelToken, Dataset, TrainConfig};
 use hydronas_tensor::{Tensor, TensorRng};
 use std::sync::{Mutex, MutexGuard};
 
@@ -62,6 +62,7 @@ fn training_emits_per_epoch_series_and_span() {
         &data.subset(&idx),
         &data.subset(&idx),
         &config,
+        &CancelToken::new(),
     );
     let m = session.metrics();
 
@@ -114,6 +115,7 @@ fn telemetry_does_not_change_training_results() {
         &data.subset(&idx),
         &data.subset(&idx),
         &config,
+        &CancelToken::new(),
     );
     let observed = {
         let _session = hydronas_telemetry::session();
@@ -122,6 +124,7 @@ fn telemetry_does_not_change_training_results() {
             &data.subset(&idx),
             &data.subset(&idx),
             &config,
+            &CancelToken::new(),
         )
     };
     assert_eq!(plain.epoch_losses, observed.epoch_losses);

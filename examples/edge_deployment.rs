@@ -8,7 +8,8 @@
 use hydronas::prelude::*;
 use hydronas_graph::{quantized_size_bytes, Precision};
 use hydronas_latency::{all_devices, predict_all_quantized, predict_quantized};
-use hydronas_nas::{nsga2, Nsga2Config};
+use hydronas_nas::space::full_grid;
+use hydronas_nas::{nsga2, run_experiment, Nsga2Config};
 
 fn row(name: &str, acc: f64, lat: f64, mem: f64) {
     println!("  {name:<34} {acc:>7.2}% {lat:>9.2} ms {mem:>8.2} MB");
@@ -16,7 +17,11 @@ fn row(name: &str, acc: f64, lat: f64, mem: f64) {
 
 fn main() {
     // 1. Run the paper's experiment; take the front and the baseline.
-    let db = run_full_grid(&SurrogateEvaluator::default(), &SchedulerConfig::default());
+    let db = run_experiment(
+        &full_grid(&SearchSpace::paper()),
+        &SurrogateEvaluator::default(),
+        &SchedulerConfig::default(),
+    );
     let front = db.pareto_outcomes();
     let baseline = db
         .valid()

@@ -40,7 +40,7 @@ fn main() {
         learning_rate: 0.05,
         ..Default::default()
     };
-    let (mean_acc, folds) = kfold_cross_validate(&arch, &data, 2, &config);
+    let (mean_acc, folds) = kfold_cross_validate(&arch, &data, 2, &config, &CancelToken::new());
     for f in &folds {
         println!(
             "fold {}: accuracy {:.1}%  (losses {:?})",

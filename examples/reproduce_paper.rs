@@ -8,9 +8,9 @@ use hydronas::prelude::*;
 use std::path::Path;
 
 fn main() {
-    let config = ReproConfig::default();
     println!("running the full grid (6 input combinations x 288 configurations)...");
-    let artifacts = config.run();
+    let artifacts =
+        reproduce(Sweep::builder(), None).expect("a sweep without a journal does no I/O");
 
     println!("\n=== Table 1: Data Sources and Study Regions ===");
     print!("{}", artifacts.table1);

@@ -29,9 +29,8 @@ fn databases_are_byte_identical_across_runs() {
 
 #[test]
 fn rendered_artifacts_are_byte_identical_across_runs() {
-    let config = ReproConfig::default();
-    let a = config.render(reduced_db(3));
-    let b = config.render(reduced_db(3));
+    let a = ReproArtifacts::render(reduced_db(3), 32);
+    let b = ReproArtifacts::render(reduced_db(3), 32);
     assert_eq!(a.table2, b.table2);
     assert_eq!(a.table3, b.table3);
     assert_eq!(a.table4, b.table4);

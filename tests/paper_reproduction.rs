@@ -7,7 +7,7 @@ use hydronas::prelude::*;
 fn artifacts() -> &'static ReproArtifacts {
     use std::sync::OnceLock;
     static CELL: OnceLock<ReproArtifacts> = OnceLock::new();
-    CELL.get_or_init(|| ReproConfig::default().run())
+    CELL.get_or_init(|| reproduce(Sweep::builder(), None).expect("no journal, no I/O"))
 }
 
 #[test]

@@ -30,7 +30,6 @@ mod types {
     pub type A12 = prelude::EnergyPrediction;
     pub type A13 = prelude::Engine;
     pub type A14 = prelude::EngineConfig;
-    pub type A15 = prelude::EngineConfigBuilder;
     pub type A16 = prelude::EngineStats;
     pub type A17 = prelude::EvolutionConfig;
     pub type A18 = prelude::ExecutionPlan;
@@ -64,11 +63,9 @@ mod types {
     pub type A47 = prelude::QuantizationScheme;
     pub type A48 = prelude::RealTrainer;
     pub type A49 = prelude::ReproArtifacts;
-    pub type A50 = prelude::ReproConfig;
     pub type A51 = prelude::ResNet;
     pub type A52 = prelude::RetryConfig;
     pub type A53 = prelude::RetryPolicy;
-    pub type A54 = prelude::RunControl;
     pub type A55 = prelude::SchedulerConfig;
     pub type A56 = prelude::SearchSpace;
     pub type A57 = prelude::Session;
@@ -102,7 +99,6 @@ fn prelude_functions_exist() {
     let _ = prelude::compute_threads;
     let _ = prelude::kernel_probe;
     let _ = prelude::kfold_cross_validate;
-    let _ = prelude::kfold_cross_validate_with_cancel;
     let _ = prelude::makespan_lpt;
     let _ = prelude::markdown_report;
     let _ = prelude::metrics_json;
@@ -113,13 +109,12 @@ fn prelude_functions_exist() {
     let _ = prelude::random_search;
     let _ = prelude::read_journal;
     let _ = prelude::regularized_evolution;
-    let _ = prelude::run_full_grid;
+    let _ = prelude::reproduce;
     let _ = prelude::serialized_size_bytes;
     let _ = prelude::session;
     let _ = prelude::set_compute_threads;
     let _ = prelude::study_regions;
     let _ = prelude::train;
-    let _ = prelude::train_with_cancel;
     let _ = prelude::validate_table2;
 }
 
@@ -143,7 +138,6 @@ fn type_snapshot_is_sorted_and_duplicate_free() {
         "EnergyPrediction",
         "Engine",
         "EngineConfig",
-        "EngineConfigBuilder",
         "EngineStats",
         "EvolutionConfig",
         "ExecutionPlan",
@@ -177,11 +171,9 @@ fn type_snapshot_is_sorted_and_duplicate_free() {
         "QuantizationScheme",
         "RealTrainer",
         "ReproArtifacts",
-        "ReproConfig",
         "ResNet",
         "RetryConfig",
         "RetryPolicy",
-        "RunControl",
         "SchedulerConfig",
         "SearchSpace",
         "Session",
@@ -212,7 +204,7 @@ fn type_snapshot_is_sorted_and_duplicate_free() {
     }
     // One aliased type per snapshot row (plus the two traits pinned in
     // `types::UsesTraits`).
-    assert_eq!(EXPECTED.len(), 72);
+    assert_eq!(EXPECTED.len(), 69);
 }
 
 /// The error taxonomy stays typed: the facade error wraps each

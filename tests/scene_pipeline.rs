@@ -60,7 +60,7 @@ fn cnn_learns_hydrologically_detected_crossings() {
         augment: true,
         ..Default::default()
     };
-    let (mean_acc, folds) = kfold_cross_validate(&arch, &data, 2, &config);
+    let (mean_acc, folds) = kfold_cross_validate(&arch, &data, 2, &config, &CancelToken::new());
     assert_eq!(folds.len(), 2);
     assert!(
         mean_acc > 55.0,

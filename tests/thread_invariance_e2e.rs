@@ -64,7 +64,13 @@ fn training_losses_and_report_are_thread_count_invariant() {
         ..TrainConfig::default()
     };
     assert_thread_invariant("training fingerprint", || {
-        let out = train(&tiny_arch(), &train_set, &val_set, &config);
+        let out = train(
+            &tiny_arch(),
+            &train_set,
+            &val_set,
+            &config,
+            &CancelToken::new(),
+        );
         assert!(!out.diverged, "training must stay finite");
         (bits(&out.epoch_losses), format!("{:?}", out.report))
     });
@@ -92,12 +98,12 @@ fn served_logits_and_metric_sections_are_thread_count_invariant() {
         let logits: Vec<Vec<u32>> = {
             let engine = Engine::start(
                 plan.clone(),
-                EngineConfig::builder()
-                    .workers(2)
-                    .max_batch(4)
-                    .tick_us(50)
-                    .build()
-                    .unwrap(),
+                EngineConfig {
+                    workers: 2,
+                    max_batch: 4,
+                    tick_us: 50,
+                    ..EngineConfig::default()
+                },
             );
             inputs
                 .iter()
