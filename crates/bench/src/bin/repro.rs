@@ -27,8 +27,8 @@ use hydronas_telemetry::{log_error, log_info, log_warn};
 use std::path::PathBuf;
 
 /// Cooperative Ctrl-C: the handler performs exactly one async-signal-safe
-/// atomic store through a process-global [`CancelToken`], and the sweep's
-/// workers observe it between trials.
+/// atomic store through a process-global [`CancelToken`], and the sweep
+/// observes it before starting each trial.
 #[cfg(unix)]
 mod ctrl_c {
     use hydronas::prelude::CancelToken;

@@ -2,7 +2,7 @@
 
 use crate::region::{study_regions, Region};
 use crate::tile::{synthesize_tile, TileParams};
-use hydronas_tensor::{Tensor, TensorRng};
+use hydronas_tensor::{parallel, Tensor, TensorRng};
 use serde::{Deserialize, Serialize};
 
 /// Channel packing for the CNN input (paper Figure 1).
@@ -60,20 +60,26 @@ impl TileSet {
     }
 }
 
-/// Synthesizes one sample's channel stack.
-fn tile_channels(params: &TileParams, mode: ChannelMode) -> Vec<f32> {
+/// Synthesizes one sample's channel stack into `out`, one `size²` plane
+/// per channel.
+fn tile_channels(params: &TileParams, mode: ChannelMode, out: &mut [f32]) {
     let t = synthesize_tile(params);
-    let mut out = Vec::with_capacity(mode.channels() * t.size * t.size);
-    out.extend_from_slice(&t.dem_normalized());
-    out.extend_from_slice(&t.red);
-    out.extend_from_slice(&t.green);
-    out.extend_from_slice(&t.blue);
-    out.extend_from_slice(&t.nir);
+    let mut planes = out.chunks_exact_mut(t.size * t.size);
+    let mut put = |plane: &[f32]| {
+        planes
+            .next()
+            .expect("one plane per channel")
+            .copy_from_slice(plane)
+    };
+    put(&t.dem_normalized());
+    put(&t.red);
+    put(&t.green);
+    put(&t.blue);
+    put(&t.nir);
     if mode == ChannelMode::Seven {
-        out.extend_from_slice(&t.ndvi());
-        out.extend_from_slice(&t.ndwi());
+        put(&t.ndvi());
+        put(&t.ndwi());
     }
-    out
 }
 
 /// Builds a balanced dataset across the given regions.
@@ -121,53 +127,34 @@ pub fn build_dataset(
         }
     }
 
-    let per_sample = mode.channels() * tile_size * tile_size;
-    let chunks: Vec<Vec<f32>> = jobs
-        .iter()
-        .map(|job| {
-            tile_channels(
-                &TileParams {
-                    size: tile_size,
-                    seed: job.seed,
-                    has_crossing: job.positive,
-                    roughness: job.roughness,
-                    relief_m: 6.0,
-                },
-                mode,
-            )
-        })
-        .collect();
-
-    let mut data = Vec::with_capacity(jobs.len() * per_sample);
-    let mut labels = Vec::with_capacity(jobs.len());
-    let mut region_of = Vec::with_capacity(jobs.len());
-    for (job, chunk) in jobs.iter().zip(chunks) {
-        debug_assert_eq!(chunk.len(), per_sample);
-        data.extend_from_slice(&chunk);
-        labels.push(usize::from(job.positive));
-        region_of.push(job.region);
-    }
-
-    // Seeded global shuffle so folds are not region-ordered.
-    let mut order: Vec<usize> = (0..labels.len()).collect();
+    // Seeded global shuffle so folds are not region-ordered. The order
+    // depends only on the job count and the seed, so it is fixed before
+    // any tile exists and each tile is synthesized straight into its
+    // shuffled slot, one pool task per tile.
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
     let mut rng = TensorRng::seed_from_u64(seed.wrapping_add(0x5FFF));
     rng.shuffle(&mut order);
-    let mut shuffled = Vec::with_capacity(data.len());
-    let mut shuffled_labels = Vec::with_capacity(labels.len());
-    let mut shuffled_regions = Vec::with_capacity(labels.len());
-    for &i in &order {
-        shuffled.extend_from_slice(&data[i * per_sample..(i + 1) * per_sample]);
-        shuffled_labels.push(labels[i]);
-        shuffled_regions.push(region_of[i]);
-    }
+    let per_sample = mode.channels() * tile_size * tile_size;
+    let mut data = vec![0.0f32; jobs.len() * per_sample];
+    parallel::par_chunks_mut(&mut data, per_sample, |slot, out| {
+        let job = &jobs[order[slot]];
+        let params = TileParams {
+            size: tile_size,
+            seed: job.seed,
+            has_crossing: job.positive,
+            roughness: job.roughness,
+            relief_m: 6.0,
+        };
+        tile_channels(&params, mode, out);
+    });
 
     TileSet {
-        features: Tensor::from_vec(
-            shuffled,
-            &[shuffled_labels.len(), mode.channels(), tile_size, tile_size],
-        ),
-        labels: shuffled_labels,
-        region_of: shuffled_regions,
+        features: Tensor::from_vec(data, &[jobs.len(), mode.channels(), tile_size, tile_size]),
+        labels: order
+            .iter()
+            .map(|&i| usize::from(jobs[i].positive))
+            .collect(),
+        region_of: order.iter().map(|&i| jobs[i].region).collect(),
         mode,
     }
 }

@@ -6,7 +6,7 @@
 //! `(chaos seed, trial id, attempt)`. Determinism is the point: a test
 //! that fails under a particular fault mix replays the identical mix
 //! from the same seed, and two sweeps with the same chaos config observe
-//! the same faults regardless of worker count or scheduling order.
+//! the same faults regardless of thread count or scheduling order.
 //!
 //! Faults are rolled *per attempt*, so a panic on attempt 1 usually
 //! clears on attempt 2 — which is exactly the shape of failure the

@@ -1,10 +1,11 @@
 //! Typed errors for the sweep engine.
 //!
-//! [`SweepError`] is what [`crate::Sweep::run`] returns: every variant
-//! names the journal path (and trial, where one is implicated), and the
-//! original I/O error stays reachable through `std::error::Error::source`.
-//! `From<SweepError> for io::Error` lets `io::Result` callers use `?`,
-//! keeping the error kinds (`InvalidData` for stale journals) intact.
+//! [`SweepError`] is what [`crate::Sweep::run`] returns: every journal
+//! variant names the journal path, every variant names the trial where
+//! one is implicated, and the original I/O error stays reachable through
+//! `std::error::Error::source`. `From<SweepError> for io::Error` lets
+//! `io::Result` callers use `?`, keeping the error kinds (`InvalidData`
+//! for stale journals, `InvalidInput` for a repeated trial id) intact.
 
 use std::io;
 use std::path::PathBuf;
@@ -24,6 +25,9 @@ pub enum SweepError {
     /// scheduled trial set — it belongs to a different experiment
     /// configuration and replaying it would corrupt the database.
     StaleJournal { path: PathBuf, trial_id: usize },
+    /// Two scheduled trials share `trial_id`. Ids key the journal and
+    /// the database, so the sweep rejects the set before any trial runs.
+    DuplicateTrialId { trial_id: usize },
 }
 
 impl std::fmt::Display for SweepError {
@@ -37,6 +41,9 @@ impl std::fmt::Display for SweepError {
                 "sweep journal {}: record for trial {trial_id} does not match the scheduled trial set",
                 path.display()
             ),
+            SweepError::DuplicateTrialId { trial_id } => {
+                write!(f, "trial id {trial_id} is scheduled more than once")
+            }
         }
     }
 }
@@ -45,14 +52,15 @@ impl std::error::Error for SweepError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SweepError::Journal { source, .. } => Some(source),
-            SweepError::StaleJournal { .. } => None,
+            SweepError::StaleJournal { .. } | SweepError::DuplicateTrialId { .. } => None,
         }
     }
 }
 
 impl From<SweepError> for io::Error {
     /// Maps onto `io::Result`: journal I/O keeps its original kind,
-    /// stale journals become `InvalidData`.
+    /// stale journals become `InvalidData` and a repeated trial id
+    /// `InvalidInput`.
     fn from(e: SweepError) -> io::Error {
         match e {
             SweepError::Journal { source, .. } => source,
@@ -62,6 +70,9 @@ impl From<SweepError> for io::Error {
                     "journal record for trial {trial_id} does not match the scheduled trial set"
                 ),
             ),
+            e @ SweepError::DuplicateTrialId { .. } => {
+                io::Error::new(io::ErrorKind::InvalidInput, e.to_string())
+            }
         }
     }
 }
@@ -80,6 +91,17 @@ mod tests {
         assert!(e.to_string().contains("j.jsonl"));
         let io_err: io::Error = e.into();
         assert_eq!(io_err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn duplicate_trial_id_maps_to_invalid_input() {
+        use std::error::Error;
+        let e = SweepError::DuplicateTrialId { trial_id: 5 };
+        assert_eq!(e.to_string(), "trial id 5 is scheduled more than once");
+        assert!(e.source().is_none());
+        let io_err: io::Error = e.into();
+        assert_eq!(io_err.kind(), io::ErrorKind::InvalidInput);
+        assert!(io_err.to_string().contains("trial id 5"));
     }
 
     #[test]

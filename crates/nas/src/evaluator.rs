@@ -120,6 +120,10 @@ pub struct EvalOutcome {
 
 /// A trial evaluator: produces the accuracy objective for one spec.
 pub trait Evaluator: Sync {
+    /// Evaluates one trial. A sweep calls this from a compute-pool task,
+    /// so it must not block on another thread that submits a grid (such
+    /// as an inference engine's worker): that grid would queue behind
+    /// the sweep's own forever.
     fn evaluate(&self, spec: &TrialSpec, seed: u64) -> Result<EvalOutcome, TrialFailure>;
 
     /// Number of cross-validation folds this evaluator runs.

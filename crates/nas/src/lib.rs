@@ -15,8 +15,8 @@
 //!   configures trials, evaluator, retry/backoff policy, journaling,
 //!   cancellation, deadlines, and chaos injection, and returns a
 //!   [`SweepReport`] carrying a structured [`DegradationReport`].
-//! * [`scheduler`] — thread-pool trial execution with deterministic
-//!   failure injection (the paper's 1,728 - 11 = 1,717 valid outcomes),
+//! * [`scheduler`] — trial execution as one compute-pool grid, with
+//!   deterministic failure injection (the paper's 1,728 - 11 = 1,717 valid outcomes),
 //!   bounded retries of transient environment failures, cooperative
 //!   cancellation, simulated-clock deadlines, and journaled
 //!   crash/resume.
@@ -27,7 +27,7 @@
 //!   metrics: the 1,728-trial grid holds only 360 distinct graphs
 //!   (batch size never reaches the graph, pool-less rows enumerate
 //!   redundant pool fields), so each is built once and served
-//!   lock-free to the worker pool.
+//!   lock-free to every trial.
 //! * [`journal`] — write-ahead JSONL trial journal: a killed sweep
 //!   resumes by replaying finished trials and scheduling only the rest.
 //! * [`progress`] — sweep observability: live counters, per-trial wall

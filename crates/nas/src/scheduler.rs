@@ -1,12 +1,15 @@
 //! Checkpointed, observable trial scheduling with deterministic failure
 //! injection and bounded retries.
 //!
-//! Trials are independent, so they fan out over a scoped worker pool
-//! (one OS thread per core, pulling indices off a shared atomic cursor);
-//! results stream through a crossbeam channel into the collector, which
-//! journals each terminal outcome ([`crate::journal`]), feeds the
-//! progress sink ([`crate::progress`]), and finally re-orders by trial
-//! id so the database is reproducible regardless of scheduling order.
+//! Trials are independent, so a sweep's pending trials run as one
+//! compute-pool grid ([`hydronas_tensor::parallel`]), one task per trial,
+//! whose kernels run inline; the pool's size is the sweep's parallelism.
+//! Results stream through a channel into the collector, which journals
+//! each terminal outcome ([`crate::journal`]), feeds the progress sink
+//! ([`crate::progress`]), and finally re-orders by trial id so the
+//! database is reproducible regardless of scheduling order. The grid
+//! holds the pool for the whole sweep, so a sweep must not start inside
+//! a pool task (see [`Evaluator::evaluate`] for the evaluator's side).
 //!
 //! Determinism contract: every trial's outcome is a pure function of
 //! `(spec, config)` — attempt `k` evaluates with [`attempt_seed`]`(seed,
@@ -24,10 +27,11 @@ use crate::progress::{ProgressSink, SweepEvent, SweepStats};
 use crate::space::TrialSpec;
 use crate::sweep::{DegradationReport, RetryPolicy};
 use hydronas_nn::CancelToken;
+use hydronas_tensor::parallel;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Instant;
 
 /// Scheduler parameters.
@@ -205,7 +209,7 @@ fn is_retryable(status: &TrialStatus) -> bool {
 }
 
 thread_local! {
-    /// True while this worker is inside an attempt whose panic (if any)
+    /// True while this thread is inside an attempt whose panic (if any)
     /// will be caught and converted to a [`TrialFailure::Panicked`]
     /// outcome — the process-global hook stays quiet for it.
     static PANIC_IS_CONTAINED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
@@ -345,7 +349,6 @@ pub(crate) struct SweepParams {
     pub transient_failures: usize,
     pub retry: RetryPolicy,
     pub journal: Option<PathBuf>,
-    pub workers: Option<usize>,
     pub cancel: CancelToken,
     pub trial_timeout_s: Option<f64>,
     pub max_wall_s: Option<f64>,
@@ -363,19 +366,12 @@ impl SweepParams {
             transient_failures: config.transient_failures,
             retry: RetryPolicy::new(config.max_attempts),
             journal: None,
-            workers: None,
             cancel: CancelToken::new(),
             trial_timeout_s: None,
             max_wall_s: None,
             chaos: None,
         }
     }
-}
-
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Is this a terminal cancelled outcome (token fired mid-evaluation)?
@@ -385,7 +381,7 @@ fn is_cancelled_outcome(outcome: &TrialOutcome) -> bool {
 }
 
 /// The engine behind [`crate::sweep::Sweep`]: runs `trials` on the
-/// worker pool and collects an ordered database, with optional
+/// compute pool and collects an ordered database, with optional
 /// journaling, progress reporting, cancellation, deadlines, and chaos
 /// injection.
 ///
@@ -394,10 +390,11 @@ fn is_cancelled_outcome(outcome: &TrialOutcome) -> bool {
 /// instead of re-run and only the missing ids are scheduled; the result
 /// is byte-identical to an uninterrupted sweep. Journal records that do
 /// not match the scheduled trial set are rejected as
-/// [`SweepError::StaleJournal`].
+/// [`SweepError::StaleJournal`]; a trial list with a repeated id, as
+/// [`SweepError::DuplicateTrialId`], before any trial runs.
 ///
 /// Degradation contract: cancellation and deadlines are *not* errors.
-/// A degraded sweep stops claiming trials, drains the ones in flight
+/// A degraded sweep stops starting trials, drains the ones in flight
 /// (discarding any that report `cancelled` — they are re-run on
 /// resume), flushes the journal, and returns a partial report whose
 /// [`DegradationReport`] lists per-cause counts and skipped ids.
@@ -407,6 +404,12 @@ pub(crate) fn run_sweep_inner(
     params: &SweepParams,
     mut sink: Option<&mut dyn ProgressSink>,
 ) -> Result<SweepReport, SweepError> {
+    // Ids key the journal, its replay and the database order, so a
+    // repeated id is rejected before anything runs.
+    let mut ids = HashSet::with_capacity(trials.len());
+    if let Some(dup) = trials.iter().find(|t| !ids.insert(t.id)) {
+        return Err(SweepError::DuplicateTrialId { trial_id: dup.id });
+    }
     // Build both failure sets once, up front — membership tests sit on
     // the per-trial hot path.
     let permanent: HashSet<usize> =
@@ -414,7 +417,7 @@ pub(crate) fn run_sweep_inner(
             .into_iter()
             .collect();
     // One lazily-filled metrics slot per distinct architecture, shared
-    // read-only by the whole worker pool (4.8x fewer graph builds than
+    // read-only by every trial (4.8x fewer graph builds than
     // trials on the paper grid: 1,728 trials, 360 distinct graphs).
     let metrics = GraphMetricsCache::for_trials(trials.iter(), params.input_hw);
     let transient: HashSet<usize> =
@@ -452,7 +455,7 @@ pub(crate) fn run_sweep_inner(
     // Deadline pre-walk: admit trials in id order until their cumulative
     // simulated cost exceeds the wall budget; skip the rest up front.
     // Computed statically — before any scheduling — so the admitted set
-    // is identical for 1 worker or 32, and identical again on resume
+    // is identical at 1 thread or 32, and identical again on resume
     // (replayed trials count as already-spent budget).
     let mut deadline_skipped: HashSet<usize> = HashSet::new();
     if let Some(budget_s) = params.max_wall_s {
@@ -492,8 +495,8 @@ pub(crate) fn run_sweep_inner(
         stats.retried += record.attempts.saturating_sub(1);
     }
 
-    // One span covers the whole sweep; per-trial spans open on the
-    // worker threads (true thread attribution in the Chrome trace).
+    // One span covers the whole sweep; per-trial spans open on the pool
+    // threads that run them (true thread attribution in the Chrome trace).
     let mut sweep_span = hydronas_telemetry::span("nas.sweep", "sweep");
     sweep_span.attr("scheduled", trials.len());
     sweep_span.attr("replayed", stats.replayed);
@@ -504,32 +507,24 @@ pub(crate) fn run_sweep_inner(
         sink.on_event(&SweepEvent::Started { stats: &stats });
     }
 
-    let workers = params
-        .workers
-        .unwrap_or_else(default_workers)
-        .clamp(1, pending.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded::<(TrialOutcome, usize, f64, f64)>();
-
+    let (tx, rx) = mpsc::channel::<(TrialOutcome, usize, f64, f64)>();
     let mut live: Vec<TrialRecord> = Vec::with_capacity(pending.len());
     // Ids with a terminal outcome in the database (used to compute the
     // skipped set after a cancellation).
     let mut landed: HashSet<usize> = HashSet::new();
-    let cancel = &params.cancel;
-    let (pending, cursor, permanent, transient, metrics) =
-        (&pending, &cursor, &permanent, &transient, &metrics);
+    let (pending, permanent, transient, metrics) = (&pending, &permanent, &transient, &metrics);
     let collected: Result<(), SweepError> = std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            s.spawn(move || loop {
-                // Cancellation point: checked before claiming each
-                // trial, so a fired token stops new work immediately
-                // while the trial in flight (if any) drains normally.
-                if cancel.is_cancelled() {
-                    break;
+        // A helper thread submits the grid and takes part in it; this
+        // thread keeps the collector (the sink is not `Send`).
+        s.spawn(move || {
+            parallel::run_tasks(pending.len(), |idx| {
+                // Cancellation point: checked before each trial starts,
+                // so a fired token stops new work immediately while the
+                // trials in flight drain normally.
+                if params.cancel.is_cancelled() {
+                    return;
                 }
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = pending.get(idx) else { break };
+                let spec = pending[idx];
                 // The `enabled` guard keeps the format! off the hot path
                 // of uninstrumented sweeps.
                 let mut trial_span = hydronas_telemetry::enabled().then(|| {
@@ -557,8 +552,7 @@ pub(crate) fn run_sweep_inner(
                 // I/O failure; just drain the remaining work.
                 let _ = tx.send((outcome, attempts, t0.elapsed().as_secs_f64(), backoff_s));
             });
-        }
-        drop(tx);
+        });
         for (outcome, attempts, wall_s, backoff_s) in rx.iter() {
             degradation.backoff_sim_s += backoff_s;
             // Cancelled outcomes never reach the journal or the
@@ -622,7 +616,7 @@ pub(crate) fn run_sweep_inner(
     });
     collected?;
 
-    // Degradation accounting after the pool drains: anything scheduled
+    // Degradation accounting after the grid drains: anything scheduled
     // but absent from the database is "skipped".
     degradation.cancelled = params.cancel.is_cancelled();
     let mut skipped: Vec<usize> = deadline_skipped.into_iter().collect();
@@ -668,13 +662,14 @@ pub(crate) fn run_sweep_inner(
 }
 
 /// Runs a set of trials in parallel and collects an ordered database.
+/// Panics if two trials share an id ([`SweepError::DuplicateTrialId`]).
 pub fn run_experiment(
     trials: &[TrialSpec],
     evaluator: &dyn Evaluator,
     config: &SchedulerConfig,
 ) -> ExperimentDb {
     run_sweep_inner(trials, evaluator, &SweepParams::from_config(config), None)
-        .expect("a sweep without a journal performs no I/O")
+        .expect("run_experiment requires unique trial ids")
         .db
 }
 
@@ -685,6 +680,25 @@ mod tests {
     use crate::progress::CollectingSink;
     use crate::space::{full_grid, SearchSpace};
     use crate::sweep::Sweep;
+    use hydronas_tensor::{compute_threads, set_compute_threads};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that set the process-wide compute-thread
+    /// count, so each runs its sweeps at the count it asked for.
+    fn config_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Runs `f` with the compute pool at `threads`, then restores the
+    /// previous count.
+    fn at_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+        let restore = compute_threads();
+        set_compute_threads(threads);
+        let out = f();
+        set_compute_threads(restore);
+        out
+    }
 
     #[test]
     fn failure_injection_is_deterministic_and_exact() {
@@ -841,25 +855,44 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_the_database() {
-        // 32 workers deliberately exceeds the old hard cap of 8 (and any
-        // plausible core count): oversubscription must not perturb the
-        // database either.
+        // The trials run as one compute-pool grid: 8 threads exceeds the
+        // core count of most hosts, and oversubscription must not perturb
+        // the database either.
+        let _guard = config_lock();
         let trials: Vec<_> = full_grid(&SearchSpace::paper())
             .into_iter()
             .take(48)
             .collect();
         let mut json = Vec::new();
-        for workers in [1, 7, 32] {
-            let report = Sweep::builder()
-                .with_trials(trials.clone())
-                .with_injected_failures(2)
-                .with_workers(workers)
-                .run()
-                .unwrap();
+        for threads in [1, 2, 8] {
+            let report = at_threads(threads, || {
+                Sweep::builder()
+                    .with_trials(trials.clone())
+                    .with_injected_failures(2)
+                    .run()
+                    .unwrap()
+            });
             json.push(report.db.to_json());
         }
         assert_eq!(json[0], json[1]);
-        assert_eq!(json[0], json[2], "32 workers must match a serial sweep");
+        assert_eq!(json[0], json[2], "8 threads must match a serial sweep");
+    }
+
+    #[test]
+    fn duplicate_trial_ids_are_rejected_before_any_trial_runs() {
+        let mut trials: Vec<_> = full_grid(&SearchSpace::paper())
+            .into_iter()
+            .take(8)
+            .collect();
+        trials[6].id = 5;
+        let mut sink = CollectingSink::default();
+        let result = Sweep::builder().with_trials(trials).run_with(&mut sink);
+        assert!(
+            matches!(result, Err(SweepError::DuplicateTrialId { trial_id: 5 })),
+            "{result:?}"
+        );
+        assert_eq!(sink.started, 0, "the sweep must not start");
+        assert!(sink.trials.is_empty(), "no trial may run");
     }
 
     #[test]
@@ -1001,17 +1034,19 @@ mod tests {
 
     #[test]
     fn chaos_schedule_is_worker_count_invariant() {
+        let _guard = config_lock();
         let trials: Vec<_> = full_grid(&SearchSpace::paper())
             .into_iter()
             .take(24)
             .collect();
-        let run = |workers| {
-            Sweep::builder()
-                .with_trials(trials.clone())
-                .with_chaos(ChaosConfig::new(9).with_timeouts(100).with_transients(200))
-                .with_workers(workers)
-                .run()
-                .unwrap()
+        let run = |threads| {
+            at_threads(threads, || {
+                Sweep::builder()
+                    .with_trials(trials.clone())
+                    .with_chaos(ChaosConfig::new(9).with_timeouts(100).with_transients(200))
+                    .run()
+                    .unwrap()
+            })
         };
         let a = run(1);
         let b = run(8);

@@ -112,7 +112,7 @@ pub struct DegradationReport {
     /// Terminal failures whose cause is deterministic (invalid
     /// architecture, divergence).
     pub invalid_trials: usize,
-    /// Trials that were claimed by a worker but whose outcome was
+    /// Trials that had started running but whose outcome was
     /// discarded because cancellation fired mid-evaluation. Never
     /// journaled: a resumed sweep re-runs them, which is what keeps
     /// cancel-then-resume byte-identical.
@@ -181,7 +181,8 @@ pub struct SweepBuilder {
 }
 
 impl SweepBuilder {
-    /// The trials to schedule (ids must be unique; order is irrelevant —
+    /// The trials to schedule (ids must be unique — a repeated id fails
+    /// the run with [`SweepError::DuplicateTrialId`]; order is irrelevant,
     /// the database is always sorted by id).
     pub fn with_trials(mut self, trials: Vec<TrialSpec>) -> SweepBuilder {
         self.trials = trials;
@@ -235,18 +236,11 @@ impl SweepBuilder {
         self
     }
 
-    /// Worker thread count (default: available parallelism). The
-    /// database is byte-identical for any value.
-    pub fn with_workers(mut self, workers: usize) -> SweepBuilder {
-        self.params.workers = Some(workers);
-        self
-    }
-
-    /// Cooperative cancellation: workers stop claiming trials once the
-    /// token fires, in-flight trials drain, and the report comes back
-    /// partial (see [`DegradationReport`]). Share a clone of the same
-    /// token with a [`crate::RealTrainer`] to also stop training at
-    /// epoch boundaries.
+    /// Cooperative cancellation: once the token fires, no further trial
+    /// starts (each pool task checks it before running its trial),
+    /// in-flight trials drain, and the report comes back partial (see
+    /// [`DegradationReport`]). Share a clone of the same token with a
+    /// [`crate::RealTrainer`] to also stop training at epoch boundaries.
     pub fn with_cancel(mut self, cancel: CancelToken) -> SweepBuilder {
         self.params.cancel = cancel;
         self
@@ -265,7 +259,7 @@ impl SweepBuilder {
     /// Whole-sweep budget on the simulated clock: trials are admitted in
     /// id order until their cumulative simulated cost exceeds
     /// `budget_s`; the rest are skipped up front. The admitted set is a
-    /// pure function of `(trials, budget_s)` — independent of worker
+    /// pure function of `(trials, budget_s)` — independent of thread
     /// count and scheduling order — so deadline-limited sweeps stay
     /// deterministic and resumable.
     pub fn with_max_wall_s(mut self, budget_s: f64) -> SweepBuilder {

@@ -1,4 +1,4 @@
-//! Sweep telemetry: per-trial spans from the multi-worker pool, the
+//! Sweep telemetry: per-trial spans from the compute pool's threads, the
 //! Chrome-trace export contract, and the determinism guarantee that an
 //! instrumented sweep produces a byte-identical database.
 //!
@@ -7,11 +7,13 @@
 
 use hydronas_nas::space::{full_grid, SearchSpace, TrialSpec};
 use hydronas_nas::Sweep;
+use hydronas_tensor::{compute_threads, set_compute_threads};
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes this binary's tests: recording is process-global while
-/// any session is open, so a a sweep run without a session would otherwise record
-/// into the session another test holds and break its exact counts.
+/// any session is open, so a sweep run without a session would otherwise
+/// record into the session another test holds and break its exact counts.
+/// It also keeps each sweep at the compute-thread count it asked for.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -24,15 +26,19 @@ fn trials(n: usize) -> Vec<TrialSpec> {
         .collect()
 }
 
-fn sweep(trials: &[TrialSpec], workers: usize) -> String {
-    Sweep::builder()
+/// Runs the sweep with the compute pool at `threads`, then restores the
+/// previous count.
+fn sweep(trials: &[TrialSpec], threads: usize) -> String {
+    let restore = compute_threads();
+    set_compute_threads(threads);
+    let db = Sweep::builder()
         .with_trials(trials.to_vec())
         .with_injected_failures(1)
-        .with_workers(workers)
         .run()
         .unwrap()
-        .db
-        .to_json()
+        .db;
+    set_compute_threads(restore);
+    db.to_json()
 }
 
 #[test]
@@ -45,10 +51,11 @@ fn multi_worker_sweep_exports_a_stable_chrome_trace() {
     let m = session.metrics();
     assert_eq!(m.spans["nas.sweep"].count, 1);
     assert_eq!(m.spans["nas.trial"].count, 24);
-    assert_eq!(m.spans["nas.evaluate"].count as usize, 24 - 1); // injected failure skips evaluate
-                                                                // The graph-metrics cache builds each distinct architecture once:
-                                                                // the latency predictor runs once per cache miss, not per trial,
-                                                                // and the 23 non-failed trials all consult the cache.
+    // The injected failure skips evaluate.
+    assert_eq!(m.spans["nas.evaluate"].count as usize, 24 - 1);
+    // The graph-metrics cache builds each distinct architecture once:
+    // the latency predictor runs once per cache miss, not per trial, and
+    // the 23 non-failed trials all consult the cache.
     let misses = m.counters["nas.graph_cache.misses"];
     let hits = m.counters["nas.graph_cache.hits"];
     assert_eq!(m.counters["latency.predict.calls"], misses);
@@ -114,9 +121,9 @@ fn multi_worker_sweep_exports_a_stable_chrome_trace() {
     want.sort_unstable();
     assert_eq!(trial_ids, want, "every trial appears exactly once");
 
-    // How many worker lanes actually ran is scheduling-dependent (a fast
-    // worker may drain the queue alone), but every lane that did run must
-    // have a thread-name metadata event.
+    // How many pool threads actually ran trials is scheduling-dependent
+    // (a fast thread may drain the grid alone), but every lane that did
+    // run must have a thread-name metadata event.
     let mut tids: Vec<u64> = spans.iter().map(|s| s.tid).collect();
     tids.sort_unstable();
     tids.dedup();

@@ -10,10 +10,11 @@
 //!
 //! A buffer is checked out with [`scratch`] (contents unspecified) or
 //! [`scratch_zeroed`] and returns to its thread's pool when the
-//! [`Scratch`] guard drops. Pools are thread-local, so worker threads
-//! (compute-pool workers or the NAS scheduler's scoped threads) never
-//! contend; a guard must drop on the thread that created it, which the
-//! RAII shape guarantees for the closure-scoped uses in this crate.
+//! [`Scratch`] guard drops. Pools are thread-local, so the threads that
+//! run kernels (compute-pool workers, which also run NAS sweep trials;
+//! grid submitters; engine workers) never contend; a guard must drop on
+//! the thread that created it, which the RAII shape guarantees for the
+//! closure-scoped uses in this crate.
 //!
 //! ## Telemetry
 //!

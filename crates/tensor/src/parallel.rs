@@ -32,7 +32,32 @@
 //! Worker threads spawn lazily on the first parallel job and persist for
 //! the process lifetime, so steady-state jobs pay two condvar signals,
 //! not a thread spawn. Nested jobs (a GEMM inside a parallel conv task)
-//! and single-task grids run inline on the current thread.
+//! and single-task grids run inline on the current thread, except as
+//! below.
+//!
+//! ## One grid at a time
+//!
+//! The pool runs one grid at a time: a submitter holds the pool until
+//! its last task finishes, and concurrent submitters queue behind it. A
+//! long grid — a NAS sweep runs each trial as one task — holds the pool
+//! for its whole length, while the kernels inside its tasks run inline.
+//! A participant that runs out of tasks does not idle until the grid
+//! ends: a nested grid submitted while one waits is shared with it, so
+//! a sweep's last trials get the idle threads for their kernels instead
+//! of finishing on one thread each while the others watch.
+//! That adds one condition for callers: a pool task must not block on
+//! another thread that submits a grid (for example by joining it or
+//! waiting for its reply), because that grid queues behind the task's
+//! own. Starting a sweep from inside a pool task is such a case.
+//!
+//! ## Panics
+//!
+//! A panicking task does not take the pool down. Each task runs under
+//! `catch_unwind`; the grid still runs every other task, and once all
+//! have finished and the pool is released, [`run_tasks`] re-raises the
+//! first payload on the submitting thread — the shape of
+//! `std::thread::scope`. Workers survive, and the next grid runs on all
+//! of them.
 //!
 //! ## Scratch arenas
 //!
@@ -52,9 +77,11 @@
 //! worker that claimed no task — the idle counter), and the per-job
 //! parallel fraction histogram `tensor.pool.parallel_fraction_pct`.
 
+use std::any::Any;
 use std::marker::PhantomData;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// Environment variable consulted for the default pool size.
 pub const THREADS_ENV: &str = "HYDRONAS_THREADS";
@@ -106,8 +133,27 @@ pub fn set_compute_threads(threads: usize) {
 
 std::thread_local! {
     /// True while this thread is executing inside a pool task (always
-    /// true on worker threads); nested [`run_tasks`] calls run inline.
+    /// true on worker threads); nested [`run_tasks`] calls run inline
+    /// unless a participant of the running grid is idle (see
+    /// [`run_tasks`]).
     static IN_POOL_TASK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Marks the submitting thread as inside a pool task until dropped, then
+/// restores the previous mark, so no exit path can leave its later grids
+/// running inline.
+struct InPoolTask(bool);
+
+impl InPoolTask {
+    fn enter() -> InPoolTask {
+        InPoolTask(IN_POOL_TASK.with(|flag| flag.replace(true)))
+    }
+}
+
+impl Drop for InPoolTask {
+    fn drop(&mut self) {
+        IN_POOL_TASK.with(|flag| flag.set(self.0));
+    }
 }
 
 /// One submitted task grid. Lives behind an `Arc` so slow-waking workers
@@ -129,16 +175,20 @@ struct Job {
     /// Telemetry decision latched at submit (workers must not record
     /// into a session the submitter never saw).
     telemetry: bool,
+    /// The first task panic's payload, re-raised by the submitter.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 // SAFETY: the raw closure pointer is only dereferenced while the
 // submitting stack frame is alive (see `Job::func`); the counters are
-// atomics.
+// atomics and the panic slot is a mutex.
 unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
 struct Slot {
     job: Option<Arc<Job>>,
+    /// Nested grids that tasks of `job` opened to its idle participants.
+    shared: Vec<Arc<Job>>,
     /// Bumped once per submitted job so workers can tell a fresh job
     /// from the one they already exhausted.
     epoch: u64,
@@ -150,11 +200,15 @@ struct Pool {
     slot: Mutex<Slot>,
     /// Workers sleep here between jobs.
     work_cv: Condvar,
-    /// The submitter sleeps here until `pending` hits 0.
+    /// Signalled when a job's last task finishes or a nested grid is
+    /// shared: submitters and idle participants sleep here.
     done_cv: Condvar,
     /// Serializes jobs: one grid runs at a time (concurrent submitters
     /// queue here — intra-op parallelism, inter-op serialization).
     submit: Mutex<()>,
+    /// Participants of the running grid that are out of its tasks and
+    /// waiting for the rest to finish: the helpers a nested grid can get.
+    idle: AtomicUsize,
 }
 
 fn pool() -> &'static Pool {
@@ -162,16 +216,20 @@ fn pool() -> &'static Pool {
     POOL.get_or_init(|| Pool {
         slot: Mutex::new(Slot {
             job: None,
+            shared: Vec::new(),
             epoch: 0,
             spawned: 0,
         }),
         work_cv: Condvar::new(),
         done_cv: Condvar::new(),
         submit: Mutex::new(()),
+        idle: AtomicUsize::new(0),
     })
 }
 
 /// Claims and executes tasks from `job` until the grid is exhausted.
+/// A panicking task is caught and counted down like any other (its
+/// payload is kept if it is the first), so this never unwinds.
 /// Returns how many tasks this thread executed.
 fn execute(p: &'static Pool, job: &Job) -> usize {
     let mut ran = 0usize;
@@ -183,7 +241,10 @@ fn execute(p: &'static Pool, job: &Job) -> usize {
         // SAFETY: a claimed index < total implies pending > 0, so the
         // submitter is still blocked and the closure is alive.
         let f = unsafe { &*job.func };
-        f(i);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i))) {
+            let mut first = job.panic.lock().unwrap_or_else(PoisonError::into_inner);
+            first.get_or_insert(payload);
+        }
         ran += 1;
         // AcqRel chains every task's writes into the release sequence
         // the submitter's final acquire load synchronizes with.
@@ -219,6 +280,35 @@ fn worker_loop(p: &'static Pool, worker_id: usize) {
         if ran == 0 && job.telemetry {
             hydronas_telemetry::add("tensor.pool.worker.starved", 1);
         }
+        help_until_done(p, &job);
+    }
+}
+
+/// Waits until every task of the running grid `job` has finished, and
+/// meanwhile runs tasks of the nested grids its remaining tasks share.
+/// A participant that is out of tasks thus joins the grid's slowest
+/// tasks instead of idling beside them; a grid of coarse tasks (a sweep
+/// of trials) ends as fast as its kernels parallelize, not as fast as
+/// the last task runs alone.
+fn help_until_done(p: &'static Pool, job: &Job) {
+    let mut slot = p.slot.lock().unwrap();
+    while job.pending.load(Ordering::Acquire) != 0 {
+        let open = slot
+            .shared
+            .iter()
+            .find(|n| n.next.load(Ordering::Relaxed) < n.total)
+            .cloned();
+        if let Some(nested) = open {
+            drop(slot);
+            execute(p, &nested);
+            slot = p.slot.lock().unwrap();
+        } else {
+            // Counted under the slot lock, so a grid shared after this
+            // thread went idle finds it waiting for the signal.
+            p.idle.fetch_add(1, Ordering::Relaxed);
+            slot = p.done_cv.wait(slot).unwrap();
+            p.idle.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -243,16 +333,27 @@ fn ensure_workers(p: &'static Pool, want: usize) {
 /// or a single-task grid, or a nested call from inside a pool task —
 /// degenerates to a plain sequential loop with no synchronization.
 ///
+/// The one exception: a nested grid submitted while a participant of the
+/// running grid is out of tasks is shared with it. The idle participants
+/// run its tasks beside the submitting task's thread; nothing else waits
+/// on the pool for it.
+///
 /// Determinism: see the module docs — tasks must own disjoint outputs
 /// and be pure functions of their index, in exchange for bit-identical
 /// results at any thread count.
+///
+/// # Panics
+///
+/// Re-raises the first task panic once every task has finished (see
+/// the module docs). The sequential loop stops at the first panic.
 pub fn run_tasks<F: Fn(usize) + Sync>(total: usize, f: F) {
     if total == 0 {
         return;
     }
     let threads = compute_threads();
     let nested = IN_POOL_TASK.with(|flag| flag.get());
-    if total == 1 || threads <= 1 || nested {
+    let shared = nested && total > 1 && pool().idle.load(Ordering::Relaxed) > 0;
+    if total == 1 || threads <= 1 || (nested && !shared) {
         if hydronas_telemetry::enabled() {
             hydronas_telemetry::add("tensor.pool.jobs.sequential", 1);
         }
@@ -262,9 +363,14 @@ pub fn run_tasks<F: Fn(usize) + Sync>(total: usize, f: F) {
         return;
     }
     let p = pool();
-    // One grid at a time; later submitters queue here.
-    let _submit = p.submit.lock().unwrap();
-    ensure_workers(p, threads - 1);
+    // One grid at a time; later submitters queue here (a shared nested
+    // grid runs inside the grid that holds it). No task panic unwinds
+    // while this is held, so it cannot be poisoned by one.
+    let submit = (!nested).then(|| {
+        let guard = p.submit.lock().unwrap_or_else(PoisonError::into_inner);
+        ensure_workers(p, threads - 1);
+        guard
+    });
     let telemetry = hydronas_telemetry::enabled();
     // SAFETY: `job.func` is dereferenced only for claimed indices, all of
     // which finish before `pending` reaches 0 — and this frame does not
@@ -281,24 +387,40 @@ pub fn run_tasks<F: Fn(usize) + Sync>(total: usize, f: F) {
         total,
         cap: threads,
         telemetry,
+        panic: Mutex::new(None),
     });
     {
         let mut slot = p.slot.lock().unwrap();
-        slot.job = Some(Arc::clone(&job));
-        slot.epoch += 1;
+        if nested {
+            slot.shared.push(Arc::clone(&job));
+        } else {
+            slot.job = Some(Arc::clone(&job));
+            slot.epoch += 1;
+        }
     }
-    p.work_cv.notify_all();
-    // Participate (inside the pool-task scope so nested grids inline).
-    IN_POOL_TASK.with(|flag| flag.set(true));
+    if nested {
+        p.done_cv.notify_all();
+    } else {
+        p.work_cv.notify_all();
+    }
+    // Participate (inside the pool-task scope, so nested grids see it).
+    let in_task = InPoolTask::enter();
     let mine = execute(p, &job);
-    IN_POOL_TASK.with(|flag| flag.set(false));
-    {
+    if nested {
+        // Only the stragglers the helpers claimed remain; wait for them
+        // without taking other work, so shared grids never stack up on
+        // this thread.
         let mut slot = p.slot.lock().unwrap();
         while job.pending.load(Ordering::Acquire) != 0 {
             slot = p.done_cv.wait(slot).unwrap();
         }
-        slot.job = None;
+        slot.shared.retain(|n| !Arc::ptr_eq(n, &job));
+    } else {
+        help_until_done(p, &job);
+        p.slot.lock().unwrap().job = None;
     }
+    drop(in_task);
+    drop(submit);
     if telemetry {
         let stolen = (total - mine) as u64;
         hydronas_telemetry::add_all(&[
@@ -310,6 +432,14 @@ pub fn run_tasks<F: Fn(usize) + Sync>(total: usize, f: F) {
             "tensor.pool.parallel_fraction_pct",
             stolen as f64 * 100.0 / total as f64,
         );
+    }
+    let panic = job
+        .panic
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take();
+    if let Some(payload) = panic {
+        resume_unwind(payload);
     }
 }
 
@@ -516,12 +646,47 @@ mod tests {
         let counter = AtomicUsize::new(0);
         run_tasks(outer, |_| {
             // A nested grid from inside a task must not re-enter the
-            // submit lock (deadlock) — it runs inline.
+            // submit lock (deadlock) — it runs inline, or is shared with
+            // the participants that are out of outer tasks.
             run_tasks(5, |_| {
                 counter.fetch_add(1, Ordering::Relaxed);
             });
         });
         assert_eq!(counter.load(Ordering::Relaxed), outer * 5);
+        set_compute_threads(1);
+    }
+
+    #[test]
+    fn an_idle_participant_helps_a_nested_grid() {
+        use std::time::{Duration, Instant};
+        let _guard = config_lock();
+        set_compute_threads(2);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let ran: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        let threads = Mutex::new(std::collections::HashSet::new());
+        run_tasks(2, |task| {
+            if task == 0 {
+                return;
+            }
+            // Whichever thread ran task 0 runs out of outer tasks.
+            while pool().idle.load(Ordering::Relaxed) == 0 {
+                assert!(Instant::now() < deadline, "no participant went idle");
+                std::thread::yield_now();
+            }
+            run_tasks(ran.len(), |i| {
+                ran[i].fetch_add(1, Ordering::Relaxed);
+                threads.lock().unwrap().insert(std::thread::current().id());
+                // Hold the grid open until the idle participant joins.
+                while threads.lock().unwrap().len() < 2 {
+                    assert!(Instant::now() < deadline, "nobody helped");
+                    std::thread::yield_now();
+                }
+            });
+        });
+        for (i, r) in ran.iter().enumerate() {
+            assert_eq!(r.load(Ordering::Relaxed), 1, "nested task {i}");
+        }
+        assert!(pool().slot.lock().unwrap().shared.is_empty());
         set_compute_threads(1);
     }
 

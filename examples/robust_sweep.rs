@@ -49,7 +49,7 @@ fn main() {
 
     // 3. A wall-clock deadline: the engine admits an id-ordered prefix
     //    that fits the budget and reports the skipped suffix — the same
-    //    set at any worker count.
+    //    set at any thread count.
     let total_s: f64 = trials.iter().map(hydronas_nas::trial_duration_s).sum();
     let report = Sweep::builder()
         .with_trials(trials.clone())

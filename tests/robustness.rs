@@ -116,28 +116,33 @@ fn deadline_skips_identically_across_worker_counts() {
         .map(hydronas_nas::trial_duration_s)
         .sum::<f64>()
         / 3.0;
-    let run = |workers: usize| {
-        Sweep::builder()
+    // The trials run as one compute-pool grid, so the pool size is the
+    // sweep's parallelism; the previous size is restored after each run.
+    let run = |threads: usize| {
+        let restore = compute_threads();
+        set_compute_threads(threads);
+        let report = Sweep::builder()
             .with_trials(specs.clone())
             .with_injected_failures(0)
             .with_max_wall_s(budget_s)
-            .with_workers(workers)
             .run()
-            .unwrap()
+            .unwrap();
+        set_compute_threads(restore);
+        report
     };
     let serial = run(1);
     assert!(serial.degradation.deadline_exhausted);
     assert!(!serial.degradation.skipped.is_empty());
-    for workers in [8, 32] {
-        let parallel = run(workers);
+    for threads in [8, 32] {
+        let parallel = run(threads);
         assert_eq!(
             parallel.db.to_json(),
             serial.db.to_json(),
-            "{workers} workers changed the admitted database"
+            "{threads} threads changed the admitted database"
         );
         assert_eq!(
             parallel.degradation, serial.degradation,
-            "{workers} workers changed the skipped set"
+            "{threads} threads changed the skipped set"
         );
     }
 }

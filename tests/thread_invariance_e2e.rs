@@ -1,8 +1,9 @@
 //! End-to-end thread-count invariance: the deterministic compute pool
 //! (`hydronas_tensor::parallel`) must not change a single bit of any
 //! pipeline artifact. Training losses, served logits, the deterministic
-//! metric sections, and the sweep journal are captured at 1, 2, and 8
-//! compute threads and compared byte-for-byte.
+//! metric sections, the sweep journal's records and database, a sweep of
+//! trained trials, and the synthesized dataset are captured at 1, 2, and
+//! 8 compute threads and compared byte-for-byte.
 //!
 //! The compute-thread count is process-global, so every test takes
 //! [`config_lock`] before touching it and restores the single-thread
@@ -11,6 +12,7 @@
 
 use hydronas::prelude::*;
 use hydronas_nas::space::{full_grid, SearchSpace};
+use hydronas_nas::EvalOutcome;
 use std::sync::{Arc, Mutex, OnceLock};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -146,23 +148,100 @@ fn sweep_journal_is_thread_count_invariant() {
         .collect();
     let dir = std::env::temp_dir().join(format!("hydronas-ti-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    assert_thread_invariant("sweep journal bytes", || {
+    assert_thread_invariant("sweep journal records", || {
         let path = dir.join(format!("journal-{}.jsonl", compute_threads()));
         let _ = std::fs::remove_file(&path); // a leftover journal would replay
-                                             // The journal is written in completion order, so with several
-                                             // sweep workers its line order varies run to run whatever the
-                                             // compute-thread count. One worker makes line order equal trial
-                                             // order, leaving compute threads the only variable under test;
-                                             // multi-worker database identity has its own tests in `nas`.
-        let report = Sweep::builder()
+        let sweep = Sweep::builder()
             .with_trials(trials.clone())
             .with_evaluator(SurrogateEvaluator::default())
             .with_journal(&path)
-            .with_workers(1)
-            .run()
-            .expect("sweep runs");
+            .build();
+        let report = sweep.run().expect("sweep runs");
         assert_eq!(report.db.outcomes.len(), trials.len());
-        (std::fs::read(&path).unwrap(), report.db.to_json())
+        // The journal is written in completion order, which varies with
+        // scheduling whenever trials run in parallel; resume reads it as
+        // a set. So each record must be byte-identical, in any order.
+        let mut records: Vec<String> = std::fs::read_to_string(&path)
+            .unwrap()
+            .lines()
+            .map(str::to_owned)
+            .collect();
+        records.sort_unstable();
+        // Resuming from this journal replays every trial and returns the
+        // same database bytes.
+        let resumed = sweep.run().expect("resume runs");
+        assert_eq!(resumed.stats.replayed, trials.len());
+        assert_eq!(resumed.db.to_json(), report.db.to_json());
+        (records, report.db.to_json())
     });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Trains the tiny model for one to three epochs by trial id, so the
+/// trials of a sweep end at different times: at 2 and 8 threads the
+/// threads that run out of trials share the kernels of those still
+/// training.
+struct TinyTrainer {
+    train_set: Dataset,
+    val_set: Dataset,
+}
+
+impl Evaluator for TinyTrainer {
+    fn evaluate(&self, spec: &TrialSpec, seed: u64) -> Result<EvalOutcome, TrialFailure> {
+        let config = TrainConfig {
+            epochs: 1 + spec.id % 3,
+            batch_size: 4,
+            seed,
+            ..TrainConfig::default()
+        };
+        let out = train(
+            &tiny_arch(),
+            &self.train_set,
+            &self.val_set,
+            &config,
+            &CancelToken::new(),
+        );
+        let losses: Vec<f64> = out.epoch_losses.iter().map(|&l| f64::from(l)).collect();
+        Ok(EvalOutcome {
+            mean_accuracy: losses.iter().sum(),
+            fold_accuracies: losses,
+            train_seconds: 0.0,
+        })
+    }
+
+    fn folds(&self) -> usize {
+        1
+    }
+}
+
+#[test]
+fn sweep_of_trained_trials_is_thread_count_invariant() {
+    let _guard = config_lock();
+    let trials: Vec<TrialSpec> = full_grid(&SearchSpace::paper())
+        .into_iter()
+        .filter(|t| t.combo.channels == 5)
+        .take(5)
+        .collect();
+    assert_thread_invariant("trained sweep database", || {
+        let report = Sweep::builder()
+            .with_trials(trials.clone())
+            .with_injected_failures(0)
+            .with_evaluator(TinyTrainer {
+                train_set: tiny_dataset(9),
+                val_set: tiny_dataset(10),
+            })
+            .run()
+            .expect("sweep runs");
+        assert_eq!(report.db.valid().len(), trials.len());
+        report.db.to_json()
+    });
+}
+
+#[test]
+fn dataset_is_thread_count_invariant() {
+    let _guard = config_lock();
+    assert_thread_invariant("dataset features, labels and regions", || {
+        let set = build_dataset(&study_regions(), ChannelMode::Seven, 16, 0.01, 11);
+        (bits(set.features.as_slice()), set.labels, set.region_of)
+    });
 }
