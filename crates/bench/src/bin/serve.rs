@@ -74,9 +74,10 @@ struct SingleStream {
     samples_per_s: f64,
 }
 
-/// The per-sample serving baseline: `ResNet::forward_eval` one request at
-/// a time — the path a deployment had before the plan/engine existed
-/// (unfused conv, separate BN and ReLU passes, per-request dispatch).
+/// The per-sample serving baseline: `ResNet::forward(x, false)` one
+/// request at a time — the path a deployment had before the plan/engine
+/// existed (unfused conv, separate BN and ReLU passes, per-request
+/// dispatch).
 #[derive(Debug, Serialize, Deserialize)]
 struct BaselineEval {
     latency_ms: f64,
@@ -96,7 +97,7 @@ struct Batched {
     batch: u64,
     ms_per_batch: f64,
     samples_per_s: f64,
-    /// Batched samples/s over the per-sample `forward_eval` baseline —
+    /// Batched samples/s over the per-sample eval-forward baseline —
     /// the structural >= 2x claim.
     speedup_vs_eval_baseline: f64,
     /// Batched samples/s over the compiled plan's own batch=1 rate
@@ -356,14 +357,14 @@ fn bench_single(plan: &ExecutionPlan, arch_key: String, reps: usize) -> SingleSt
     }
 }
 
-/// Times `forward_eval` one sample at a time — the pre-engine serving
-/// path every request would otherwise take.
-fn bench_baseline(model: &ResNet, channels: usize, reps: usize) -> BaselineEval {
+/// Times `forward(x, false)` one sample at a time — the pre-engine
+/// serving path every request would otherwise take.
+fn bench_baseline(model: &mut ResNet, channels: usize, reps: usize) -> BaselineEval {
     let x = sample(channels, 21);
     let dims = x.dims();
     let batched = Tensor::from_vec(x.as_slice().to_vec(), &[1, dims[0], dims[1], dims[2]]);
     let t = time_median(reps, || {
-        let _ = model.forward_eval(&batched);
+        let _ = model.forward(&batched, false);
     });
     BaselineEval {
         latency_ms: t * 1e3,
@@ -1042,7 +1043,7 @@ fn main() -> ExitCode {
         pareto.models, pareto.ratio_min, pareto.ratio_max
     );
 
-    let deploy_model = model_for(&deploy_arch);
+    let mut deploy_model = model_for(&deploy_arch);
     let plan = Arc::new(
         ExecutionPlan::builder(&deploy_model)
             .build()
@@ -1059,8 +1060,8 @@ fn main() -> ExitCode {
             None => String::from("-nopool"),
         }
     );
-    eprintln!("timing per-sample forward_eval baseline ({reps} reps)...");
-    let baseline_eval = bench_baseline(&deploy_model, deploy_arch.in_channels, reps);
+    eprintln!("timing per-sample eval-forward baseline ({reps} reps)...");
+    let baseline_eval = bench_baseline(&mut deploy_model, deploy_arch.in_channels, reps);
     eprintln!(
         "  {:.3} ms ({:.1} samples/s) on {arch_label}",
         baseline_eval.latency_ms, baseline_eval.samples_per_s

@@ -19,16 +19,6 @@ pub enum Precision {
     Int8,
 }
 
-impl Precision {
-    /// Bytes per stored weight scalar.
-    pub fn bytes_per_param(&self) -> u64 {
-        match self {
-            Precision::Fp32 => 4,
-            Precision::Int8 => 1,
-        }
-    }
-}
-
 /// One quantized tensor: int8 payload plus its dequantization scale.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct QuantizedTensor {

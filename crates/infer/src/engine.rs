@@ -162,7 +162,8 @@ pub enum InferError {
     Shed,
     /// The request's tick budget lapsed before a worker drained it.
     DeadlineExceeded,
-    /// Input was not `[C, H, W]` with the plan's channel count.
+    /// Input was not `[C, H, W]` with the plan's channel count, or its
+    /// `H×W` was too small for one of the plan's conv or pool windows.
     InputShape {
         expected_channels: usize,
         dims: Vec<usize>,
@@ -191,7 +192,8 @@ impl std::fmt::Display for InferError {
                 dims,
             } => write!(
                 f,
-                "bad input shape {dims:?}: expected [C={expected_channels}, H, W]"
+                "bad input shape {dims:?}: expected [C={expected_channels}, H, W] \
+                 with H×W large enough for every window of the plan"
             ),
             InferError::InvalidConfig { field } => {
                 write!(f, "invalid engine config: {field} must be positive")
@@ -603,8 +605,15 @@ impl Engine {
         input: Tensor,
         deadline_ticks: Option<u64>,
     ) -> Result<PredictionHandle, InferError> {
-        let expected = self.shared.plan.arch().in_channels;
-        if input.shape().ndim() != 3 || input.dims()[0] != expected {
+        let plan = &self.shared.plan;
+        let expected = plan.arch().in_channels;
+        // A conv or pool window that does not fit the tile would panic the
+        // worker mid-batch, so the plan's shape walk turns such a tile away.
+        let fits = match *input.dims() {
+            [c, h, w] => c == expected && plan.peak_resident([1, c, h, w], &mut 0).is_some(),
+            _ => false,
+        };
+        if !fits {
             return Err(InferError::InputShape {
                 expected_channels: expected,
                 dims: input.dims().to_vec(),
@@ -865,7 +874,7 @@ fn worker_loop(shared: &Shared, config: &EngineConfig) {
                     elapsed += 1;
                 }
             }
-            // `Tensor::stack` needs equal dims and the plan takes any
+            // A batch tensor needs equal dims and the plan takes any
             // H×W, so a batch is the head request's run of equal-dims
             // requests; the rest wait for the next drain.
             let Some(head) = q.pending.front() else {
@@ -947,8 +956,15 @@ fn execute_batch(shared: &Shared, config: &EngineConfig, batch: Vec<Request>, wa
     let logits = {
         let mut span = hydronas_telemetry::span("infer.batch", "batch");
         span.attr("batch", size);
-        let inputs: Vec<Tensor> = batch.iter().map(|r| r.input.clone()).collect();
-        let stacked = Tensor::stack(&inputs);
+        // The batcher drains only runs of equal dims, so every input is
+        // copied once, straight into its row of the batch tensor.
+        let dims = batch[0].input.dims();
+        let mut data = Vec::with_capacity(size * batch[0].input.numel());
+        for request in &batch {
+            assert_eq!(request.input.dims(), dims, "batch dims must match");
+            data.extend_from_slice(request.input.as_slice());
+        }
+        let stacked = Tensor::from_vec(data, &[&[size], dims].concat());
         shared.plan.run_batch(&stacked)
     };
     let exec_us = exec_start.elapsed().as_micros() as u64;

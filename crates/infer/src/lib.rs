@@ -112,28 +112,32 @@ mod tests {
     }
 
     #[test]
-    fn exact_plan_is_bit_identical_to_forward_eval() {
+    fn exact_plan_is_bit_identical_to_eval_forward() {
         for (seed, arch) in [tiny_arch(), pooled_arch()].into_iter().enumerate() {
-            let model = warmed_model(&arch, seed as u64 + 1);
+            let mut model = warmed_model(&arch, seed as u64 + 1);
             let plan = ExecutionPlan::builder(&model)
                 .numerics(Numerics::Exact)
                 .build()
                 .unwrap();
             let mut rng = TensorRng::seed_from_u64(99);
             let x = uniform(&[3, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
-            assert_eq!(plan.run_batch(&x), model.forward_eval(&x), "arch {arch:?}");
+            assert_eq!(
+                plan.run_batch(&x),
+                model.forward(&x, false),
+                "arch {arch:?}"
+            );
         }
     }
 
     #[test]
-    fn fused_plan_matches_forward_eval_within_tolerance() {
+    fn fused_plan_matches_eval_forward_within_tolerance() {
         let arch = tiny_arch();
-        let model = warmed_model(&arch, 7);
+        let mut model = warmed_model(&arch, 7);
         let plan = ExecutionPlan::builder(&model).build().unwrap();
         let mut rng = TensorRng::seed_from_u64(42);
         let x = uniform(&[4, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
         let fused = plan.run_batch(&x);
-        let reference = model.forward_eval(&x);
+        let reference = model.forward(&x, false);
         for (a, b) in fused.as_slice().iter().zip(reference.as_slice()) {
             assert!(approx_eq(*a, *b, 1e-3), "{a} vs {b}");
         }
@@ -174,15 +178,15 @@ mod tests {
     }
 
     #[test]
-    fn int8_quantize_dequantize_forward_eval_parity() {
+    fn int8_quantize_dequantize_eval_forward_parity() {
         // The satellite contract straight through the nn model: replace
         // every weight by its quantize→dequantize image and compare
-        // forward_eval logits against fp32 on a seeded batch.
+        // eval-forward logits against fp32 on a seeded batch.
         let arch = tiny_arch();
-        let model = warmed_model(&arch, 17);
+        let mut model = warmed_model(&arch, 17);
         let mut rng = TensorRng::seed_from_u64(23);
         let x = uniform(&[4, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
-        let reference = model.forward_eval(&x);
+        let reference = model.forward(&x, false);
 
         let mut quantized = warmed_model(&arch, 17);
         use hydronas_nn::ParamVisitor;
@@ -191,7 +195,7 @@ mod tests {
             let back = q.dequantize();
             p.value.as_mut_slice().copy_from_slice(&back);
         });
-        let logits = quantized.forward_eval(&x);
+        let logits = quantized.forward(&x, false);
         let mut worst = 0.0f32;
         for (a, b) in logits.as_slice().iter().zip(reference.as_slice()) {
             worst = worst.max((a - b).abs());
@@ -201,9 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_batch_of_one_is_bit_identical_to_forward_eval() {
+    fn engine_batch_of_one_is_bit_identical_to_eval_forward() {
         let arch = tiny_arch();
-        let model = warmed_model(&arch, 19);
+        let mut model = warmed_model(&arch, 19);
         let plan = Arc::new(
             ExecutionPlan::builder(&model)
                 .numerics(Numerics::Exact)
@@ -225,7 +229,7 @@ mod tests {
             let x = uniform(&[arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
             let dims = x.dims();
             let batched = Tensor::from_vec(x.as_slice().to_vec(), &[1, dims[0], dims[1], dims[2]]);
-            let expected = model.forward_eval(&batched);
+            let expected = model.forward(&batched, false);
             let got = engine.infer(x).unwrap();
             assert_eq!(got.batch_size, 1);
             assert_eq!(got.logits, expected.as_slice().to_vec());
@@ -335,6 +339,36 @@ mod tests {
         }
         // Wrong rank.
         assert!(engine.submit(Tensor::zeros(&[1, 5, 8, 8])).is_err());
+        // Tiles too small for one of the plan's windows would panic a
+        // worker mid-batch; submit turns them away and serving goes on.
+        let rejected = |engine: &Engine, dims: &[usize]| {
+            matches!(
+                engine.submit(Tensor::zeros(dims)),
+                Err(InferError::InputShape { .. })
+            )
+        };
+        let mut rng = TensorRng::seed_from_u64(30);
+        assert!(rejected(&engine, &[5, 0, 0]), "empty tile admitted");
+        let tile = uniform(&[5, 32, 32], -1.0, 1.0, &mut rng);
+        assert!(engine.infer(tile).is_ok());
+        // A padding-0, kernel-7 stem (a point of the paper's search space)
+        // does not fit a 4×4 tile; one worker, so a dead one would show.
+        let k7 = ArchConfig {
+            kernel_size: 7,
+            padding: 0,
+            ..arch
+        };
+        let k7_plan = ExecutionPlan::builder(&warmed_model(&k7, 31)).build();
+        let k7_engine = Engine::start(
+            Arc::new(k7_plan.unwrap()),
+            EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
+        );
+        assert!(rejected(&k7_engine, &[5, 4, 4]), "4×4 tile admitted");
+        let tile = uniform(&[5, 32, 32], -1.0, 1.0, &mut rng);
+        assert!(k7_engine.infer(tile).is_ok());
         engine.close();
         let late = engine.submit(Tensor::zeros(&[5, 8, 8]));
         assert_eq!(late.unwrap_err(), InferError::Closed);

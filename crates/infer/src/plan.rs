@@ -12,8 +12,8 @@
 //!
 //! * [`Numerics::Exact`] keeps conv and batch norm as separate passes using
 //!   the same kernel calls and the same per-element expressions as
-//!   [`ResNet::forward_eval`], so plan output is **bit-identical** to the
-//!   model's eval forward.
+//!   [`ResNet::forward`] with `train = false`, so plan output is
+//!   **bit-identical** to the model's eval forward.
 //! * [`Numerics::Fused`] folds each batch norm into the preceding
 //!   convolution's weights and bias (`W'[o] = W[o]·γ[o]/√(var[o]+ε)`,
 //!   `b'[o] = β[o] − γ[o]·mean[o]/√(var[o]+ε)`) and executes through the
@@ -59,7 +59,7 @@ use crate::engine::InferError;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Numerics {
     /// Separate conv and batch-norm passes, bit-identical to
-    /// [`ResNet::forward_eval`].
+    /// [`ResNet::forward`] with `train = false`.
     Exact,
     /// Batch norm folded into conv weights and fused bias/ReLU epilogues;
     /// equal to eval forward only up to float re-rounding.
@@ -217,7 +217,7 @@ enum ConvKind {
     /// Post-conv batch norm applied as its own elementwise pass over the
     /// running statistics, replicating the layer expression bit-for-bit.
     /// Keeps the raw weight tensor because it must go through the same
-    /// `conv2d` call `forward_eval` makes.
+    /// `conv2d` call `forward(x, false)` makes.
     Exact {
         weight: Tensor,
         gamma: Vec<f32>,
@@ -327,8 +327,8 @@ struct BlockOp {
 
 /// `main = relu(main + skip)` in one in-place pass instead of
 /// clone/add/map. Per element this computes exactly
-/// `(main + skip).max(0.0)` — the same rounding as forward_eval's separate
-/// passes, so every numerics contract survives the fusion.
+/// `(main + skip).max(0.0)` — the same rounding as the model's separate
+/// add and ReLU passes, so every numerics contract survives the fusion.
 fn add_relu(main: &mut Tensor, skip: &Tensor) {
     assert_eq!(main.dims(), skip.dims(), "residual shapes must match");
     for (m, s) in main.as_mut_slice().iter_mut().zip(skip.as_slice()) {
@@ -339,7 +339,7 @@ fn add_relu(main: &mut Tensor, skip: &Tensor) {
 /// The plan's fully-connected head.
 enum FcOp {
     /// f32 weight `[in_f, out_f]`, multiplied through the same GEMM call
-    /// `forward_eval` makes, so the bits match the model's own FC.
+    /// `forward(x, false)` makes, so the bits match the model's own FC.
     Exact { weight: Tensor, bias: Vec<f32> },
     /// f32 weight `[in_f, out_f]` packed once as the GEMM's B operand,
     /// so the head takes the packed path at every batch size and row `i`
@@ -667,8 +667,10 @@ impl ExecutionPlan {
 
     /// Raises `peak` to each layer's [`Geometry::resident`] at input dims
     /// `x`, propagating shapes only, in walk order; stops at the first
-    /// window that does not fit.
-    fn peak_resident(&self, mut x: [usize; 4], peak: &mut u64) -> Option<()> {
+    /// window that does not fit and returns `None`, which is how
+    /// [`Engine::submit`](crate::Engine::submit) turns away a tile too
+    /// small for the plan.
+    pub(crate) fn peak_resident(&self, mut x: [usize; 4], peak: &mut u64) -> Option<()> {
         let mut visit = |layer: Layer<'_>, dims| {
             let geometry = layer.geometry(dims)?;
             *peak = (*peak).max(geometry.resident);
@@ -769,8 +771,8 @@ impl ExecutionPlan {
     /// time), so it always takes the packed path and row `i` of a batched
     /// run is bit-identical to running sample `i` alone at any batch size. In
     /// [`Numerics::Exact`] mode the plan instead mirrors
-    /// `ResNet::forward_eval` call-for-call, so its output is bit-identical
-    /// to the model's eval forward at the same batch size.
+    /// `ResNet::forward(x, false)` call-for-call, so its output is
+    /// bit-identical to the model's eval forward at the same batch size.
     /// [`Numerics::QuantizedInt8`] keeps both properties at once: scales
     /// are static and per-sample, and the integer kernels are exact, so
     /// batched rows match single runs bit-for-bit at any thread count.

@@ -66,27 +66,6 @@ impl BasicBlock {
         self.downsample.as_ref().map(|(c, b)| (c, b))
     }
 
-    /// Read-only eval pass through the block: no layer caches, no running-stat
-    /// updates, shared access. Applies the same layer expressions as
-    /// [`BasicBlock::forward`] with `train = false`, so the output is
-    /// bit-identical.
-    pub fn forward_eval(&self, input: &Tensor) -> Tensor {
-        let mut main = self.conv1.forward_eval(input);
-        main = self.bn1.forward_eval(&main);
-        main = self.relu1.forward_eval(&main);
-        main = self.conv2.forward_eval(&main);
-        main = self.bn2.forward_eval(&main);
-        let skip = match self.downsample.as_ref() {
-            Some((conv, bn)) => {
-                let s = conv.forward_eval(input);
-                bn.forward_eval(&s)
-            }
-            None => input.clone(),
-        };
-        let sum = main.add(&skip);
-        self.relu2.forward_eval(&sum)
-    }
-
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let mut main = self.conv1.forward(input, train);
         main = self.bn1.forward(&main, train);

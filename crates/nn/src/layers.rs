@@ -1,7 +1,10 @@
 //! Stateful layers with explicit forward/backward passes.
 //!
-//! Each layer caches whatever its backward pass needs during `forward`;
-//! calling `backward` before `forward` is a logic error and panics.
+//! Each layer caches whatever its backward pass needs during
+//! `forward(x, true)`. `forward(x, false)` is the eval pass: it caches
+//! nothing, drops any earlier cache and leaves batch-norm running
+//! statistics as they are. Calling `backward` without a training
+//! `forward` before it is a logic error and panics.
 
 use crate::param::{Param, ParamVisitor};
 use hydronas_tensor::{
@@ -41,12 +44,6 @@ impl Conv2d {
         let out = conv2d(input, &self.weight.value, self.stride, self.padding);
         self.cached_input = train.then(|| input.clone());
         out
-    }
-
-    /// Read-only forward pass: no input caching, shared access. Output is
-    /// bit-identical to `forward(input, false)`.
-    pub fn forward_eval(&self, input: &Tensor) -> Tensor {
-        conv2d(input, &self.weight.value, self.stride, self.padding)
     }
 
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -119,7 +116,9 @@ impl BatchNorm2d {
         let m = (n * plane) as f32;
         let x = input.as_slice();
 
-        let (mean, var): (Vec<f32>, Vec<f32>) = if train {
+        // Train mode normalizes by the biased batch statistics and folds
+        // them into the running statistics; eval reads the running ones.
+        let batch_stats = train.then(|| {
             let mut mean = vec![0.0f32; c];
             let mut var = vec![0.0f32; c];
             for ch in 0..c {
@@ -139,7 +138,6 @@ impl BatchNorm2d {
                 }
                 var[ch] = v / m;
             }
-            // Update running stats with the biased batch statistics.
             for ch in 0..c {
                 let rm = &mut self.running_mean.as_mut_slice()[ch];
                 *rm = (1.0 - self.momentum) * *rm + self.momentum * mean[ch];
@@ -147,19 +145,19 @@ impl BatchNorm2d {
                 *rv = (1.0 - self.momentum) * *rv + self.momentum * var[ch];
             }
             (mean, var)
-        } else {
-            (
-                self.running_mean.as_slice().to_vec(),
-                self.running_var.as_slice().to_vec(),
-            )
+        });
+        let (mean, var) = match &batch_stats {
+            Some((mean, var)) => (mean.as_slice(), var.as_slice()),
+            None => (self.running_mean.as_slice(), self.running_var.as_slice()),
         };
 
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
         let mut out = Tensor::zeros(input.dims());
-        let mut x_hat = Tensor::zeros(input.dims());
+        // Only backward reads the normalized input, so eval never writes it.
+        let mut x_hat = train.then(|| Tensor::zeros(input.dims()));
         {
             let o = out.as_mut_slice();
-            let xh = x_hat.as_mut_slice();
+            let mut xh = x_hat.as_mut().map(Tensor::as_mut_slice);
             let g = self.gamma.value.as_slice();
             let bt = self.beta.value.as_slice();
             for b in 0..n {
@@ -168,50 +166,15 @@ impl BatchNorm2d {
                     let (mu, is, gg, bb) = (mean[ch], inv_std[ch], g[ch], bt[ch]);
                     for i in base..base + plane {
                         let xi = (x[i] - mu) * is;
-                        xh[i] = xi;
+                        if let Some(xh) = xh.as_deref_mut() {
+                            xh[i] = xi;
+                        }
                         o[i] = gg * xi + bb;
                     }
                 }
             }
         }
-        self.cache = train.then_some(BnCache { x_hat, inv_std });
-        out
-    }
-
-    /// Read-only eval-mode pass over the running statistics: no cache,
-    /// no running-stat updates, shared access. The per-element expression
-    /// mirrors [`BatchNorm2d::forward`]'s eval branch exactly, so the
-    /// output is bit-identical to `forward(input, false)`.
-    pub fn forward_eval(&self, input: &Tensor) -> Tensor {
-        assert_eq!(input.shape().ndim(), 4, "BatchNorm2d expects NCHW");
-        let (n, c, plane) = (
-            input.dims()[0],
-            input.dims()[1],
-            input.dims()[2] * input.dims()[3],
-        );
-        assert_eq!(c, self.channels(), "channel mismatch");
-        let x = input.as_slice();
-        let mean = self.running_mean.as_slice();
-        let inv_std: Vec<f32> = self
-            .running_var
-            .as_slice()
-            .iter()
-            .map(|&v| 1.0 / (v + self.eps).sqrt())
-            .collect();
-        let mut out = Tensor::zeros(input.dims());
-        let o = out.as_mut_slice();
-        let g = self.gamma.value.as_slice();
-        let bt = self.beta.value.as_slice();
-        for b in 0..n {
-            for ch in 0..c {
-                let base = (b * c + ch) * plane;
-                let (mu, is, gg, bb) = (mean[ch], inv_std[ch], g[ch], bt[ch]);
-                for i in base..base + plane {
-                    let xi = (x[i] - mu) * is;
-                    o[i] = gg * xi + bb;
-                }
-            }
-        }
+        self.cache = x_hat.map(|x_hat| BnCache { x_hat, inv_std });
         out
     }
 
@@ -284,14 +247,7 @@ impl Relu {
     }
 
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.mask = Some(input.as_slice().iter().map(|&v| v > 0.0).collect());
-        }
-        input.map(|v| v.max(0.0))
-    }
-
-    /// Read-only rectification: no mask caching, shared access.
-    pub fn forward_eval(&self, input: &Tensor) -> Tensor {
+        self.mask = train.then(|| input.as_slice().iter().map(|&v| v > 0.0).collect());
         input.map(|v| v.max(0.0))
     }
 
@@ -335,11 +291,6 @@ impl MaxPool2d {
         out
     }
 
-    /// Read-only pooling: discards the argmax routing, shared access.
-    pub fn forward_eval(&self, input: &Tensor) -> Tensor {
-        max_pool2d(input, self.kernel, self.stride, self.padding).0
-    }
-
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let (dims, arg) = self
             .cache
@@ -361,14 +312,7 @@ impl GlobalAvgPool {
     }
 
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_dims = Some(input.dims().to_vec());
-        }
-        avg_pool2d_global(input)
-    }
-
-    /// Read-only global average pooling: no dim caching, shared access.
-    pub fn forward_eval(&self, input: &Tensor) -> Tensor {
+        self.cached_dims = train.then(|| input.dims().to_vec());
         avg_pool2d_global(input)
     }
 
@@ -406,19 +350,10 @@ impl Linear {
         }
     }
 
-    /// The affine map of [`Linear::forward_eval`], caching the input for
-    /// the backward pass when `train` is set.
+    /// Affine map `input · W + b`, caching the input for the backward pass
+    /// when `train` is set. Bias is fused into the GEMM's final write-back —
+    /// one pass over the output instead of matmul + broadcast add.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out = self.forward_eval(input);
-        self.cached_input = train.then(|| input.clone());
-        out
-    }
-
-    /// Read-only affine map: no input caching, shared access, so the
-    /// output is bit-identical to `forward(input, false)`. Bias is fused
-    /// into the GEMM's final write-back — one pass over the output
-    /// instead of matmul + broadcast add.
-    pub fn forward_eval(&self, input: &Tensor) -> Tensor {
         assert_eq!(input.shape().ndim(), 2, "Linear expects [N, in]");
         let (n, in_f) = (input.dims()[0], input.dims()[1]);
         let out_f = self.weight.value.dims()[1];
@@ -432,6 +367,7 @@ impl Linear {
             out_f,
             Epilogue::ColBias(self.bias.value.as_slice()),
         );
+        self.cached_input = train.then(|| input.clone());
         out
     }
 
@@ -634,5 +570,18 @@ mod tests {
         let x = uniform(&[1, 1, 4, 4], -1.0, 1.0, &mut rng);
         let _ = conv.forward(&x, false);
         assert!(conv.cached_input.is_none());
+        // An eval pass also drops what an earlier training pass cached.
+        let mut bn = BatchNorm2d::new(1);
+        let (mut relu, mut pool, mut gap) =
+            (Relu::new(), MaxPool2d::new(2, 2, 0), GlobalAvgPool::new());
+        for train in [true, false] {
+            let _ = conv.forward(&x, train);
+            let _ = bn.forward(&x, train);
+            let _ = relu.forward(&x, train);
+            let _ = pool.forward(&x, train);
+            let _ = gap.forward(&x, train);
+        }
+        assert!(conv.cached_input.is_none() && bn.cache.is_none() && relu.mask.is_none());
+        assert!(pool.cache.is_none() && gap.cached_dims.is_none());
     }
 }

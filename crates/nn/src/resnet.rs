@@ -54,6 +54,10 @@ impl ResNet {
     }
 
     /// Forward pass: `[N, C, H, W] -> logits [N, num_classes]`.
+    ///
+    /// `train = false` is the model's eval pass: it caches nothing for
+    /// [`ResNet::backward`], drops what an earlier training pass cached and
+    /// leaves the batch-norm running statistics as they are.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         assert_eq!(
             input.dims()[1],
@@ -87,32 +91,6 @@ impl ResNet {
         g = self.stem_relu.backward(&g);
         g = self.stem_bn.backward(&g);
         self.stem_conv.backward(&g)
-    }
-
-    /// Read-only forward pass: `[N, C, H, W] -> logits [N, num_classes]`.
-    ///
-    /// Unlike [`ResNet::forward`], this takes `&self` — no layer caches are
-    /// written and no batch-norm running statistics are updated — so a shared
-    /// model behind an `Arc` can serve concurrent evaluation. Every layer
-    /// applies the exact same eval-mode expression as `forward(input, false)`,
-    /// so the output is bit-identical (proven in `eval_forward_tests`).
-    pub fn forward_eval(&self, input: &Tensor) -> Tensor {
-        assert_eq!(
-            input.dims()[1],
-            self.arch.in_channels,
-            "input channel mismatch"
-        );
-        let mut x = self.stem_conv.forward_eval(input);
-        x = self.stem_bn.forward_eval(&x);
-        x = self.stem_relu.forward_eval(&x);
-        if let Some(pool) = self.stem_pool.as_ref() {
-            x = pool.forward_eval(&x);
-        }
-        for block in self.stages.iter() {
-            x = block.forward_eval(&x);
-        }
-        let pooled = self.gap.forward_eval(&x);
-        self.fc.forward_eval(&pooled)
     }
 
     /// Number of residual blocks (always 8 for ResNet-18).
@@ -321,34 +299,36 @@ mod eval_forward_tests {
         ]
     }
 
+    /// A model whose batch-norm running statistics moved off their fresh
+    /// mean 0 / var 1, so eval exercises the real running-stat expression.
+    fn warmed(arch: &ArchConfig, seed: u64) -> (ResNet, TensorRng) {
+        let mut rng = TensorRng::seed_from_u64(seed);
+        let mut model = ResNet::new(arch, &mut rng);
+        let warm = uniform(&[4, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
+        let _ = model.forward(&warm, true);
+        (model, rng)
+    }
+
     #[test]
-    fn forward_eval_is_bit_identical_to_eval_forward() {
+    fn eval_forward_leaves_running_stats_untouched() {
         for (seed, arch) in archs().into_iter().enumerate() {
-            let mut rng = TensorRng::seed_from_u64(seed as u64 + 10);
-            let mut model = ResNet::new(&arch, &mut rng);
+            let (mut model, mut rng) = warmed(&arch, seed as u64 + 10);
             let x = uniform(&[2, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
-            // Populate non-trivial batch-norm running stats first, so the
-            // comparison exercises the real eval expression rather than the
-            // fresh mean=0 / var=1 initialization.
-            let warm = uniform(&[4, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
-            let _ = model.forward(&warm, true);
-            let trained = model.forward(&x, false);
-            let eval = model.forward_eval(&x);
-            assert_eq!(trained, eval, "arch {arch:?}");
+            let first = model.forward(&x, false);
+            assert_eq!(model.forward(&x, false), first, "arch {arch:?}");
+            assert_eq!(model.forward(&x, false), first, "arch {arch:?}");
         }
     }
 
     #[test]
-    fn forward_eval_leaves_model_state_untouched() {
-        let arch = archs().remove(0);
-        let mut rng = TensorRng::seed_from_u64(21);
-        let mut model = ResNet::new(&arch, &mut rng);
-        let x = uniform(&[2, arch.in_channels, 16, 16], -1.0, 1.0, &mut rng);
-        let before = model.forward(&x, false);
-        let shared = &model; // &self: compiles only because no state is written
-        let _ = shared.forward_eval(&x);
-        let _ = shared.forward_eval(&x);
-        assert_eq!(model.forward(&x, false), before);
+    #[should_panic(expected = "backward before forward")]
+    fn eval_forward_drops_the_training_cache() {
+        let arch = archs().remove(1);
+        let (mut model, mut rng) = warmed(&arch, 21);
+        let x = uniform(&[2, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
+        let _ = model.forward(&x, true);
+        let logits = model.forward(&x, false);
+        let _ = model.backward(&Tensor::ones(logits.dims()));
     }
 }
 

@@ -137,13 +137,9 @@ pub struct FoldResult {
     pub result: TrainResult,
 }
 
-/// Runs the model over `data` in eval mode and reports metrics.
-///
-/// Takes the model by shared reference: evaluation rides on
-/// [`ResNet::forward_eval`], which caches nothing and updates no running
-/// statistics, so fold validation can score a model that other threads are
-/// concurrently reading.
-pub fn evaluate(model: &ResNet, data: &Dataset, batch_size: usize) -> ClassificationReport {
+/// Runs the model over `data` in eval mode (`forward(x, false)`, which
+/// updates no running statistics) and reports metrics.
+pub fn evaluate(model: &mut ResNet, data: &Dataset, batch_size: usize) -> ClassificationReport {
     let mut predictions = Vec::with_capacity(data.len());
     let dims = data.features.dims();
     let sample = dims[1] * dims[2] * dims[3];
@@ -154,7 +150,7 @@ pub fn evaluate(model: &ResNet, data: &Dataset, batch_size: usize) -> Classifica
             data.features.as_slice()[i * sample..j * sample].to_vec(),
             &[j - i, dims[1], dims[2], dims[3]],
         );
-        let logits = model.forward_eval(&batch);
+        let logits = model.forward(&batch, false);
         predictions.extend(logits.argmax_rows());
         i = j;
     }
@@ -278,7 +274,7 @@ pub fn train(
         }
     }
 
-    let report = evaluate(&model, val_set, config.batch_size);
+    let report = evaluate(&mut model, val_set, config.batch_size);
     TrainResult {
         epoch_losses,
         report,
@@ -435,8 +431,8 @@ mod tests {
     fn evaluate_counts_every_sample_once() {
         let data = toy_dataset(10, 8, 5);
         let mut rng = TensorRng::seed_from_u64(0);
-        let model = ResNet::new(&tiny_arch(), &mut rng);
-        let report = evaluate(&model, &data, 4); // 4+4+2 batching
+        let mut model = ResNet::new(&tiny_arch(), &mut rng);
+        let report = evaluate(&mut model, &data, 4); // 4+4+2 batching
         assert_eq!(report.samples, 10);
         let total: u64 = report.confusion.iter().flatten().sum();
         assert_eq!(total, 10);
@@ -621,8 +617,8 @@ mod tests {
         let feats = uniform(&[40, 2, 8, 8], -1.0, 1.0, &mut rng);
         let labels: Vec<usize> = (0..40).map(|i| i % 2).collect();
         let data = Dataset::new(feats, labels);
-        let model = ResNet::new(&tiny_arch(), &mut rng);
-        let report = evaluate(&model, &data, 8);
+        let mut model = ResNet::new(&tiny_arch(), &mut rng);
+        let report = evaluate(&mut model, &data, 8);
         assert!(report.accuracy_pct >= 20.0 && report.accuracy_pct <= 80.0);
     }
 }

@@ -94,11 +94,12 @@ impl std::fmt::Display for Shape {
 /// Output spatial extent of a convolution/pooling window.
 ///
 /// Returns `None` when the window does not fit (the paper's NNI trials with
-/// collapsed feature maps are exactly this failure mode).
+/// collapsed feature maps are exactly this failure mode) or the input is
+/// empty, where padding alone would leave the window nothing to read.
 pub fn conv_out_dim(input: usize, kernel: usize, stride: usize, padding: usize) -> Option<usize> {
     debug_assert!(stride > 0, "stride must be positive");
     let padded = input + 2 * padding;
-    if padded < kernel {
+    if input == 0 || padded < kernel {
         return None;
     }
     Some((padded - kernel) / stride + 1)
@@ -146,6 +147,8 @@ mod tests {
         assert_eq!(conv_out_dim(2, 7, 1, 0), None);
         // Exactly fitting window.
         assert_eq!(conv_out_dim(7, 7, 2, 0), Some(1));
+        // An empty input fits no window, however wide its padding.
+        assert_eq!(conv_out_dim(0, 3, 2, 3), None);
     }
 
     #[test]

@@ -107,17 +107,6 @@ impl Tensor {
         }
     }
 
-    /// In-place reshape (no copy).
-    pub fn reshape_in_place(&mut self, dims: &[usize]) {
-        let shape = Shape::from(dims);
-        assert_eq!(
-            shape.numel(),
-            self.numel(),
-            "reshape element count mismatch"
-        );
-        self.shape = shape;
-    }
-
     /// Element at a multi-dimensional index.
     pub fn at(&self, index: &[usize]) -> f32 {
         self.data[self.flat_index(index)]
