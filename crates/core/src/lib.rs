@@ -105,8 +105,7 @@ pub mod prelude {
     };
     pub use hydronas_graph::{
         architecture_summary, model_cost, quantized_size_bytes, serialized_size_bytes, ArchConfig,
-        CalibrationMethod, GraphError, ModelGraph, OnnxError, PoolConfig, Precision,
-        BASELINE_RESNET18,
+        CalibrationMethod, GraphError, ModelGraph, OnnxError, PoolConfig, BASELINE_RESNET18,
     };
     pub use hydronas_infer::{
         DrainStats, Engine, EngineConfig, EngineStats, ExecutionPlan, InferError, InferRequest,

@@ -110,9 +110,7 @@ pub fn markdown_report(artifacts: &ReproArtifacts) -> String {
                 continue;
             };
             let fp32 = hydronas_graph::serialized_size_bytes(&graph);
-            let Ok(int8) =
-                hydronas_graph::quantized_size_bytes(&graph, hydronas_graph::Precision::Int8)
-            else {
+            let Ok(int8) = hydronas_graph::quantized_size_bytes(&graph) else {
                 continue;
             };
             out.push_str(&format!(

@@ -32,6 +32,6 @@ pub use onnx::{
 };
 pub use quantize::{
     quantize_per_channel, quantize_tensor, quantized_size_bytes, ActivationObserver,
-    CalibrationMethod, ChannelQuantizedTensor, Precision, QuantizedTensor,
+    CalibrationMethod, ChannelQuantizedTensor, QuantizedTensor,
 };
 pub use summary::architecture_summary;

@@ -10,15 +10,6 @@ use crate::analysis::node_cost;
 use crate::graph::{GraphError, ModelGraph};
 use serde::{Deserialize, Serialize};
 
-/// Quantization precision for serialized weights.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Precision {
-    /// 32-bit float (the paper's deployment format).
-    Fp32,
-    /// Symmetric per-tensor int8.
-    Int8,
-}
-
 /// One quantized tensor: int8 payload plus its dequantization scale.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct QuantizedTensor {
@@ -248,29 +239,27 @@ fn int8_size_bytes(fp32: u64, params: u64, parameterized_nodes: u64) -> Result<u
     Ok(stripped + params + 4 * parameterized_nodes)
 }
 
-/// Serialized size of the model at a given precision, in bytes. Int8
-/// models store one f32 scale per parameterized node; graph metadata is
-/// unchanged.
+/// Serialized size of the model with symmetric per-tensor int8 weights, in
+/// bytes: the fp32 size ([`serialized_size_bytes`]) with each weight stored
+/// in 1 byte instead of 4, plus one f32 scale per parameterized node; graph
+/// metadata is unchanged.
 ///
 /// For the current `HONX` serializer the fp32 size always includes the full
 /// `4 * params` payload, so the int8 arithmetic cannot underflow; the
 /// `Result` contract guards the accounting against future serializer
 /// changes (e.g. compressed or externalized weights) rather than silently
 /// wrapping.
-pub fn quantized_size_bytes(graph: &ModelGraph, precision: Precision) -> Result<u64, GraphError> {
+///
+/// [`serialized_size_bytes`]: crate::onnx::serialized_size_bytes
+pub fn quantized_size_bytes(graph: &ModelGraph) -> Result<u64, GraphError> {
     let fp32 = crate::onnx::serialized_size_bytes(graph);
-    match precision {
-        Precision::Fp32 => Ok(fp32),
-        Precision::Int8 => {
-            let params: u64 = graph.nodes.iter().map(|n| node_cost(n).params).sum();
-            let parameterized_nodes = graph
-                .nodes
-                .iter()
-                .filter(|n| node_cost(n).params > 0)
-                .count() as u64;
-            int8_size_bytes(fp32, params, parameterized_nodes)
-        }
-    }
+    let params: u64 = graph.nodes.iter().map(|n| node_cost(n).params).sum();
+    let parameterized_nodes = graph
+        .nodes
+        .iter()
+        .filter(|n| node_cost(n).params > 0)
+        .count() as u64;
+    int8_size_bytes(fp32, params, parameterized_nodes)
 }
 
 #[cfg(test)]
@@ -306,22 +295,13 @@ mod tests {
     #[test]
     fn int8_model_is_about_4x_smaller() {
         let g = ModelGraph::from_arch(&BASELINE_RESNET18, 32).unwrap();
-        let fp32 = quantized_size_bytes(&g, Precision::Fp32).unwrap();
-        let int8 = quantized_size_bytes(&g, Precision::Int8).unwrap();
+        let fp32 = crate::onnx::serialized_size_bytes(&g);
+        let int8 = quantized_size_bytes(&g).unwrap();
         let ratio = fp32 as f64 / int8 as f64;
         assert!((3.5..4.1).contains(&ratio), "ratio {ratio}");
         // ~44.7 MB -> ~11.2 MB: the int8 ResNet-18 matches the fp32
         // Pareto models' memory budget.
         assert!((int8 as f64 / 1e6 - 11.2).abs() < 0.3);
-    }
-
-    #[test]
-    fn fp32_matches_the_onnx_size() {
-        let g = ModelGraph::from_arch(&BASELINE_RESNET18, 32).unwrap();
-        assert_eq!(
-            quantized_size_bytes(&g, Precision::Fp32).unwrap(),
-            crate::onnx::serialized_size_bytes(&g)
-        );
     }
 
     #[test]
@@ -356,8 +336,8 @@ mod tests {
             num_classes: 2,
         };
         let g = ModelGraph::from_arch(&arch, 16).unwrap();
-        let fp32 = quantized_size_bytes(&g, Precision::Fp32).unwrap();
-        let int8 = quantized_size_bytes(&g, Precision::Int8).unwrap();
+        let fp32 = crate::onnx::serialized_size_bytes(&g);
+        let int8 = quantized_size_bytes(&g).unwrap();
         let params: u64 = g.nodes.iter().map(|n| node_cost(n).params).sum();
         let scales = g.nodes.iter().filter(|n| node_cost(n).params > 0).count() as u64;
         assert!(int8 < fp32);

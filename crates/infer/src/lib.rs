@@ -112,34 +112,20 @@ mod tests {
     }
 
     #[test]
-    fn exact_plan_is_bit_identical_to_eval_forward() {
-        for (seed, arch) in [tiny_arch(), pooled_arch()].into_iter().enumerate() {
-            let mut model = warmed_model(&arch, seed as u64 + 1);
-            let plan = ExecutionPlan::builder(&model)
-                .numerics(Numerics::Exact)
-                .build()
-                .unwrap();
-            let mut rng = TensorRng::seed_from_u64(99);
-            let x = uniform(&[3, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
-            assert_eq!(
-                plan.run_batch(&x),
-                model.forward(&x, false),
-                "arch {arch:?}"
-            );
-        }
-    }
-
-    #[test]
     fn fused_plan_matches_eval_forward_within_tolerance() {
-        let arch = tiny_arch();
-        let mut model = warmed_model(&arch, 7);
-        let plan = ExecutionPlan::builder(&model).build().unwrap();
-        let mut rng = TensorRng::seed_from_u64(42);
-        let x = uniform(&[4, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
-        let fused = plan.run_batch(&x);
-        let reference = model.forward(&x, false);
-        for (a, b) in fused.as_slice().iter().zip(reference.as_slice()) {
-            assert!(approx_eq(*a, *b, 1e-3), "{a} vs {b}");
+        // pooled_arch adds the stem pool and the 7×7 stem to the layer
+        // kinds checked against the model's eval pass.
+        for (arch, seed) in [(tiny_arch(), 7u64), (pooled_arch(), 8u64)] {
+            let mut model = warmed_model(&arch, seed);
+            let plan = ExecutionPlan::builder(&model).build().unwrap();
+            let mut rng = TensorRng::seed_from_u64(42);
+            let x = uniform(&[4, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
+            let fused = plan.run_batch(&x);
+            let reference = model.forward(&x, false);
+            assert_eq!(fused.dims(), reference.dims());
+            for (a, b) in fused.as_slice().iter().zip(reference.as_slice()) {
+                assert!(approx_eq(*a, *b, 1e-3), "{a} vs {b} on {arch:?}");
+            }
         }
     }
 
@@ -151,28 +137,23 @@ mod tests {
         // size — the Fused path must hold its always-packed contract there.
         for (arch, seed) in [(tiny_arch(), 11u64), (pooled_arch(), 12u64)] {
             let model = warmed_model(&arch, seed);
-            for numerics in [Numerics::Exact, Numerics::Fused] {
-                let plan = ExecutionPlan::builder(&model)
-                    .numerics(numerics)
-                    .build()
-                    .unwrap();
-                let mut rng = TensorRng::seed_from_u64(5);
-                let batch = uniform(&[3, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
-                let batched = plan.run_batch(&batch);
-                let dims = batch.dims();
-                let sample = dims[1] * dims[2] * dims[3];
-                for i in 0..dims[0] {
-                    let single = Tensor::from_vec(
-                        batch.as_slice()[i * sample..(i + 1) * sample].to_vec(),
-                        &[dims[1], dims[2], dims[3]],
-                    );
-                    let classes = batched.dims()[1];
-                    assert_eq!(
-                        plan.run_single(&single),
-                        batched.as_slice()[i * classes..(i + 1) * classes].to_vec(),
-                        "row {i} under {numerics:?}"
-                    );
-                }
+            let plan = ExecutionPlan::builder(&model).build().unwrap();
+            let mut rng = TensorRng::seed_from_u64(5);
+            let batch = uniform(&[3, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
+            let batched = plan.run_batch(&batch);
+            let dims = batch.dims();
+            let sample = dims[1] * dims[2] * dims[3];
+            for i in 0..dims[0] {
+                let single = Tensor::from_vec(
+                    batch.as_slice()[i * sample..(i + 1) * sample].to_vec(),
+                    &[dims[1], dims[2], dims[3]],
+                );
+                let classes = batched.dims()[1];
+                assert_eq!(
+                    plan.run_single(&single),
+                    batched.as_slice()[i * classes..(i + 1) * classes].to_vec(),
+                    "row {i} on {arch:?}"
+                );
             }
         }
     }
@@ -205,17 +186,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_batch_of_one_is_bit_identical_to_eval_forward() {
+    fn engine_batch_of_one_is_bit_identical_to_the_plan() {
         let arch = tiny_arch();
-        let mut model = warmed_model(&arch, 19);
-        let plan = Arc::new(
-            ExecutionPlan::builder(&model)
-                .numerics(Numerics::Exact)
-                .build()
-                .unwrap(),
-        );
+        let model = warmed_model(&arch, 19);
+        let plan = Arc::new(ExecutionPlan::builder(&model).build().unwrap());
         let engine = Engine::start(
-            plan,
+            Arc::clone(&plan),
             EngineConfig {
                 workers: 1,
                 max_batch: 1, // forces batch=1 execution
@@ -229,7 +205,7 @@ mod tests {
             let x = uniform(&[arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
             let dims = x.dims();
             let batched = Tensor::from_vec(x.as_slice().to_vec(), &[1, dims[0], dims[1], dims[2]]);
-            let expected = model.forward(&batched, false);
+            let expected = plan.run_batch(&batched);
             let got = engine.infer(x).unwrap();
             assert_eq!(got.batch_size, 1);
             assert_eq!(got.logits, expected.as_slice().to_vec());
@@ -396,15 +372,12 @@ mod tests {
             }
             expected_names.push("global_avg_pool".to_string());
             expected_names.push("fc".to_string());
-            for numerics in [Numerics::Exact, Numerics::Fused, Numerics::QuantizedInt8] {
+            for numerics in [Numerics::Fused, Numerics::QuantizedInt8] {
                 let plan = match numerics {
+                    Numerics::Fused => ExecutionPlan::builder(&model).build().unwrap(),
                     Numerics::QuantizedInt8 => {
                         quantized_plan(&model, &calibration_batch(&arch, seed + 100))
                     }
-                    _ => ExecutionPlan::builder(&model)
-                        .numerics(numerics)
-                        .build()
-                        .unwrap(),
                 };
                 let mut rng = TensorRng::seed_from_u64(53);
                 let x = uniform(&[3, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
@@ -684,6 +657,28 @@ mod tests {
         assert!(q < f, "int8 transient bytes {q} not below fp32 {f}");
         // Scaling the batch scales the transient footprint.
         assert!(fp32.activation_bytes(16, 32) > f);
+    }
+
+    #[test]
+    fn activation_bytes_panics_on_an_input_the_plan_cannot_run() {
+        // The k7 s2 p0 plan of `engine_rejects_bad_shapes_and_closes_cleanly`:
+        // its stem window does not fit a 4×4 tile, and no window fits 0×0.
+        let k7 = ArchConfig {
+            kernel_size: 7,
+            padding: 0,
+            ..tiny_arch()
+        };
+        let plan = ExecutionPlan::builder(&warmed_model(&k7, 31))
+            .build()
+            .unwrap();
+        assert!(plan.activation_bytes(1, 32) > 0);
+        for hw in [4, 0] {
+            let peak = std::panic::catch_unwind(|| plan.activation_bytes(1, hw));
+            let payload = peak.expect_err("a partial peak for an input the plan cannot run");
+            let message = payload.downcast_ref::<String>().unwrap();
+            let dims = format!("[1, 5, {hw}, {hw}]");
+            assert!(message.contains(&dims), "{message}");
+        }
     }
 
     #[test]

@@ -10,16 +10,18 @@
 //!
 //! ## Numerics modes
 //!
-//! * [`Numerics::Exact`] keeps conv and batch norm as separate passes using
-//!   the same kernel calls and the same per-element expressions as
-//!   [`ResNet::forward`] with `train = false`, so plan output is
-//!   **bit-identical** to the model's eval forward.
+//! The model's bit-exact eval pass is [`ResNet::forward`] with
+//! `train = false`; a plan trades that bit contract for speed and keeps
+//! one of two others:
+//!
 //! * [`Numerics::Fused`] folds each batch norm into the preceding
 //!   convolution's weights and bias (`W'[o] = W[o]·γ[o]/√(var[o]+ε)`,
 //!   `b'[o] = β[o] − γ[o]·mean[o]/√(var[o]+ε)`) and executes through the
 //!   fused per-row bias/ReLU GEMM epilogues — one pass over each output
 //!   instead of three. Folding reassociates float arithmetic, so outputs
-//!   agree with eval forward only to within a small relative tolerance.
+//!   agree with eval forward only to within a small relative tolerance,
+//!   while every row of a batched run is bit-identical to the same sample
+//!   run alone.
 //! * [`Numerics::QuantizedInt8`] folds batch norms the same way, then
 //!   quantizes every conv/FC weight to int8 (per-channel or per-tensor
 //!   symmetric) and fixes one static input scale per layer from a
@@ -30,7 +32,7 @@
 //!   The stored weights are the bytes the kernels read. Scales are fixed
 //!   at build time — never derived from the batch being served — so
 //!   quantized output keeps the same batch-composition invariance as the
-//!   f32 paths, and the integer accumulation makes it bit-identical at any
+//!   fused path, and the integer accumulation makes it bit-identical at any
 //!   thread count.
 //!
 //! ## One forward walk
@@ -46,7 +48,7 @@ use hydronas_graph::{
 };
 use hydronas_nn::{BatchNorm2d, Conv2d, Linear, ResNet};
 use hydronas_tensor::{
-    avg_pool2d_global, conv2d, conv2d_bias_act, conv2d_q8, conv_out_dim, gemm, max_pool2d,
+    avg_pool2d_global, conv2d_bias_act, conv2d_q8, conv_out_dim, gemm, max_pool2d,
     pack_conv_weight, qgemm_nt, quantize_slice_i8, Epilogue, GemmA, GemmB, PackedBLayout,
     PackedConvWeight, QEpilogue, QuantizedConvWeight, Tensor,
 };
@@ -58,9 +60,6 @@ use crate::engine::InferError;
 /// Float-arithmetic contract of a compiled plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Numerics {
-    /// Separate conv and batch-norm passes, bit-identical to
-    /// [`ResNet::forward`] with `train = false`.
-    Exact,
     /// Batch norm folded into conv weights and fused bias/ReLU epilogues;
     /// equal to eval forward only up to float re-rounding.
     Fused,
@@ -156,7 +155,7 @@ impl<'m> PlanBuilder<'m> {
     pub fn build(self) -> Result<ExecutionPlan, InferError> {
         let invalid = |reason: String| InferError::InvalidQuantization { reason };
         match self.numerics {
-            Numerics::Exact | Numerics::Fused => {
+            Numerics::Fused => {
                 if self.quantization.is_some() {
                     return Err(invalid(
                         "a QuantizationScheme only applies to Numerics::QuantizedInt8; \
@@ -164,7 +163,7 @@ impl<'m> PlanBuilder<'m> {
                             .to_string(),
                     ));
                 }
-                Ok(compile_f32(self.model, self.numerics))
+                Ok(compile_fused(self.model))
             }
             Numerics::QuantizedInt8 => {
                 let scheme = self.quantization.ok_or_else(|| {
@@ -214,17 +213,6 @@ impl<'m> PlanBuilder<'m> {
 
 /// How one conv's batch norm is executed.
 enum ConvKind {
-    /// Post-conv batch norm applied as its own elementwise pass over the
-    /// running statistics, replicating the layer expression bit-for-bit.
-    /// Keeps the raw weight tensor because it must go through the same
-    /// `conv2d` call `forward(x, false)` makes.
-    Exact {
-        weight: Tensor,
-        gamma: Vec<f32>,
-        beta: Vec<f32>,
-        mean: Vec<f32>,
-        inv_std: Vec<f32>,
-    },
     /// Batch norm folded into the conv weight, which is stored already
     /// packed into GEMM panels ([`pack_conv_weight`]) — the per-call
     /// weight-packing pass is paid once here at compile time. `bias`
@@ -270,43 +258,12 @@ impl ConvBnOp {
                 self.stride,
                 self.padding,
             ),
-            ConvKind::Exact {
-                weight,
-                gamma,
-                beta,
-                mean,
-                inv_std,
-            } => {
-                let mut x = conv2d(input, weight, self.stride, self.padding);
-                let dims = x.dims().to_vec();
-                let (n, c, plane) = (dims[0], dims[1], dims[2] * dims[3]);
-                let data = x.as_mut_slice();
-                for b in 0..n {
-                    for ch in 0..c {
-                        let base = (b * c + ch) * plane;
-                        let (mu, is, gg, bb) = (mean[ch], inv_std[ch], gamma[ch], beta[ch]);
-                        for v in &mut data[base..base + plane] {
-                            // Same expression as BatchNorm2d's eval branch;
-                            // the trailing max is ReLU and keeps bit-identity
-                            // because it reads the already-rounded value.
-                            let xi = (*v - mu) * is;
-                            let y = gg * xi + bb;
-                            *v = if self.relu { y.max(0.0) } else { y };
-                        }
-                    }
-                }
-                x
-            }
         }
     }
 
     /// `(out_c, in_c, kernel)` of this conv, whatever its storage.
     fn weight_dims(&self) -> (usize, usize, usize) {
         match &self.kind {
-            ConvKind::Exact { weight, .. } => {
-                let d = weight.dims();
-                (d[0], d[1], d[2])
-            }
             ConvKind::Fused { weight, .. } => (weight.out_c(), weight.in_c(), weight.kernel()),
             ConvKind::Quantized { weight, .. } => (weight.out_c(), weight.in_c(), weight.kernel()),
         }
@@ -338,9 +295,6 @@ fn add_relu(main: &mut Tensor, skip: &Tensor) {
 
 /// The plan's fully-connected head.
 enum FcOp {
-    /// f32 weight `[in_f, out_f]`, multiplied through the same GEMM call
-    /// `forward(x, false)` makes, so the bits match the model's own FC.
-    Exact { weight: Tensor, bias: Vec<f32> },
     /// f32 weight `[in_f, out_f]` packed once as the GEMM's B operand,
     /// so the head takes the packed path at every batch size and row `i`
     /// of a batch is bit-identical to sample `i` run alone.
@@ -364,7 +318,6 @@ enum FcOp {
 impl FcOp {
     fn out_features(&self) -> usize {
         match self {
-            FcOp::Exact { weight, .. } => weight.dims()[1],
             FcOp::Fused { layout, .. } => layout.n(),
             FcOp::Quantized { out_f, .. } => *out_f,
         }
@@ -465,49 +418,26 @@ fn fold_conv_bn(conv: &Conv2d, bn: &BatchNorm2d) -> (Tensor, Vec<f32>) {
     (Tensor::from_vec(folded, w.dims()), bias)
 }
 
-/// Compiles an f32 plan (`Exact` or `Fused`).
-fn compile_f32(model: &ResNet, numerics: Numerics) -> ExecutionPlan {
+/// Compiles a [`Numerics::Fused`] plan: each batch norm folded into its
+/// conv, and every conv weight and the FC weight packed once.
+fn compile_fused(model: &ResNet) -> ExecutionPlan {
     lower(
         model,
-        numerics,
-        |conv, bn, ledger| match numerics {
-            Numerics::Exact => {
-                let weight = conv.weight.value.clone();
-                let (gamma, beta) = (bn.gamma.value.as_slice(), bn.beta.value.as_slice());
-                let mean = bn.running_mean.as_slice();
-                let var = bn.running_var.as_slice();
-                for values in [weight.as_slice(), gamma, beta, mean, var] {
-                    ledger.store_f32(values);
-                }
-                ConvKind::Exact {
-                    weight,
-                    gamma: gamma.to_vec(),
-                    beta: beta.to_vec(),
-                    mean: mean.to_vec(),
-                    inv_std: var.iter().map(|&v| 1.0 / (v + bn.eps).sqrt()).collect(),
-                }
-            }
-            Numerics::Fused => {
-                let (weight, bias) = fold_conv_bn(conv, bn);
-                ledger.store_f32(weight.as_slice());
-                ledger.store_f32(&bias);
-                ConvKind::Fused {
-                    weight: pack_conv_weight(&weight),
-                    bias,
-                }
-            }
-            Numerics::QuantizedInt8 => {
-                unreachable!("quantized plans are compiled by compile_quantized")
+        Numerics::Fused,
+        |conv, bn, ledger| {
+            let (weight, bias) = fold_conv_bn(conv, bn);
+            ledger.store_f32(weight.as_slice());
+            ledger.store_f32(&bias);
+            ConvKind::Fused {
+                weight: pack_conv_weight(&weight),
+                bias,
             }
         },
         |fc, ledger| {
-            let weight = fc.weight.value.clone();
+            let weight = &fc.weight.value;
             let bias = fc.bias.value.as_slice().to_vec();
             ledger.store_f32(weight.as_slice());
             ledger.store_f32(&bias);
-            if numerics == Numerics::Exact {
-                return FcOp::Exact { weight, bias };
-            }
             let layout = PackedBLayout::new(weight.dims()[0], weight.dims()[1]);
             let mut packed = vec![0.0f32; layout.len()];
             layout.pack(weight.as_slice(), &mut packed);
@@ -561,7 +491,7 @@ fn compile_quantized(
         method,
         scales: Vec::new(),
     };
-    compile_f32(model, Numerics::Fused).forward(batch, &mut calibrator);
+    compile_fused(model).forward(batch, &mut calibrator);
     let mut scales = calibrator.scales;
     let fc_scale = scales.pop().expect("the walk observes the fc input last");
     let mut conv_scales = scales.into_iter();
@@ -643,7 +573,7 @@ impl ExecutionPlan {
     /// For quantized plans this is the true serving footprint: 1 byte per
     /// weight scalar, one f32 per stored weight scale (per output channel
     /// or per tensor), one f32 static input scale per layer, and f32
-    /// biases. f32 plans count 4 bytes per weight, bias and batch-norm
+    /// biases. Fused plans count 4 bytes per folded weight and bias
     /// scalar.
     pub fn weight_bytes(&self) -> u64 {
         self.weight_bytes
@@ -655,13 +585,23 @@ impl ExecutionPlan {
     ///
     /// Counts, per layer, the resident input + im2col column matrix +
     /// output for convs (columns are 1 byte/element on the quantized path,
-    /// 4 on f32 paths) and input + quantized staging + output for the FC,
+    /// 4 on the fused path) and input + quantized staging + output for the FC,
     /// and returns the largest. Pooling and the residual add are reads
     /// over already-counted buffers and never dominate.
+    ///
+    /// # Panics
+    ///
+    /// If one of the plan's windows does not fit the input (an empty tile,
+    /// or a tile smaller than a padding-0 stem's kernel): the plan cannot
+    /// run such an input, [`run_batch`](Self::run_batch) panics on it and
+    /// [`Engine::submit`](crate::Engine::submit) rejects it with
+    /// [`InferError::InputShape`].
     pub fn activation_bytes(&self, batch: usize, input_hw: usize) -> u64 {
         let mut peak = 0;
         let input = [batch, self.arch.in_channels, input_hw, input_hw];
-        let _ = self.peak_resident(input, &mut peak);
+        if self.peak_resident(input, &mut peak).is_none() {
+            panic!("the plan cannot run input dims {input:?}: a window does not fit");
+        }
         peak
     }
 
@@ -698,7 +638,6 @@ impl ExecutionPlan {
         let out_f = self.fc.out_features();
         let mut out = Tensor::zeros(&[n, out_f]);
         let (b, bias) = match &self.fc {
-            FcOp::Exact { weight, bias } => (GemmB::Slice(weight.as_slice()), bias),
             FcOp::Fused {
                 layout,
                 weight,
@@ -769,13 +708,12 @@ impl ExecutionPlan {
     /// In [`Numerics::Fused`] mode every GEMM on this path has a prepacked
     /// operand (the conv weights and the FC weight are packed at build
     /// time), so it always takes the packed path and row `i` of a batched
-    /// run is bit-identical to running sample `i` alone at any batch size. In
-    /// [`Numerics::Exact`] mode the plan instead mirrors
-    /// `ResNet::forward(x, false)` call-for-call, so its output is
-    /// bit-identical to the model's eval forward at the same batch size.
-    /// [`Numerics::QuantizedInt8`] keeps both properties at once: scales
-    /// are static and per-sample, and the integer kernels are exact, so
-    /// batched rows match single runs bit-for-bit at any thread count.
+    /// run is bit-identical to running sample `i` alone at any batch size;
+    /// against `ResNet::forward(x, false)`, the model's bit-exact eval
+    /// pass, it holds only a float tolerance. [`Numerics::QuantizedInt8`]
+    /// keeps the batch property too: scales are static and per-sample, and
+    /// the integer kernels are exact, so batched rows match single runs
+    /// bit-for-bit at any thread count.
     pub fn run_batch(&self, input: &Tensor) -> Tensor {
         self.forward(input, &mut ())
     }

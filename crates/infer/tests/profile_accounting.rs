@@ -44,7 +44,6 @@ fn profile_costs_match_the_kernel_counters() {
         let model = ResNet::new(&arch, &mut rng);
         let x = uniform(&[3, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
         for (numerics, conv_counter, gemm_counter) in [
-            (Numerics::Exact, "tensor.conv2d.flops", "tensor.gemm.flops"),
             (
                 Numerics::Fused,
                 "tensor.conv2d_fused.flops",

@@ -69,26 +69,22 @@ pub fn predict(graph: &ModelGraph, device: &DeviceProfile) -> f64 {
 /// unchanged (we model dequantize-on-load runtimes, the common mobile
 /// path; compute still runs fp32/fp16).
 pub fn predict_quantized(graph: &ModelGraph, device: &DeviceProfile) -> f64 {
-    let kernels: Vec<Kernel> = decompose(graph)
-        .into_iter()
-        .map(|mut k| {
-            k.weight_bytes /= 4;
-            k
-        })
-        .collect();
-    predict_kernels(&kernels, device)
+    predict_kernels(&decompose_int8(graph), device)
 }
 
 /// [`predict_quantized`] across all four devices.
 pub fn predict_all_quantized(graph: &ModelGraph) -> LatencyPrediction {
-    let kernels: Vec<Kernel> = decompose(graph)
-        .into_iter()
-        .map(|mut k| {
-            k.weight_bytes /= 4;
-            k
-        })
-        .collect();
-    aggregate(&kernels)
+    aggregate(&decompose_int8(graph))
+}
+
+/// The kernels of an int8 deployment: [`decompose`]'s list with every
+/// kernel's weight traffic at 1 byte per weight instead of 4.
+fn decompose_int8(graph: &ModelGraph) -> Vec<Kernel> {
+    let mut kernels = decompose(graph);
+    for k in &mut kernels {
+        k.weight_bytes /= 4;
+    }
+    kernels
 }
 
 fn aggregate(kernels: &[Kernel]) -> LatencyPrediction {

@@ -269,22 +269,6 @@ impl QuantizedConvWeight {
     pub fn kernel(&self) -> usize {
         self.kernel
     }
-
-    /// Quantized filter values, `[out_c, in_c·k·k]` row-major.
-    pub fn values(&self) -> &[i8] {
-        &self.values
-    }
-
-    /// Per-output-channel weight scales.
-    pub fn scales(&self) -> &[f32] {
-        &self.scales
-    }
-
-    /// True serving bytes: one byte per weight plus one f32 scale per
-    /// output channel.
-    pub fn weight_bytes(&self) -> u64 {
-        self.values.len() as u64 + 4 * self.scales.len() as u64
-    }
 }
 
 /// Unfolds one CHW image into the **transposed** quantized column matrix

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example edge_deployment`
 
 use hydronas::prelude::*;
-use hydronas_graph::{quantized_size_bytes, Precision};
+use hydronas_graph::quantized_size_bytes;
 use hydronas_latency::{all_devices, predict_all_quantized, predict_quantized};
 use hydronas_nas::space::full_grid;
 use hydronas_nas::{nsga2, run_experiment, Nsga2Config};
@@ -47,7 +47,7 @@ fn main() {
     //    weight-bound regime — but still behind the NAS front.
     let base_graph = ModelGraph::from_arch(&baseline.spec.arch, 32).unwrap();
     let int8_lat = predict_all_quantized(&base_graph);
-    let int8_mem = quantized_size_bytes(&base_graph, Precision::Int8).unwrap() as f64 / 1e6;
+    let int8_mem = quantized_size_bytes(&base_graph).unwrap() as f64 / 1e6;
     row(
         "ResNet-18 int8",
         baseline.accuracy,
@@ -65,7 +65,7 @@ fn main() {
             o.memory_mb,
         );
         let q_lat = predict_all_quantized(&g);
-        let q_mem = quantized_size_bytes(&g, Precision::Int8).unwrap() as f64 / 1e6;
+        let q_mem = quantized_size_bytes(&g).unwrap() as f64 / 1e6;
         row(
             &format!("NAS {} int8", o.spec.arch.key()),
             o.accuracy,

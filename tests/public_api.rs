@@ -56,7 +56,6 @@ mod types {
     pub type A39 = prelude::PlanBuilder<'static>;
     pub type A41 = prelude::Point;
     pub type A42 = prelude::PoolConfig;
-    pub type A43 = prelude::Precision;
     pub type A44 = prelude::Prediction;
     pub type A45 = prelude::PredictionHandle;
     pub type A46 = prelude::QuantileHistogram;
@@ -164,7 +163,6 @@ fn type_snapshot_is_sorted_and_duplicate_free() {
         "PlanBuilder",
         "Point",
         "PoolConfig",
-        "Precision",
         "Prediction",
         "PredictionHandle",
         "QuantileHistogram",
@@ -204,7 +202,7 @@ fn type_snapshot_is_sorted_and_duplicate_free() {
     }
     // One aliased type per snapshot row (plus the two traits pinned in
     // `types::UsesTraits`).
-    assert_eq!(EXPECTED.len(), 69);
+    assert_eq!(EXPECTED.len(), 68);
 }
 
 /// The error taxonomy stays typed: the facade error wraps each
