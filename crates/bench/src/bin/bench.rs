@@ -19,9 +19,9 @@
 //! least 2x at 256^3, the 8-thread compute pool beats the single-thread
 //! path by at least 2x at 512^3 (enforced only on hosts with >= 4
 //! cores — an oversubscribed pool records its honest ~1x instead), and
-//! the conv2d/conv2d_backward loops perform zero per-sample heap
-//! allocations once the scratch arenas are warm (verified through the
-//! arena telemetry counters).
+//! the conv2d/conv2d_backward/conv2d_bias_act loops perform zero
+//! per-sample heap allocations once the scratch arenas are warm
+//! (verified through the arena telemetry counters).
 
 use hydronas_bench::reference::{conv2d_reference, gemm_reference};
 use hydronas_graph::ArchConfig;
@@ -29,8 +29,8 @@ use hydronas_nas::space::{full_grid, SearchSpace};
 use hydronas_nas::{run_experiment, SchedulerConfig, SurrogateEvaluator};
 use hydronas_nn::{CrossEntropyLoss, Optimizer, ParamVisitor, ResNet, Sgd};
 use hydronas_tensor::{
-    compute_threads, conv2d, conv2d_backward, gemm, qgemm_nt, set_compute_threads, uniform,
-    Epilogue, GemmA, GemmB, QEpilogue, Tensor, TensorRng,
+    compute_threads, conv2d, conv2d_backward, conv2d_bias_act, gemm, pack_conv_weight, qgemm_nt,
+    set_compute_threads, uniform, Epilogue, GemmA, GemmB, QEpilogue, Tensor, TensorRng,
 };
 use serde::{Deserialize, Serialize};
 use std::process::ExitCode;
@@ -361,7 +361,9 @@ fn bench_sweep(trials_wanted: usize) -> SweepBench {
 }
 
 /// Reproduces the arena-telemetry contract as a runtime check: once the
-/// per-thread pools are warm, the conv loops must not allocate.
+/// per-thread pools are warm, the conv loops must not allocate — the
+/// training conv's forward and backward, and serving's fused conv over
+/// a batch of 32 (16 column tiles).
 fn bench_arena(steady_iters: usize) -> ArenaBench {
     // Pin the pool to one thread: task claiming is intentionally racy,
     // so under a multi-thread pool a worker starved during the warmup
@@ -373,11 +375,15 @@ fn bench_arena(steady_iters: usize) -> ArenaBench {
     let mut rng = TensorRng::seed_from_u64(14);
     let input = uniform(&[4, 3, 16, 16], -1.0, 1.0, &mut rng);
     let weight = uniform(&[8, 3, 3, 3], -0.5, 0.5, &mut rng);
+    let serving = uniform(&[32, 3, 16, 16], -1.0, 1.0, &mut rng);
+    let packed = pack_conv_weight(&weight);
+    let bias = [0.0; 8];
 
     let session = hydronas_telemetry::session();
     let out = conv2d(&input, &weight, 1, 1);
     let grad_out = Tensor::ones(out.dims());
     let _ = conv2d_backward(&input, &weight, &grad_out, 1, 1);
+    let _ = conv2d_bias_act(&serving, &packed, &bias, true, 1, 1);
     let counter = |m: &hydronas_telemetry::MetricsSnapshot, name: &str| {
         m.counters.get(name).copied().unwrap_or(0)
     };
@@ -387,6 +393,7 @@ fn bench_arena(steady_iters: usize) -> ArenaBench {
     for _ in 0..steady_iters {
         let _ = conv2d(&input, &weight, 1, 1);
         let _ = conv2d_backward(&input, &weight, &grad_out, 1, 1);
+        let _ = conv2d_bias_act(&serving, &packed, &bias, true, 1, 1);
     }
     let steady = session.metrics();
     drop(session);

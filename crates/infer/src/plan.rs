@@ -48,9 +48,9 @@ use hydronas_graph::{
 };
 use hydronas_nn::{BatchNorm2d, Conv2d, Linear, ResNet};
 use hydronas_tensor::{
-    avg_pool2d_global, conv2d_bias_act, conv2d_q8, conv_out_dim, gemm, max_pool2d,
-    pack_conv_weight, qgemm_nt, quantize_slice_i8, Epilogue, GemmA, GemmB, PackedBLayout,
-    PackedConvWeight, QEpilogue, QuantizedConvWeight, Tensor,
+    avg_pool2d_global, conv2d_bias_act, conv2d_q8, conv_out_dim, fused_conv_tiles, gemm,
+    max_pool2d, pack_conv_weight, qgemm_nt, quantize_slice_i8, Epilogue, GemmA, GemmB,
+    PackedBLayout, PackedConvWeight, QEpilogue, QuantizedConvWeight, Tensor,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -589,6 +589,14 @@ impl ExecutionPlan {
     /// and returns the largest. Pooling and the residual add are reads
     /// over already-counted buffers and never dominate.
     ///
+    /// The column term is the whole batch's matrix on both paths. On a
+    /// fused plan that is an upper bound: its conv holds only the column
+    /// tiles its running tasks unfold (see
+    /// [`fused_conv_tiles`](hydronas_tensor::fused_conv_tiles)). Counting
+    /// one tile instead would leave the f32 input and output, the same on
+    /// both paths, to decide most layers' peaks, and the count would no
+    /// longer show what int8 columns save.
+    ///
     /// # Panics
     ///
     /// If one of the plan's windows does not fit the input (an empty tile,
@@ -753,11 +761,14 @@ pub struct LayerCost {
     /// Multiply-add FLOPs: `2·N·out_c·(in_c·k²)·(oh·ow)` for a conv,
     /// `2·N·in_f·out_f` for the fc, 0 for pooling and the residual add.
     pub flops: u64,
-    /// Bytes moved. Convs and the fc count their GEMM's weight, column
-    /// (im2col or pooled input) and output once each, operands at the
-    /// kernel's element width (1 byte on int8 plans, 4 on f32) and outputs
-    /// at 4; pooling counts its input and outputs as its kernels'
-    /// telemetry counters do; the residual add counts 0.
+    /// Bytes moved. Convs and the fc count their column (im2col or pooled
+    /// input) and output once each and their weight once per GEMM call
+    /// (a fused conv runs one per column tile, see
+    /// [`fused_conv_tiles`](hydronas_tensor::fused_conv_tiles); an int8
+    /// conv and the fc count it once), operands at the kernel's element
+    /// width (1 byte on int8 plans, 4 on f32) and outputs at 4; pooling
+    /// counts its input and outputs as its kernels' telemetry counters
+    /// do; the residual add counts 0.
     pub bytes: u64,
     /// Share of the whole forward pass's wall time, percent.
     pub pct: f64,
@@ -837,15 +848,20 @@ impl Layer<'_> {
             let (out_c, in_c, kernel) = op.weight_dims();
             let oh = conv_out_dim(h, kernel, op.stride, op.padding)?;
             let ow = conv_out_dim(w, kernel, op.stride, op.padding)?;
-            let elem = if op.is_quantized() { 1 } else { 4 };
-            // The im2col GEMM: [out_c, rows] x [rows, cols] -> [out_c, cols].
+            // The im2col GEMM: [out_c, rows] x [rows, cols] -> [out_c, cols],
+            // which the fused conv runs as one GEMM per column tile.
+            let (elem, gemms) = if op.is_quantized() {
+                (1, 1)
+            } else {
+                (4, fused_conv_tiles(n, oh * ow))
+            };
             let (rows, cols) = (in_c * kernel * kernel, n * oh * ow);
             let column = elem * rows * cols;
             let output = 4 * out_c * cols;
             Some(Geometry {
                 out: [n, out_c, oh, ow],
                 flops: (2 * out_c * rows * cols) as u64,
-                bytes: (elem * out_c * rows + column + output) as u64,
+                bytes: (elem * out_c * rows * gemms + column + output) as u64,
                 resident: (4 * n * in_c * h * w + column + output) as u64,
             })
         };

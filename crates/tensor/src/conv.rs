@@ -9,13 +9,15 @@
 //!   sample's output slice and its GEMM runs inline inside the task, so
 //!   results are bit-identical at any thread count.
 //! * Serving runs [`conv2d_bias_act`], the one fused conv: a BN-folded
-//!   weight packed once by [`pack_conv_weight`], and the whole batch in
-//!   one GEMM whose column operand im2col writes in packed panel layout,
-//!   the samples unfolding in parallel.
+//!   weight packed once by [`pack_conv_weight`], and the batch cut into
+//!   column tiles of whole samples, about one GEMM column block each.
+//!   Each tile is one compute-pool task that unfolds its samples straight
+//!   into packed panels, multiplies them while they are still in cache,
+//!   and writes its samples' NCHW output.
 
 use crate::arena::scratch;
-use crate::gemm::{gemm, Epilogue, GemmA, GemmB, PackedA, PackedBLayout};
-use crate::parallel::{self, SharedSlice};
+use crate::gemm::{gemm, Epilogue, GemmA, GemmB, PackedA, PackedBLayout, NC};
+use crate::parallel;
 use crate::shape::conv_out_dim;
 use crate::tensor::Tensor;
 
@@ -86,9 +88,7 @@ impl Conv2dDims {
 
 /// Writes one row of a CHW image's column matrix into `dst`
 /// (`out_h * out_w` values): the tap `(ky, kx)` of channel `plane` under
-/// each output pixel, 0 in the padding. [`im2col`] and the packed im2col
-/// of [`conv2d_bias_act`] share it; both visit rows in `(c, ky, kx)`
-/// order.
+/// each output pixel, 0 in the padding.
 fn unfold_row(plane: &[f32], d: &Conv2dDims, ky: usize, kx: usize, dst: &mut [f32]) {
     for oy in 0..d.out_h {
         let iy = (oy * d.stride + ky) as isize - d.padding as isize;
@@ -234,34 +234,82 @@ pub fn pack_conv_weight(weight: &Tensor) -> PackedConvWeight {
     }
 }
 
-/// [`im2col`] writing straight into a packed-B buffer: each unfolded row
-/// is staged in a cache-hot row buffer, then scattered to its panels in
-/// `NR`-wide chunks — the row-major `[cr, N*cc]` column matrix is never
-/// materialized, and the GEMM's B-packing pass disappears with it. The
-/// sample's columns land at `[col0, col0 + out_h*out_w)`.
-///
-/// # Safety
-/// Concurrent callers must target disjoint `col0` column blocks of the
-/// same layout; the panel mapping keeps them disjoint in `out`.
-unsafe fn im2col_packed(
-    img: &[f32],
-    d: &Conv2dDims,
-    layout: &PackedBLayout,
-    out: &SharedSlice<'_, f32>,
-    col0: usize,
-) {
-    assert_eq!(img.len(), d.in_c * d.in_h * d.in_w);
-    let mut rowbuf = scratch(d.col_cols());
-    let mut r = 0;
-    for plane in img.chunks_exact(d.in_h * d.in_w) {
-        for ky in 0..d.kernel {
-            for kx in 0..d.kernel {
-                unfold_row(plane, d, ky, kx, &mut rowbuf);
-                layout.write_row_shared(out, r, col0, &rowbuf);
-                r += 1;
+/// Samples per column tile of [`conv2d_bias_act`] when each sample has
+/// `cols` output pixels: as many whole samples as fit one GEMM column
+/// block, at least one. The width is a scheduling choice, not a numeric
+/// one: the packed GEMM fixes each element's summation order by its k
+/// blocks alone, so any tiling gives the same bits.
+fn tile_samples(cols: usize) -> usize {
+    (NC / cols.max(1)).max(1)
+}
+
+/// Column tiles, and so GEMM calls, that [`conv2d_bias_act`] runs for
+/// `batch` samples of `cols` (`out_h * out_w`) output pixels each. A tile
+/// holds whole samples, about one GEMM column block of them; the last
+/// tile may be partial.
+pub fn fused_conv_tiles(batch: usize, cols: usize) -> usize {
+    batch.div_ceil(tile_samples(cols))
+}
+
+/// Tap-offset entry for a tap that falls in the padding.
+const PAD: u32 = u32::MAX;
+
+/// The unfold's gather table for a tile of `samples` samples: one row
+/// of `samples * out_h * out_w` entries per tap `ky * k + kx`. The entry
+/// for a tile column (a sample in the tile, then an output pixel) is the
+/// offset of that tap's input pixel from the tile input's channel-0
+/// plane, or [`PAD`].
+fn tap_offsets(d: &Conv2dDims, samples: usize) -> Vec<u32> {
+    let in_sz = d.in_c * d.in_h * d.in_w;
+    let tap = |o: usize, k: usize, extent: usize| {
+        (o * d.stride + k)
+            .checked_sub(d.padding)
+            .filter(|&i| i < extent)
+    };
+    let mut taps = Vec::with_capacity(d.kernel * d.kernel * samples * d.col_cols());
+    for ky in 0..d.kernel {
+        for kx in 0..d.kernel {
+            for s in 0..samples {
+                for oy in 0..d.out_h {
+                    for ox in 0..d.out_w {
+                        taps.push(match (tap(oy, ky, d.in_h), tap(ox, kx, d.in_w)) {
+                            (Some(iy), Some(ix)) => u32::try_from(s * in_sz + iy * d.in_w + ix)
+                                .expect("conv tile input exceeds u32 offsets"),
+                            _ => PAD,
+                        });
+                    }
+                }
             }
         }
     }
+    taps
+}
+
+/// Unfolds one column tile, the whole CHW samples in `tile_in`, straight
+/// into `panels` in `layout`'s packed panel order (`[col_rows x
+/// samples * col_cols]`): row `(c, ky, kx)` of each panel lane gathers
+/// input `c`'s plane at its [`tap_offsets`] entry, 0 in the padding.
+fn unfold_tile(
+    tile_in: &[f32],
+    d: &Conv2dDims,
+    taps: &[u32],
+    layout: &PackedBLayout,
+    panels: &mut [f32],
+) {
+    let (plane, taps_k) = (d.in_h * d.in_w, d.kernel * d.kernel);
+    let (cols, width) = (layout.n(), taps.len() / taps_k);
+    layout.for_each_panel(panels, |j0, r0, kc, dst| {
+        let nr = dst.len() / kc;
+        let lanes = nr.min(cols - j0);
+        for (r, out) in (r0..).zip(dst.chunks_exact_mut(nr)) {
+            let src = &tile_in[r / taps_k * plane..];
+            let offsets = &taps[r % taps_k * width + j0..][..lanes];
+            for (o, &at) in out.iter_mut().zip(offsets) {
+                *o = src.get(at as usize).copied().unwrap_or(0.0);
+            }
+            out[lanes..].fill(0.0);
+        }
+    });
 }
 
 /// Fused inference convolution over a prepacked weight: `conv2d(input,
@@ -272,20 +320,26 @@ unsafe fn im2col_packed(
 /// formulation `weight [out_c, cr] x col [cr, cc]` is a per-*row* bias
 /// ([`Epilogue::RowBias`] / [`Epilogue::RowBiasRelu`]). This is the
 /// execution shape of a conv whose following BatchNorm has been folded
-/// into the weights: one GEMM, no separate bias or activation pass over
-/// the output.
+/// into the weights: one GEMM per tile, no separate bias or activation
+/// pass over the output.
 ///
-/// The whole batch is one GEMM call against a `[cr, N*cc]` column matrix,
-/// which wins twice on a serving box: deep layers with tiny feature maps
-/// (`cc` of 1–16) fill the GEMM micro-tiles with real columns instead of
-/// padding, and no operand is packed per call — the weight panels were
-/// packed once by [`pack_conv_weight`], and every sample's im2col writes
-/// its columns directly in packed panel layout, in parallel.
+/// The batch runs as [`fused_conv_tiles`] column tiles of whole samples,
+/// about one GEMM column block (512 columns) each, one compute-pool task
+/// per tile. A task unfolds its samples straight into packed panels
+/// (gathering through one tap-offset table the call builds and every tile
+/// shares), multiplies them against the weight panels [`pack_conv_weight`]
+/// packed once, while they are still in cache, and copies its `[out_c,
+/// tile]` result into its samples' NCHW output. Deep layers with tiny
+/// feature maps (`cc` of 1–16) put many samples in one tile, so their
+/// GEMM micro-tiles fill with real columns instead of padding. A call
+/// that fits one tile (batch 1, the deep layers) runs on the caller, and
+/// its GEMM fans its row blocks out instead; inside a multi-tile call each
+/// tile's GEMM runs inline in its task.
 ///
 /// Numerics: both operands are prepacked, so the GEMM takes its packed
 /// path at any shape, and each output column's bits are independent of
-/// how many samples share the call — a batch of one is bit-identical to
-/// any row of a larger batch.
+/// how many samples share the call or the tile — a batch of one is
+/// bit-identical to any row of a larger batch.
 pub fn conv2d_bias_act(
     input: &Tensor,
     weight: &PackedConvWeight,
@@ -307,51 +361,36 @@ pub fn conv2d_bias_act(
             ),
         ]);
     }
-    let cr = d.col_rows();
-    let cc = d.col_cols();
-    let wide = d.batch * cc;
+    let (cr, cc) = (d.col_rows(), d.col_cols());
     let in_sz = d.in_c * d.in_h * d.in_w;
-    let inp = input.as_slice();
-
-    let layout = PackedBLayout::new(cr, wide);
-    let mut col_pack = scratch(layout.len());
-    {
-        let shard = SharedSlice::new(&mut col_pack);
-        parallel::run_tasks(d.batch, |s| {
-            // SAFETY: per-sample column blocks are pairwise disjoint.
-            unsafe {
-                im2col_packed(
-                    &inp[s * in_sz..(s + 1) * in_sz],
-                    &d,
-                    &layout,
-                    &shard,
-                    s * cc,
-                );
-            }
-        });
-    }
-    layout.zero_pad_lanes(&mut col_pack);
-
-    // [out_c, cr] x [cr, N*cc] -> [out_c, N*cc], bias per channel row.
-    let mut c_wide = scratch(d.out_c * wide);
+    let per = tile_samples(cc).min(d.batch).max(1);
+    let taps = tap_offsets(&d, per);
     let epi = if relu {
         Epilogue::RowBiasRelu(bias)
     } else {
         Epilogue::RowBias(bias)
     };
-    let (a, b) = (GemmA::Packed(&weight.a), GemmB::Packed(&layout, &col_pack));
-    gemm(a, b, &mut c_wide, d.out_c, cr, wide, epi);
+    let inp = input.as_slice();
 
-    // Scatter [out_c, N*cc] back to NCHW.
     let mut out = Tensor::zeros(&[d.batch, d.out_c, d.out_h, d.out_w]);
-    let o = out.as_mut_slice();
-    for s in 0..d.batch {
-        for ch in 0..d.out_c {
-            let dst = (s * d.out_c + ch) * cc;
-            let src = ch * wide + s * cc;
-            o[dst..dst + cc].copy_from_slice(&c_wide[src..src + cc]);
+    parallel::par_chunks_mut(out.as_mut_slice(), per * d.out_c * cc, |t, out_t| {
+        let samples = out_t.len() / (d.out_c * cc);
+        let cols = samples * cc;
+        let layout = PackedBLayout::new(cr, cols);
+        let mut panels = scratch(layout.len());
+        let tile_in = &inp[t * per * in_sz..][..samples * in_sz];
+        unfold_tile(tile_in, &d, &taps, &layout, &mut panels);
+
+        // [out_c, cr] x [cr, cols] -> [out_c, cols], bias per channel row.
+        let mut c = scratch(d.out_c * cols);
+        let (a, b) = (GemmA::Packed(&weight.a), GemmB::Packed(&layout, &panels));
+        gemm(a, b, &mut c, d.out_c, cr, cols, epi);
+        for (s, sample) in out_t.chunks_exact_mut(d.out_c * cc).enumerate() {
+            for (ch, dst) in sample.chunks_exact_mut(cc).enumerate() {
+                dst.copy_from_slice(&c[ch * cols + s * cc..][..cc]);
+            }
         }
-    }
+    });
     out
 }
 
@@ -569,21 +608,24 @@ mod tests {
         }
     }
 
-    /// The packed im2col must write exactly the panels that row-major
-    /// im2col plus packing would, so the fused conv equals the all-slice
-    /// GEMM over the row-major `[cr, N*cc]` column matrix bit for bit,
-    /// with the bias (and ReLU) fused exactly as an unfused pass would
-    /// apply them. Geometries cover stride, padding, multi-row-block
-    /// out_c and multi-k-block cr, all on the GEMM's packed path.
+    /// Every column tile's unfold must write exactly the panels that
+    /// row-major im2col of its samples plus `PackedBLayout::pack` would,
+    /// so the fused conv equals the all-slice GEMM over the row-major
+    /// `[cr, N*cc]` column matrix bit for bit, with the bias (and ReLU)
+    /// fused exactly as an unfused pass would apply them. Geometries cover
+    /// stride, padding, multi-row-block out_c and multi-k-block cr, all on
+    /// the GEMM's packed path; the batch-23 calls end in a partial tile,
+    /// and a 24×24 stride-1 sample is 576 columns, wider than a tile and
+    /// spanning two GEMM column blocks.
     #[test]
     fn packed_im2col_matches_row_major_im2col_and_packing() {
         let mut rng = TensorRng::seed_from_u64(47);
-        for &(in_c, out_c, h, k, s, p) in &[
-            (32usize, 100usize, 7usize, 3usize, 1usize, 1usize),
-            (32, 8, 9, 3, 2, 1),
-            (3, 24, 9, 7, 2, 3),
+        for &(batch, in_c, out_c, h, k, s, p) in &[
+            (23usize, 32usize, 100usize, 7usize, 3usize, 1usize, 1usize),
+            (23, 32, 8, 9, 3, 2, 1),
+            (23, 3, 24, 9, 7, 2, 3),
+            (2, 32, 16, 24, 3, 1, 1),
         ] {
-            let batch = 3;
             let input = uniform(&[batch, in_c, h, h], -1.0, 1.0, &mut rng);
             let weight = uniform(&[out_c, in_c, k, k], -0.5, 0.5, &mut rng);
             let packed = pack_conv_weight(&weight);
@@ -591,7 +633,7 @@ mod tests {
             let d = Conv2dDims::resolve(input.dims(), weight.dims(), s, p).unwrap();
             let (cr, cc) = (d.col_rows(), d.col_cols());
             let (wide, in_sz) = (batch * cc, in_c * h * h);
-            let case = format!("in_c={in_c} out_c={out_c} h={h} k={k} s={s} p={p}");
+            let case = format!("batch={batch} in_c={in_c} out_c={out_c} h={h} k={k} s={s} p={p}");
 
             // Row-major [cr, N*cc]: each sample's im2col in its column block.
             let mut col_wide = vec![0.0f32; cr * wide];
@@ -602,21 +644,39 @@ mod tests {
                     col_wide[r * wide + n * cc..][..cc].copy_from_slice(&col[r * cc..][..cc]);
                 }
             }
-            let layout = PackedBLayout::new(cr, wide);
-            let mut want_panels = vec![f32::NAN; layout.len()];
-            layout.pack(&col_wide, &mut want_panels);
-            let mut got_panels = vec![f32::NAN; layout.len()];
-            {
-                let shard = SharedSlice::new(&mut got_panels);
-                for n in 0..batch {
-                    let img = &input.as_slice()[n * in_sz..(n + 1) * in_sz];
-                    // SAFETY: one writer at a time.
-                    unsafe { im2col_packed(img, &d, &layout, &shard, n * cc) };
+
+            let per = tile_samples(cc).min(batch);
+            let tiles = fused_conv_tiles(batch, cc);
+            assert!(
+                (tiles > 1 && batch % per != 0) || cc > NC,
+                "{case}: no tile edge"
+            );
+            let taps = tap_offsets(&d, per);
+            for t in 0..tiles {
+                let samples = per.min(batch - t * per);
+                let cols = samples * cc;
+                let mut col_tile = vec![0.0f32; cr * cols];
+                for r in 0..cr {
+                    col_tile[r * cols..][..cols]
+                        .copy_from_slice(&col_wide[r * wide + t * per * cc..][..cols]);
                 }
-            }
-            layout.zero_pad_lanes(&mut got_panels);
-            for (i, (x, y)) in got_panels.iter().zip(&want_panels).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "{case}: panel float {i} differs");
+                let layout = PackedBLayout::new(cr, cols);
+                let mut want_panels = vec![f32::NAN; layout.len()];
+                layout.pack(&col_tile, &mut want_panels);
+                assert!(
+                    want_panels.iter().all(|v| v.is_finite()),
+                    "{case}: pack missed a lane"
+                );
+                let mut got_panels = vec![f32::NAN; layout.len()];
+                let tile_in = &input.as_slice()[t * per * in_sz..][..samples * in_sz];
+                unfold_tile(tile_in, &d, &taps, &layout, &mut got_panels);
+                for (i, (x, y)) in got_panels.iter().zip(&want_panels).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{case}: tile {t} panel float {i} differs"
+                    );
+                }
             }
 
             let mut unfused = vec![0.0f32; out_c * wide];

@@ -68,7 +68,7 @@ use std::sync::OnceLock;
 /// cache-resident.
 const KC: usize = 256;
 /// Column-block width (multiple of every kernel's `NR`).
-const NC: usize = 512;
+pub(crate) const NC: usize = 512;
 /// `m * k * n` below which two slice operands take the unpacked path.
 const SMALL_FLOPS: usize = 32 * 1024;
 
@@ -91,8 +91,8 @@ pub enum GemmB<'a> {
     /// GEMM against the im2col matrix — pack straight from it instead.
     Transposed(&'a [f32]),
     /// A buffer holding B in the panel order of its layout, written by
-    /// [`PackedBLayout::pack`] or [`PackedBLayout::write_row`]; always
-    /// takes the packed path.
+    /// [`PackedBLayout::pack`] or, column tile by column tile, by the
+    /// fused convolution's unfold; always takes the packed path.
     Packed(&'a PackedBLayout, &'a [f32]),
 }
 
@@ -606,19 +606,17 @@ impl PackedA {
     }
 }
 
-/// Addressing scheme of a packed B operand ([`GemmB::Packed`]), letting
-/// producers write B in packed panel layout directly instead of
-/// materializing a row-major matrix that the GEMM would immediately
-/// re-copy.
-///
-/// The fused-im2col convolution is the customer: each unfolded image row
-/// lands straight in its panels, which turns three passes over the column
-/// matrix (im2col write, packing read + write) into one. A constant
-/// operand (the inference plan's FC weight) is packed once with
-/// [`PackedBLayout::pack`].
+/// Addressing scheme of a packed B operand ([`GemmB::Packed`]): the
+/// panel order the packed GEMM reads B in, so a producer can write B
+/// straight into it instead of materializing a row-major matrix that the
+/// GEMM would immediately re-copy.
 ///
 /// The buffer holds one block per `(jc, pc)` pair, column blocks outer:
-/// `ceil(nc/nr)` column panels of `kc` steps each.
+/// `ceil(nc/nr)` column panels of `kc` steps each. Producers never address
+/// it themselves: [`PackedBLayout::pack`] and the fused convolution's
+/// unfold both fill it through one panel visitor, so the blocking stays
+/// private to this module. A constant operand (the inference plan's FC
+/// weight) is packed once with [`PackedBLayout::pack`].
 pub struct PackedBLayout {
     k: usize,
     n: usize,
@@ -672,86 +670,45 @@ impl PackedBLayout {
         jc * self.k + NC.min(self.n_padded - jc) * pc
     }
 
-    /// Scatters the contiguous B-row segment `b[r][col0 .. col0+src.len()]`
-    /// into its packed panels. Segments may cross panel and column-block
-    /// boundaries; each chunk is one `copy_from_slice`.
-    #[inline]
-    pub fn write_row(&self, buf: &mut [f32], r: usize, col0: usize, src: &[f32]) {
-        let shard = parallel::SharedSlice::new(buf);
-        // SAFETY: exclusive borrow of `buf` — no concurrent shards exist.
-        unsafe { self.write_row_shared(&shard, r, col0, src) }
-    }
-
-    /// [`PackedBLayout::write_row`] through a [`parallel::SharedSlice`],
-    /// for producers scattering disjoint column ranges of the panel
-    /// buffer from concurrent pool tasks (the panel layout interleaves
-    /// columns, so the per-task writes cannot be expressed as contiguous
-    /// `&mut` chunks).
-    ///
-    /// # Safety
-    /// Concurrent callers must target disjoint `(r, col0..col0 + src
-    /// .len())` element sets of the logical `[k x n]` matrix; the panel
-    /// mapping is injective, so logical disjointness implies disjoint
-    /// writes into `buf`.
-    pub unsafe fn write_row_shared(
+    /// Hands out every panel of `buf` in buffer order as `f(j0, r0, kc,
+    /// dst)`. The panel covers the `nr = dst.len() / kc` columns from `j0`
+    /// and the `kc` rows from `r0` of the logical `[k x n]` matrix, k-major:
+    /// `dst[kk * nr + lane]` is element `(r0 + kk, j0 + lane)`. The
+    /// producer writes every float of `dst`, 0 in the lanes past column
+    /// `n`, so `buf` may come from unspecified scratch and no stale value
+    /// (a subnormal, a NaN) reaches the microkernel's discarded lanes.
+    pub(crate) fn for_each_panel(
         &self,
-        buf: &parallel::SharedSlice<'_, f32>,
-        r: usize,
-        col0: usize,
-        src: &[f32],
+        buf: &mut [f32],
+        mut f: impl FnMut(usize, usize, usize, &mut [f32]),
     ) {
-        debug_assert!(r < self.k, "row out of range");
-        debug_assert!(col0 + src.len() <= self.n, "segment exceeds columns");
-        let pc = r / KC * KC;
-        let kk = r - pc;
-        let kc = KC.min(self.k - pc);
-        let mut j = col0;
-        let mut si = 0usize;
-        while si < src.len() {
-            let jc = j / NC * NC;
-            let pj = (j - jc) / self.nr;
-            let lane = (j - jc) % self.nr;
-            let take = (self.nr - lane).min(src.len() - si).min(jc + NC - j);
-            let dst = self.block_offset(jc, pc) + (pj * kc + kk) * self.nr + lane;
-            buf.slice_mut(dst, take)
-                .copy_from_slice(&src[si..si + take]);
-            j += take;
-            si += take;
-        }
-    }
-
-    /// Zeroes the padding lanes past column `n` in the final partial panel
-    /// (the layout rounds each column block up to a multiple of `nr`), so
-    /// callers may hand in uninitialized scratch and write only real
-    /// columns. Keeps stale garbage — subnormals, NaNs — out of the
-    /// microkernel's discarded lanes.
-    pub fn zero_pad_lanes(&self, buf: &mut [f32]) {
-        let last_jc = (self.n - 1) / NC * NC;
-        let nc = self.n - last_jc;
-        let lane0 = nc % self.nr;
-        if lane0 == 0 {
-            return;
-        }
-        let pj = nc / self.nr;
-        for pc in (0..self.k).step_by(KC) {
-            let kc = KC.min(self.k - pc);
-            let block = self.block_offset(last_jc, pc);
-            for kk in 0..kc {
-                let dst = block + (pj * kc + kk) * self.nr + lane0;
-                buf[dst..dst + self.nr - lane0].fill(0.0);
+        let mut blocks = &mut buf[..self.len()];
+        for jc in (0..self.n).step_by(NC) {
+            let nc_padded = NC.min(self.n_padded - jc);
+            for pc in (0..self.k).step_by(KC) {
+                let kc = KC.min(self.k - pc);
+                debug_assert_eq!(self.len() - blocks.len(), self.block_offset(jc, pc));
+                let (block, rest) = std::mem::take(&mut blocks).split_at_mut(nc_padded * kc);
+                blocks = rest;
+                for (pj, panel) in block.chunks_exact_mut(self.nr * kc).enumerate() {
+                    f(jc + pj * self.nr, pc, kc, panel);
+                }
             }
         }
     }
 
-    /// Packs a full row-major `[k x n]` matrix — the offline counterpart
-    /// of [`PackedBLayout::write_row`] for callers that already hold B.
+    /// Packs a full row-major `[k x n]` matrix into `buf`.
     pub fn pack(&self, b: &[f32], buf: &mut [f32]) {
         assert_eq!(b.len(), self.k * self.n, "B size mismatch");
         assert!(buf.len() >= self.len(), "packed buffer too small");
-        for r in 0..self.k {
-            self.write_row(buf, r, 0, &b[r * self.n..(r + 1) * self.n]);
-        }
-        self.zero_pad_lanes(buf);
+        let (n, nr) = (self.n, self.nr);
+        self.for_each_panel(buf, |j0, r0, _, dst| {
+            let cols = nr.min(n - j0);
+            for (lanes, row) in dst.chunks_exact_mut(nr).zip(b[r0 * n..].chunks(n)) {
+                lanes[..cols].copy_from_slice(&row[j0..j0 + cols]);
+                lanes[cols..].fill(0.0);
+            }
+        });
     }
 }
 
@@ -797,11 +754,12 @@ mod tests {
     }
 
     /// `[k x n]` B packed into a fresh buffer, poisoned first so any lane
-    /// the packing misses shows up as NaN.
+    /// the packing misses, padding lanes included, shows up as NaN.
     fn pack_b_buf(b: &[f32], k: usize, n: usize) -> (PackedBLayout, Vec<f32>) {
         let layout = PackedBLayout::new(k, n);
         let mut buf = vec![f32::NAN; layout.len()];
         layout.pack(b, &mut buf);
+        assert!(buf.iter().all(|v| v.is_finite()), "packing missed a lane");
         (layout, buf)
     }
 
@@ -908,8 +866,8 @@ mod tests {
             .collect();
         let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.01 - 0.6).collect();
         let packed_a = PackedA::pack(&a, m, k);
-        // The poisoned buffer proves zero_pad_lanes covers every lane the
-        // kernel could read beyond column n.
+        // The poisoned buffer proves the panel producer zeroes every lane
+        // the kernel could read beyond column n.
         let (layout, b_pack) = pack_b_buf(&b, k, n);
 
         for epi in [Epilogue::RowBias(&bias), Epilogue::RowBiasRelu(&bias)] {
@@ -926,20 +884,6 @@ mod tests {
                     assert_eq!(x.to_bits(), y.to_bits(), "prepacked call diverged at {i}");
                 }
             }
-        }
-
-        // write_row with arbitrary segment splits must land every element
-        // where a full-row pack puts it.
-        let mut split = vec![f32::NAN; layout.len()];
-        for r in 0..k {
-            let row = &b[r * n..(r + 1) * n];
-            let cut = 1 + (r * 131) % (n - 1);
-            layout.write_row(&mut split, r, 0, &row[..cut]);
-            layout.write_row(&mut split, r, cut, &row[cut..]);
-        }
-        layout.zero_pad_lanes(&mut split);
-        for (i, (x, y)) in split.iter().zip(b_pack.iter()).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "split write diverged at {i}");
         }
     }
 

@@ -78,7 +78,6 @@
 //! parallel fraction histogram `tensor.pool.parallel_fraction_pct`.
 
 use std::any::Any;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
@@ -512,66 +511,6 @@ where
     });
 }
 
-/// A shard-writable view over a mutable slice, for task grids whose
-/// per-task output elements are disjoint but *interleaved* (so no
-/// contiguous-chunk split exists — e.g. each sample's im2col columns
-/// land strided through the shared wide matrix).
-///
-/// Tasks call [`SharedSlice::slice_mut`] only on ranges they own; the
-/// unsafe contract is that concurrently-materialized ranges never
-/// overlap, which keeps the aliasing model happy without handing any
-/// task a `&mut` over another task's elements.
-pub struct SharedSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: access is delegated to `slice_mut`, whose contract forbids
-// overlapping concurrent ranges.
-unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
-unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
-
-impl<'a, T> SharedSlice<'a, T> {
-    /// Wraps an exclusively-borrowed slice for sharded writing.
-    pub fn new(data: &'a mut [T]) -> SharedSlice<'a, T> {
-        SharedSlice {
-            ptr: data.as_mut_ptr(),
-            len: data.len(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Elements in the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Reborrows `[start, start + len)` mutably. Bounds are checked.
-    ///
-    /// # Safety
-    /// Ranges materialized concurrently (across pool tasks, or held at
-    /// the same time on one thread) must be pairwise disjoint.
-    // `&mut` from `&self` is the point of the type: disjointness (the
-    // safety contract) stands in for the exclusivity the borrow checker
-    // cannot see through the raw pointer.
-    #[allow(clippy::mut_from_ref)]
-    #[inline]
-    pub unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [T] {
-        assert!(
-            start <= self.len && len <= self.len - start,
-            "shard [{start}, {start}+{len}) out of bounds for slice of {}",
-            self.len
-        );
-        std::slice::from_raw_parts_mut(self.ptr.add(start), len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,32 +646,6 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 4 * 10 * 16);
-        set_compute_threads(1);
-    }
-
-    #[test]
-    fn shared_slice_shards_land_where_addressed() {
-        let _guard = config_lock();
-        set_compute_threads(4);
-        // Interleaved ownership: task i owns elements i, i+S, i+2S, ...
-        let samples = 8usize;
-        let rows = 11usize;
-        let mut data = vec![0usize; samples * rows];
-        {
-            let shard = SharedSlice::new(&mut data);
-            run_tasks(samples, |s| {
-                for r in 0..rows {
-                    // SAFETY: (r, s) cells are pairwise disjoint.
-                    let cell = unsafe { shard.slice_mut(r * samples + s, 1) };
-                    cell[0] = s * 1000 + r;
-                }
-            });
-        }
-        for r in 0..rows {
-            for s in 0..samples {
-                assert_eq!(data[r * samples + s], s * 1000 + r);
-            }
-        }
         set_compute_threads(1);
     }
 

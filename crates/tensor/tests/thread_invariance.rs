@@ -10,9 +10,10 @@
 //! physical cores, so these tests are meaningful on any host.
 
 use hydronas_tensor::{
-    conv2d, conv2d_backward, conv2d_bias_act, conv2d_q8, gemm, max_pool2d, max_pool2d_backward,
-    pack_conv_weight, qgemm_nt, quantize_slice_i8, set_compute_threads, uniform, Epilogue, GemmA,
-    GemmB, PackedA, PackedBLayout, QEpilogue, QuantizedConvWeight, Tensor, TensorRng,
+    conv2d, conv2d_backward, conv2d_bias_act, conv2d_q8, fused_conv_tiles, gemm, max_pool2d,
+    max_pool2d_backward, pack_conv_weight, qgemm_nt, quantize_slice_i8, set_compute_threads,
+    uniform, Epilogue, GemmA, GemmB, PackedA, PackedBLayout, QEpilogue, QuantizedConvWeight,
+    Tensor, TensorRng,
 };
 use std::sync::{Mutex, MutexGuard};
 
@@ -124,15 +125,20 @@ fn conv2d_forward_is_thread_count_invariant() {
 fn fused_conv_is_thread_count_invariant() {
     let _guard = config_lock();
     let mut rng = TensorRng::seed_from_u64(45);
-    let input = uniform(&[6, 4, 12, 12], -1.0, 1.0, &mut rng);
     let weight = uniform(&[10, 4, 3, 3], -0.5, 0.5, &mut rng);
     let bias = uniform(&[10], -0.5, 0.5, &mut rng);
     let packed = pack_conv_weight(&weight);
-    assert_thread_invariant("conv2d_bias_act", || {
-        conv2d_bias_act(&input, &packed, bias.as_slice(), true, 1, 1)
-            .as_slice()
-            .to_vec()
-    });
+    // 144 columns a sample, so three samples a column tile: 6 samples
+    // split evenly, 11 end in a partial tile.
+    for batch in [6, 11] {
+        assert_eq!(fused_conv_tiles(batch, 12 * 12), batch.div_ceil(3));
+        let input = uniform(&[batch, 4, 12, 12], -1.0, 1.0, &mut rng);
+        assert_thread_invariant("conv2d_bias_act", || {
+            conv2d_bias_act(&input, &packed, bias.as_slice(), true, 1, 1)
+                .as_slice()
+                .to_vec()
+        });
+    }
 }
 
 #[test]
@@ -201,14 +207,20 @@ fn pool_worker_arenas_reach_zero_steady_state_allocations() {
     let _guard = config_lock();
     // The zero-steady-state-allocation property must extend to pool
     // workers: after a bounded warmup, repeated conv forward + backward
-    // passes stop missing the per-thread scratch arenas even with the
-    // kernels fanned out across 4 threads. (Warmup is loop-until-stable
-    // rather than one iteration: task claiming is racy, so which worker
-    // first sees each buffer size varies run to run.)
+    // passes and serving's fused conv stop missing the per-thread scratch
+    // arenas even with the kernels fanned out across 4 threads. The fused
+    // conv runs at batch 32 over 16x16 outputs, 16 column tiles, so its
+    // tile scratch is checked out on pool workers. (Warmup is
+    // loop-until-stable rather than one iteration: task claiming is racy,
+    // so which worker first sees each buffer size varies run to run.)
     set_compute_threads(4);
     let mut rng = TensorRng::seed_from_u64(49);
     let input = uniform(&[4, 3, 16, 16], -1.0, 1.0, &mut rng);
     let weight = uniform(&[8, 3, 3, 3], -0.5, 0.5, &mut rng);
+    let serving = uniform(&[32, 3, 16, 16], -1.0, 1.0, &mut rng);
+    let packed = pack_conv_weight(&weight);
+    let bias = [0.0; 8];
+    assert!(fused_conv_tiles(32, 16 * 16) > 4);
     let session = hydronas_telemetry::session();
     let grad_out = {
         let out = conv2d(&input, &weight, 1, 1);
@@ -222,6 +234,7 @@ fn pool_worker_arenas_reach_zero_steady_state_allocations() {
     for _ in 0..50 {
         let _ = conv2d(&input, &weight, 1, 1);
         let _ = conv2d_backward(&input, &weight, &grad_out, 1, 1);
+        let _ = conv2d_bias_act(&serving, &packed, &bias, true, 1, 1);
         let now = misses(&session.metrics());
         if now == last {
             stable_iters += 1;
