@@ -29,8 +29,9 @@ use hydronas_nas::space::{full_grid, SearchSpace};
 use hydronas_nas::{run_experiment, SchedulerConfig, SurrogateEvaluator};
 use hydronas_nn::{CrossEntropyLoss, Optimizer, ParamVisitor, ResNet, Sgd};
 use hydronas_tensor::{
-    compute_threads, conv2d, conv2d_backward, conv2d_bias_act, gemm, pack_conv_weight, qgemm_nt,
-    set_compute_threads, uniform, Epilogue, GemmA, GemmB, QEpilogue, Tensor, TensorRng,
+    compute_threads, conv2d, conv2d_backward, conv2d_bias_act, conv2d_q8, gemm, pack_conv_weight,
+    qgemm_nt, quantize_slice_i8, set_compute_threads, uniform, Epilogue, GemmA, GemmB, QEpilogue,
+    QuantizedConvWeight, Tensor, TensorRng,
 };
 use serde::{Deserialize, Serialize};
 use std::process::ExitCode;
@@ -362,8 +363,10 @@ fn bench_sweep(trials_wanted: usize) -> SweepBench {
 
 /// Reproduces the arena-telemetry contract as a runtime check: once the
 /// per-thread pools are warm, the conv loops must not allocate — the
-/// training conv's forward and backward, and serving's fused conv over
-/// a batch of 32 (16 column tiles).
+/// training conv's forward and backward, and serving's fused and int8
+/// convs over a batch of 32 (16 column tiles). The int8 conv's per-tile
+/// `Vec<i8>` buffers (its quantized input and column matrix) live outside
+/// the arena and are not counted; its f32 tile results are.
 fn bench_arena(steady_iters: usize) -> ArenaBench {
     // Pin the pool to one thread: task claiming is intentionally racy,
     // so under a multi-thread pool a worker starved during the warmup
@@ -377,6 +380,11 @@ fn bench_arena(steady_iters: usize) -> ArenaBench {
     let weight = uniform(&[8, 3, 3, 3], -0.5, 0.5, &mut rng);
     let serving = uniform(&[32, 3, 16, 16], -1.0, 1.0, &mut rng);
     let packed = pack_conv_weight(&weight);
+    // One scale for every channel: the weight lies in [-0.5, 0.5].
+    let w_scale = 0.5 / 127.0;
+    let mut values = vec![0i8; weight.numel()];
+    quantize_slice_i8(weight.as_slice(), w_scale, &mut values);
+    let quantized = QuantizedConvWeight::new(values, vec![w_scale; 8], 8, 3, 3);
     let bias = [0.0; 8];
 
     let session = hydronas_telemetry::session();
@@ -384,6 +392,7 @@ fn bench_arena(steady_iters: usize) -> ArenaBench {
     let grad_out = Tensor::ones(out.dims());
     let _ = conv2d_backward(&input, &weight, &grad_out, 1, 1);
     let _ = conv2d_bias_act(&serving, &packed, &bias, true, 1, 1);
+    let _ = conv2d_q8(&serving, &quantized, 1.0 / 127.0, &bias, true, 1, 1);
     let counter = |m: &hydronas_telemetry::MetricsSnapshot, name: &str| {
         m.counters.get(name).copied().unwrap_or(0)
     };
@@ -394,6 +403,7 @@ fn bench_arena(steady_iters: usize) -> ArenaBench {
         let _ = conv2d(&input, &weight, 1, 1);
         let _ = conv2d_backward(&input, &weight, &grad_out, 1, 1);
         let _ = conv2d_bias_act(&serving, &packed, &bias, true, 1, 1);
+        let _ = conv2d_q8(&serving, &quantized, 1.0 / 127.0, &bias, true, 1, 1);
     }
     let steady = session.metrics();
     drop(session);

@@ -589,13 +589,12 @@ impl ExecutionPlan {
     /// and returns the largest. Pooling and the residual add are reads
     /// over already-counted buffers and never dominate.
     ///
-    /// The column term is the whole batch's matrix on both paths. On a
-    /// fused plan that is an upper bound: its conv holds only the column
-    /// tiles its running tasks unfold (see
-    /// [`fused_conv_tiles`](hydronas_tensor::fused_conv_tiles)). Counting
-    /// one tile instead would leave the f32 input and output, the same on
-    /// both paths, to decide most layers' peaks, and the count would no
-    /// longer show what int8 columns save.
+    /// The column term is the whole batch's matrix, an upper bound on both
+    /// paths: a conv holds only the column tiles its running tasks unfold
+    /// (see [`fused_conv_tiles`](hydronas_tensor::fused_conv_tiles)).
+    /// Counting one tile instead would leave the f32 input and output, the
+    /// same on both paths, to decide most layers' peaks, and the count
+    /// would no longer show what int8 columns save.
     ///
     /// # Panics
     ///
@@ -763,12 +762,12 @@ pub struct LayerCost {
     pub flops: u64,
     /// Bytes moved. Convs and the fc count their column (im2col or pooled
     /// input) and output once each and their weight once per GEMM call
-    /// (a fused conv runs one per column tile, see
-    /// [`fused_conv_tiles`](hydronas_tensor::fused_conv_tiles); an int8
-    /// conv and the fc count it once), operands at the kernel's element
-    /// width (1 byte on int8 plans, 4 on f32) and outputs at 4; pooling
-    /// counts its input and outputs as its kernels' telemetry counters
-    /// do; the residual add counts 0.
+    /// (a conv on either numerics runs one per column tile, see
+    /// [`fused_conv_tiles`](hydronas_tensor::fused_conv_tiles); the fc
+    /// runs one), operands at the kernel's element width (1 byte on int8
+    /// plans, 4 on f32) and outputs at 4; pooling counts its input and
+    /// outputs as its kernels' telemetry counters do; the residual add
+    /// counts 0.
     pub bytes: u64,
     /// Share of the whole forward pass's wall time, percent.
     pub pct: f64,
@@ -849,12 +848,9 @@ impl Layer<'_> {
             let oh = conv_out_dim(h, kernel, op.stride, op.padding)?;
             let ow = conv_out_dim(w, kernel, op.stride, op.padding)?;
             // The im2col GEMM: [out_c, rows] x [rows, cols] -> [out_c, cols],
-            // which the fused conv runs as one GEMM per column tile.
-            let (elem, gemms) = if op.is_quantized() {
-                (1, 1)
-            } else {
-                (4, fused_conv_tiles(n, oh * ow))
-            };
+            // which both serving convs run as one GEMM per column tile.
+            let elem = if op.is_quantized() { 1 } else { 4 };
+            let gemms = fused_conv_tiles(n, oh * ow);
             let (rows, cols) = (in_c * kernel * kernel, n * oh * ow);
             let column = elem * rows * cols;
             let output = 4 * out_c * cols;

@@ -43,16 +43,18 @@ fn profile_costs_match_the_kernel_counters() {
         let mut rng = TensorRng::seed_from_u64(seed);
         let model = ResNet::new(&arch, &mut rng);
         let x = uniform(&[3, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
-        for (numerics, conv_counter, gemm_counter) in [
+        for (numerics, conv_counter, gemm_counter, gemm_bytes) in [
             (
                 Numerics::Fused,
                 "tensor.conv2d_fused.flops",
                 "tensor.gemm.flops",
+                "tensor.gemm.bytes",
             ),
             (
                 Numerics::QuantizedInt8,
                 "tensor.conv2d_q8.flops",
                 "tensor.qgemm.flops",
+                "tensor.qgemm.bytes",
             ),
         ] {
             let mut builder = ExecutionPlan::builder(&model).numerics(numerics);
@@ -102,17 +104,15 @@ fn profile_costs_match_the_kernel_counters() {
                 counter("tensor.avg_pool2d_global.bytes"),
                 "{context}"
             );
-            // The fused path issues one GEMM per conv column tile and one
-            // for the fc, and the profile counts a fused conv's weight once
-            // per tile, so its GEMM byte counter is the profile's GEMM
-            // bytes. (The unpooled arch's 16x16 layers run two tiles.)
-            if numerics == Numerics::Fused {
-                assert_eq!(
-                    sum(|n| is_conv(n) || n == "fc", |l| l.bytes),
-                    counter("tensor.gemm.bytes"),
-                    "{context}"
-                );
-            }
+            // Either numerics issues one GEMM per conv column tile and one
+            // for the fc, and the profile counts a conv's weight once per
+            // tile, so the GEMM byte counter is the profile's GEMM bytes.
+            // (The unpooled arch's 16x16 layers run two tiles.)
+            assert_eq!(
+                sum(|n| is_conv(n) || n == "fc", |l| l.bytes),
+                counter(gemm_bytes),
+                "{context}"
+            );
         }
     }
 }

@@ -45,7 +45,6 @@ pub mod clock;
 pub mod error;
 pub mod evaluator;
 pub mod experiment;
-pub mod halving;
 pub mod journal;
 pub mod metrics_cache;
 pub mod nsga2;
@@ -69,7 +68,6 @@ pub use evaluator::{
     EvalOutcome, Evaluator, FailureCause, RealTrainer, SurrogateEvaluator, TrialFailure,
 };
 pub use experiment::{ComboSummary, ExperimentDb, TrialOutcome, TrialStatus};
-pub use halving::{successive_halving, HalvingConfig, HalvingResult, Rung};
 pub use hydronas_nn::CancelToken;
 pub use journal::{read_journal, Journal, TrialRecord};
 pub use metrics_cache::{ArchMetrics, GraphMetricsCache, MetricsError};

@@ -49,7 +49,7 @@ pub use error::ModelImportError;
 pub use layers::{BatchNorm2d, Conv2d, GlobalAvgPool, Linear, MaxPool2d, Relu};
 pub use loss::CrossEntropyLoss;
 pub use metrics::{accuracy, confusion_matrix, f1_score, roc_auc, roc_curve, ClassificationReport};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Optimizer, Sgd};
 pub use param::{Param, ParamVisitor};
 pub use resnet::ResNet;
 pub use schedule::LrSchedule;

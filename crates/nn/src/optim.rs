@@ -1,4 +1,4 @@
-//! Optimizers: SGD with momentum/weight decay, and Adam.
+//! Optimizers: SGD with momentum and weight decay.
 //!
 //! State is keyed by parameter visit position, which the
 //! [`ParamVisitor`] contract guarantees is stable.
@@ -59,68 +59,6 @@ impl Optimizer for Sgd {
                 let grad = g[i] + wd * pv[i];
                 vd[i] = mu * vd[i] + grad;
                 pv[i] -= lr * vd[i];
-            }
-            idx += 1;
-        });
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam (Kingma & Ba) with bias correction.
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    pub fn new(lr: f32) -> Adam {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, model: &mut dyn ParamVisitor) {
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let mut idx = 0usize;
-        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
-        let (ms, vs) = (&mut self.m, &mut self.v);
-        model.visit_params(&mut |p| {
-            if ms.len() <= idx {
-                ms.push(Tensor::zeros(p.value.dims()));
-                vs.push(Tensor::zeros(p.value.dims()));
-            }
-            let m = ms[idx].as_mut_slice();
-            let v = vs[idx].as_mut_slice();
-            let pv = p.value.as_mut_slice();
-            let g = p.grad.as_slice();
-            for i in 0..pv.len() {
-                m[i] = b1 * m[i] + (1.0 - b1) * g[i];
-                v[i] = b2 * v[i] + (1.0 - b2) * g[i] * g[i];
-                let m_hat = m[i] / bc1;
-                let v_hat = v[i] / bc2;
-                pv[i] -= lr * m_hat / (v_hat.sqrt() + eps);
             }
             idx += 1;
         });
@@ -221,28 +159,6 @@ mod tests {
         opt.step(&mut bowl);
         let w = bowl.w.value.as_slice()[0];
         assert!(w < 4.0, "decay should shrink weight, got {w}");
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        let mut bowl = Bowl::new(&[5.0, -3.0, 7.0], &[1.0, 2.0, -2.0]);
-        let mut opt = Adam::new(0.2);
-        for _ in 0..300 {
-            bowl.compute_grad();
-            opt.step(&mut bowl);
-        }
-        assert!(bowl.loss() < 1e-4, "loss {}", bowl.loss());
-    }
-
-    #[test]
-    fn adam_first_step_size_is_about_lr() {
-        // With bias correction, the first Adam step has magnitude ~lr.
-        let mut bowl = Bowl::new(&[10.0], &[0.0]);
-        let mut opt = Adam::new(0.1);
-        bowl.compute_grad();
-        opt.step(&mut bowl);
-        let w = bowl.w.value.as_slice()[0];
-        assert!((10.0 - w - 0.1).abs() < 1e-3, "step was {}", 10.0 - w);
     }
 
     #[test]

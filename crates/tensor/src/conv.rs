@@ -8,14 +8,15 @@
 //!   compute pool ([`crate::parallel`]): each sample's task owns that
 //!   sample's output slice and its GEMM runs inline inside the task, so
 //!   results are bit-identical at any thread count.
-//! * Serving runs [`conv2d_bias_act`], the one fused conv: a BN-folded
-//!   weight packed once by [`pack_conv_weight`], and the batch cut into
-//!   column tiles of whole samples, about one GEMM column block each.
-//!   Each tile is one compute-pool task that unfolds its samples straight
-//!   into packed panels, multiplies them while they are still in cache,
-//!   and writes its samples' NCHW output.
+//! * Serving runs two convs through one tile driver: [`conv2d_bias_act`]
+//!   over a BN-folded f32 weight packed once by [`pack_conv_weight`], and
+//!   [`conv2d_q8`](crate::conv2d_q8) over an int8 weight. The driver cuts
+//!   the batch into column tiles of whole samples, about one GEMM column
+//!   block each, and runs each tile as one compute-pool task that unfolds
+//!   its samples through one tap-offset table, multiplies them while they
+//!   are still in cache, and writes its samples' NCHW output.
 
-use crate::arena::scratch;
+use crate::arena::{scratch, Scratch};
 use crate::gemm::{gemm, Epilogue, GemmA, GemmB, PackedA, PackedBLayout, NC};
 use crate::parallel;
 use crate::shape::conv_out_dim;
@@ -234,7 +235,7 @@ pub fn pack_conv_weight(weight: &Tensor) -> PackedConvWeight {
     }
 }
 
-/// Samples per column tile of [`conv2d_bias_act`] when each sample has
+/// Samples per column tile of the serving convs when each sample has
 /// `cols` output pixels: as many whole samples as fit one GEMM column
 /// block, at least one. The width is a scheduling choice, not a numeric
 /// one: the packed GEMM fixes each element's summation order by its k
@@ -243,7 +244,8 @@ fn tile_samples(cols: usize) -> usize {
     (NC / cols.max(1)).max(1)
 }
 
-/// Column tiles, and so GEMM calls, that [`conv2d_bias_act`] runs for
+/// Column tiles, and so GEMM calls, that a serving conv
+/// ([`conv2d_bias_act`] or [`conv2d_q8`](crate::conv2d_q8)) runs for
 /// `batch` samples of `cols` (`out_h * out_w`) output pixels each. A tile
 /// holds whole samples, about one GEMM column block of them; the last
 /// tile may be partial.
@@ -312,6 +314,61 @@ fn unfold_tile(
     });
 }
 
+/// Unfolds one column tile of quantized CHW samples into the transposed
+/// `[cols, col_rows]` column matrix the int8 NT GEMM reads: row `j` is the
+/// patch under tile column `j`, whose entry `(c, ky, kx)` gathers input
+/// `c`'s plane at its [`tap_offsets`] entry, 0 in the padding.
+pub(crate) fn unfold_tile_t(tile_in: &[i8], d: &Conv2dDims, taps: &[u32], bt: &mut [i8]) {
+    let (plane, taps_k) = (d.in_h * d.in_w, d.kernel * d.kernel);
+    let width = taps.len() / taps_k;
+    for (j, row) in bt.chunks_exact_mut(d.col_rows()).enumerate() {
+        for (c, patch) in row.chunks_exact_mut(taps_k).enumerate() {
+            let src = &tile_in[c * plane..];
+            for (t, v) in patch.iter_mut().enumerate() {
+                *v = src.get(taps[t * width + j] as usize).copied().unwrap_or(0);
+            }
+        }
+    }
+}
+
+/// The serving convs' tile loop. Runs the `d.batch` samples of `input` as
+/// [`fused_conv_tiles`] column tiles of whole samples, one compute-pool
+/// task per tile, and builds the [`tap_offsets`] table every tile shares
+/// once per call. `tile(tile_in, taps, cols)` computes one tile from its
+/// samples' CHW input, that table and its column count, and returns the
+/// tile's `[out_c, cols]` result, which the driver copies into its
+/// samples' NCHW output.
+///
+/// A body checks its GEMM operand's scratch out before the result's:
+/// the other way round, best fit hands the result a buffer of the
+/// operand's size and the operand a fresh one, which raises peak RSS.
+///
+/// A call that fits one tile (batch 1, the deep layers) runs on the
+/// caller, and its GEMM fans its row blocks out instead; inside a
+/// multi-tile call each tile's GEMM runs inline in its task.
+pub(crate) fn conv_tiles<F>(input: &Tensor, d: &Conv2dDims, tile: F) -> Tensor
+where
+    F: Fn(&[f32], &[u32], usize) -> Scratch + Sync,
+{
+    let (cc, in_sz) = (d.col_cols(), d.in_c * d.in_h * d.in_w);
+    let per = tile_samples(cc).min(d.batch).max(1);
+    let taps = tap_offsets(d, per);
+    let inp = input.as_slice();
+
+    let mut out = Tensor::zeros(&[d.batch, d.out_c, d.out_h, d.out_w]);
+    parallel::par_chunks_mut(out.as_mut_slice(), per * d.out_c * cc, |t, out_t| {
+        let samples = out_t.len() / (d.out_c * cc);
+        let cols = samples * cc;
+        let c = tile(&inp[t * per * in_sz..][..samples * in_sz], &taps, cols);
+        for (s, sample) in out_t.chunks_exact_mut(d.out_c * cc).enumerate() {
+            for (ch, dst) in sample.chunks_exact_mut(cc).enumerate() {
+                dst.copy_from_slice(&c[ch * cols + s * cc..][..cc]);
+            }
+        }
+    });
+    out
+}
+
 /// Fused inference convolution over a prepacked weight: `conv2d(input,
 /// weight) + bias` with an optional ReLU, all applied inside the GEMM's
 /// final write-back — the serving path's conv kernel.
@@ -325,16 +382,15 @@ fn unfold_tile(
 ///
 /// The batch runs as [`fused_conv_tiles`] column tiles of whole samples,
 /// about one GEMM column block (512 columns) each, one compute-pool task
-/// per tile. A task unfolds its samples straight into packed panels
-/// (gathering through one tap-offset table the call builds and every tile
-/// shares), multiplies them against the weight panels [`pack_conv_weight`]
-/// packed once, while they are still in cache, and copies its `[out_c,
-/// tile]` result into its samples' NCHW output. Deep layers with tiny
-/// feature maps (`cc` of 1–16) put many samples in one tile, so their
-/// GEMM micro-tiles fill with real columns instead of padding. A call
-/// that fits one tile (batch 1, the deep layers) runs on the caller, and
-/// its GEMM fans its row blocks out instead; inside a multi-tile call each
-/// tile's GEMM runs inline in its task.
+/// per tile, on the tile driver it shares with
+/// [`conv2d_q8`](crate::conv2d_q8). A task unfolds its samples straight
+/// into packed panels (gathering through one tap-offset table the call
+/// builds and every tile shares), multiplies them against the weight
+/// panels [`pack_conv_weight`] packed once, while they are still in cache,
+/// and copies its `[out_c, tile]` result into its samples' NCHW output.
+/// Deep layers with tiny feature maps (`cc` of 1–16) put many samples in
+/// one tile, so their GEMM micro-tiles fill with real columns instead of
+/// padding.
 ///
 /// Numerics: both operands are prepacked, so the GEMM takes its packed
 /// path at any shape, and each output column's bits are independent of
@@ -361,37 +417,23 @@ pub fn conv2d_bias_act(
             ),
         ]);
     }
-    let (cr, cc) = (d.col_rows(), d.col_cols());
-    let in_sz = d.in_c * d.in_h * d.in_w;
-    let per = tile_samples(cc).min(d.batch).max(1);
-    let taps = tap_offsets(&d, per);
+    let cr = d.col_rows();
     let epi = if relu {
         Epilogue::RowBiasRelu(bias)
     } else {
         Epilogue::RowBias(bias)
     };
-    let inp = input.as_slice();
-
-    let mut out = Tensor::zeros(&[d.batch, d.out_c, d.out_h, d.out_w]);
-    parallel::par_chunks_mut(out.as_mut_slice(), per * d.out_c * cc, |t, out_t| {
-        let samples = out_t.len() / (d.out_c * cc);
-        let cols = samples * cc;
+    conv_tiles(input, &d, |tile_in, taps, cols| {
         let layout = PackedBLayout::new(cr, cols);
         let mut panels = scratch(layout.len());
-        let tile_in = &inp[t * per * in_sz..][..samples * in_sz];
-        unfold_tile(tile_in, &d, &taps, &layout, &mut panels);
+        unfold_tile(tile_in, &d, taps, &layout, &mut panels);
 
         // [out_c, cr] x [cr, cols] -> [out_c, cols], bias per channel row.
         let mut c = scratch(d.out_c * cols);
         let (a, b) = (GemmA::Packed(&weight.a), GemmB::Packed(&layout, &panels));
         gemm(a, b, &mut c, d.out_c, cr, cols, epi);
-        for (s, sample) in out_t.chunks_exact_mut(d.out_c * cc).enumerate() {
-            for (ch, dst) in sample.chunks_exact_mut(cc).enumerate() {
-                dst.copy_from_slice(&c[ch * cols + s * cc..][..cc]);
-            }
-        }
-    });
-    out
+        c
+    })
 }
 
 /// Convolution backward.

@@ -1,6 +1,6 @@
-//! Int8 quantized inference kernels: packed i8×i8→i32 GEMM with fused
-//! requantize+bias+ReLU epilogues, plus a quantizing im2col convolution
-//! driver.
+//! Int8 quantized inference kernels: an i8×i8→i32 GEMM with fused
+//! requantize+bias+ReLU epilogues, and the int8 convolution, which runs
+//! on the serving convs' column-tile driver in [`crate::conv`].
 //!
 //! ## Layout and determinism
 //!
@@ -26,7 +26,8 @@
 //! and `255 × 127 × 2` overflows, so it is only exact with operand-range
 //! restrictions we do not want to impose. Sign-extending to i16 first makes
 //! the SIMD kernel exactly equal to the scalar fallback on every input.
-use crate::conv::Conv2dDims;
+use crate::arena::scratch;
+use crate::conv::{conv_tiles, unfold_tile_t, Conv2dDims};
 use crate::parallel;
 use crate::tensor::Tensor;
 use std::sync::OnceLock;
@@ -271,55 +272,27 @@ impl QuantizedConvWeight {
     }
 }
 
-/// Unfolds one CHW image into the **transposed** quantized column matrix
-/// `[out_h·out_w, in_c·k·k]`: row `j` is the (quantized) input patch under
-/// output pixel `j`, contiguous so the NT GEMM can consume it directly.
-/// Out-of-bounds taps quantize to exactly 0, matching f32 zero padding.
-fn im2col_t_q8(img: &[f32], d: &Conv2dDims, input_scale: f32, out: &mut [i8]) {
-    let cr = d.col_rows();
-    debug_assert_eq!(out.len(), d.col_cols() * cr);
-    let plane = d.in_h * d.in_w;
-    for oy in 0..d.out_h {
-        for ox in 0..d.out_w {
-            let row = &mut out[(oy * d.out_w + ox) * cr..][..cr];
-            let mut idx = 0;
-            for c in 0..d.in_c {
-                let img_c = &img[c * plane..][..plane];
-                for ky in 0..d.kernel {
-                    let iy = (oy * d.stride + ky) as isize - d.padding as isize;
-                    if iy < 0 || iy >= d.in_h as isize {
-                        row[idx..idx + d.kernel].fill(0);
-                        idx += d.kernel;
-                        continue;
-                    }
-                    let src = &img_c[iy as usize * d.in_w..][..d.in_w];
-                    for kx in 0..d.kernel {
-                        let ix = (ox * d.stride + kx) as isize - d.padding as isize;
-                        row[idx] = if ix < 0 || ix >= d.in_w as isize {
-                            0
-                        } else {
-                            quantize_one(src[ix as usize], input_scale)
-                        };
-                        idx += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// True int8 convolution with fused bias + optional ReLU.
 ///
-/// The f32 input is quantized on the fly with the **static** `input_scale`
-/// fixed at calibration time (never from the batch itself, so results are
-/// batch-composition-invariant), unfolded into the transposed int8 column
-/// matrix, and multiplied against the pre-quantized weight with pure i8×i8→
-/// i32 arithmetic. The epilogue folds `w_scale[ch] × input_scale` and the
-/// f32 bias into a single multiply-add per output element.
+/// The f32 input is quantized with the **static** `input_scale` fixed at
+/// calibration time (never from the batch itself, so results are
+/// batch-composition-invariant), and multiplied against the pre-quantized
+/// weight with pure i8×i8→i32 arithmetic. The epilogue folds
+/// `w_scale[ch] × input_scale` and the f32 bias into a single multiply-add
+/// per output element.
 ///
-/// The int8 column buffer is a plain per-sample allocation: the scratch
-/// arena ([`crate::arena`]) is f32-typed, so its zero-alloc guarantee covers
-/// the f32 training path only.
+/// The batch runs on the column-tile driver it shares with
+/// [`conv2d_bias_act`](crate::conv2d_bias_act): the same
+/// [`fused_conv_tiles`](crate::fused_conv_tiles) tiles and tap-offset
+/// table. Each tile's task quantizes its samples once, gathers the i8
+/// values into the transposed `[cols, in_c·k²]` column matrix, and runs
+/// one [`qgemm_nt`]. Quantization is elementwise, a padding tap gathers 0
+/// (which is `quantize(0.0)`), and i32 accumulation is exact in any
+/// grouping, so the bits do not depend on the tiling.
+///
+/// The tile's f32 result comes from the scratch arena ([`crate::arena`]);
+/// the arena is f32-typed, so the two i8 buffers (quantized input and
+/// column matrix) are plain per-tile allocations outside it.
 pub fn conv2d_q8(
     input: &Tensor,
     weight: &QuantizedConvWeight,
@@ -353,22 +326,22 @@ pub fn conv2d_q8(
         ]);
     }
     let combined: Vec<f32> = weight.scales.iter().map(|s| s * input_scale).collect();
-    let in_sz = d.in_c * d.in_h * d.in_w;
-    let out_sz = d.out_c * cc;
-    let mut out = Tensor::zeros(&[d.batch, d.out_c, d.out_h, d.out_w]);
-    let input_data = input.as_slice();
-    parallel::par_chunks_mut(out.as_mut_slice(), out_sz, |n, out_n| {
-        let img = &input_data[n * in_sz..(n + 1) * in_sz];
-        let mut colt = vec![0i8; cc * cr];
-        im2col_t_q8(img, &d, input_scale, &mut colt);
-        let epi = QEpilogue::Rows {
-            scales: &combined,
-            bias,
-            relu,
-        };
-        qgemm_nt(&weight.values, &colt, out_n, d.out_c, cr, cc, epi);
-    });
-    out
+    let epi = QEpilogue::Rows {
+        scales: &combined,
+        bias,
+        relu,
+    };
+    conv_tiles(input, &d, |tile_in, taps, cols| {
+        let q: Vec<i8> = tile_in
+            .iter()
+            .map(|&v| quantize_one(v, input_scale))
+            .collect();
+        let mut bt = vec![0i8; cols * cr];
+        unfold_tile_t(&q, &d, taps, &mut bt);
+        let mut c = scratch(d.out_c * cols);
+        qgemm_nt(&weight.values, &bt, &mut c, d.out_c, cr, cols, epi);
+        c
+    })
 }
 
 #[cfg(test)]
@@ -473,6 +446,91 @@ mod tests {
         let mut dst = [0i8; 5];
         quantize_slice_i8(&src, 0.5, &mut dst);
         assert_eq!(dst, [0, 1, -1, 127, -127]);
+    }
+
+    /// The int8 conv in exact integer arithmetic: the input quantized
+    /// element by element, a direct i32 conv over it (padding taps skip),
+    /// and one `acc × (w_scale × input_scale) + bias` per output.
+    fn direct_conv_q8(
+        input: &Tensor,
+        weight: &QuantizedConvWeight,
+        input_scale: f32,
+        bias: &[f32],
+        relu: bool,
+        stride: usize,
+        padding: usize,
+    ) -> Vec<f32> {
+        let wdims = [weight.out_c, weight.in_c, weight.kernel, weight.kernel];
+        let d = Conv2dDims::resolve(input.dims(), &wdims, stride, padding).unwrap();
+        let mut q = vec![0i8; input.numel()];
+        quantize_slice_i8(input.as_slice(), input_scale, &mut q);
+        let k = d.kernel;
+        let mut out = Vec::with_capacity(d.batch * d.out_c * d.col_cols());
+        for n in 0..d.batch {
+            for (o, (&w_scale, &b)) in weight.scales.iter().zip(bias).enumerate() {
+                for oy in 0..d.out_h {
+                    for ox in 0..d.out_w {
+                        let mut acc = 0i32;
+                        for c in 0..d.in_c {
+                            for ky in 0..k {
+                                for kx in 0..k {
+                                    let iy = (oy * stride + ky).checked_sub(padding);
+                                    let ix = (ox * stride + kx).checked_sub(padding);
+                                    let (Some(iy), Some(ix)) = (iy, ix) else {
+                                        continue;
+                                    };
+                                    if iy >= d.in_h || ix >= d.in_w {
+                                        continue;
+                                    }
+                                    let x = q[((n * d.in_c + c) * d.in_h + iy) * d.in_w + ix];
+                                    let w = weight.values[((o * d.in_c + c) * k + ky) * k + kx];
+                                    acc += i32::from(x) * i32::from(w);
+                                }
+                            }
+                        }
+                        let v = acc as f32 * (w_scale * input_scale) + b;
+                        out.push(if relu { v.max(0.0) } else { v });
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The tiled int8 conv equals the exact integer reference bit for bit
+    /// at its tile edges: batch 23 ends in a partial tile, a 24×24
+    /// stride-1 sample is 576 columns (wider than a tile), and the k7
+    /// stride-2 and 1×1 stride-2 shapes are the stem's and the
+    /// projections'. The input range overshoots the scale, so some values
+    /// clamp at ±127.
+    #[test]
+    fn conv_q8_matches_exact_integer_reference() {
+        let mut rng = crate::init::TensorRng::seed_from_u64(61);
+        for &(batch, in_c, out_c, h, k, s, p) in &[
+            (23usize, 4usize, 6usize, 7usize, 3usize, 1usize, 1usize),
+            (2, 3, 5, 24, 3, 1, 1),
+            (5, 3, 8, 17, 7, 2, 3),
+            (6, 8, 4, 9, 1, 2, 0),
+        ] {
+            let case = format!("batch={batch} in_c={in_c} h={h} k={k} s={s} p={p}");
+            let input = crate::init::uniform(&[batch, in_c, h, h], -1.5, 1.5, &mut rng);
+            let per_out = in_c * k * k;
+            let values = pattern(out_c * per_out, k as i32);
+            let scales: Vec<f32> = (0..out_c).map(|o| 1e-3 + o as f32 * 2e-4).collect();
+            let weight = QuantizedConvWeight::new(values, scales, out_c, in_c, k);
+            let bias: Vec<f32> = (0..out_c).map(|o| o as f32 * 0.05 - 0.1).collect();
+            let input_scale = 1.0 / 127.0;
+            for relu in [false, true] {
+                let got = conv2d_q8(&input, &weight, input_scale, &bias, relu, s, p);
+                let want = direct_conv_q8(&input, &weight, input_scale, &bias, relu, s, p);
+                assert_eq!(got.numel(), want.len(), "{case}");
+                for (i, (x, y)) in got.as_slice().iter().zip(&want).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{case} relu={relu}: elem {i}");
+                }
+            }
+        }
+        assert_eq!(crate::conv::fused_conv_tiles(23, 7 * 7), 3);
+        assert_eq!(crate::conv::fused_conv_tiles(2, 24 * 24), 2);
     }
 
     #[test]

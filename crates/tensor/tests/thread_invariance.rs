@@ -301,9 +301,15 @@ fn int8_conv_is_thread_count_invariant() {
     }
     let weight = QuantizedConvWeight::new(values, scales, out_c, 3, 3);
     let bias: Vec<f32> = (0..out_c).map(|i| i as f32 * 0.1 - 0.2).collect();
-    assert_thread_invariant("conv2d_q8", || {
-        conv2d_q8(&input, &weight, 1.0 / 127.0, &bias, true, 2, 1)
-            .as_slice()
-            .to_vec()
-    });
+    // 144 columns a sample, so three samples a column tile: 11 samples
+    // run as 4 tiles, the last one partial.
+    let tiled = uniform(&[11, 3, 12, 12], -1.0, 1.0, &mut rng);
+    assert_eq!(fused_conv_tiles(11, 12 * 12), 4);
+    for (input, stride) in [(&input, 2), (&tiled, 1)] {
+        assert_thread_invariant("conv2d_q8", || {
+            conv2d_q8(input, &weight, 1.0 / 127.0, &bias, true, stride, 1)
+                .as_slice()
+                .to_vec()
+        });
+    }
 }
