@@ -220,7 +220,7 @@ fn bench_int8_gemm(reps: usize) -> Int8GemmBench {
     let bias = vec![0.0f32; size];
     let mut c = vec![0.0f32; size * size];
     let t_int8 = time_median(reps, || {
-        let epi = QEpilogue::Rows {
+        let epi = QEpilogue {
             scales: &scales,
             bias: &bias,
             relu: false,
@@ -364,9 +364,10 @@ fn bench_sweep(trials_wanted: usize) -> SweepBench {
 /// Reproduces the arena-telemetry contract as a runtime check: once the
 /// per-thread pools are warm, the conv loops must not allocate — the
 /// training conv's forward and backward, and serving's fused and int8
-/// convs over a batch of 32 (16 column tiles). The int8 conv's per-tile
-/// `Vec<i8>` buffers (its quantized input and column matrix) live outside
-/// the arena and are not counted; its f32 tile results are.
+/// convs over a batch of 32 on a 3×3 layer (16 column tiles) and on the
+/// classifier head's shape (`[32, 256, 1, 1]` through a 1×1 conv). That
+/// covers every serving buffer of both numerics: the f32 panels and tile
+/// results, and the int8 conv's quantized input and column matrix.
 fn bench_arena(steady_iters: usize) -> ArenaBench {
     // Pin the pool to one thread: task claiming is intentionally racy,
     // so under a multi-thread pool a worker starved during the warmup
@@ -378,21 +379,35 @@ fn bench_arena(steady_iters: usize) -> ArenaBench {
     let mut rng = TensorRng::seed_from_u64(14);
     let input = uniform(&[4, 3, 16, 16], -1.0, 1.0, &mut rng);
     let weight = uniform(&[8, 3, 3, 3], -0.5, 0.5, &mut rng);
-    let serving = uniform(&[32, 3, 16, 16], -1.0, 1.0, &mut rng);
-    let packed = pack_conv_weight(&weight);
-    // One scale for every channel: the weight lies in [-0.5, 0.5].
-    let w_scale = 0.5 / 127.0;
-    let mut values = vec![0i8; weight.numel()];
-    quantize_slice_i8(weight.as_slice(), w_scale, &mut values);
-    let quantized = QuantizedConvWeight::new(values, vec![w_scale; 8], 8, 3, 3);
-    let bias = [0.0; 8];
+    // Serving: (input, weight, padding) of a 3×3 layer and of the head.
+    let serving = [
+        ([32, 3, 16, 16], [8, 3, 3, 3], 1),
+        ([32, 256, 1, 1], [2, 256, 1, 1], 0),
+    ]
+    .map(|(x_dims, w_dims, padding)| {
+        let x = uniform(&x_dims, -1.0, 1.0, &mut rng);
+        let w = uniform(&w_dims, -0.5, 0.5, &mut rng);
+        let (out_c, in_c, k) = (w_dims[0], w_dims[1], w_dims[2]);
+        // One scale for every channel: the weight lies in [-0.5, 0.5].
+        let w_scale = 0.5 / 127.0;
+        let mut values = vec![0i8; w.numel()];
+        quantize_slice_i8(w.as_slice(), w_scale, &mut values);
+        let quantized = QuantizedConvWeight::new(values, vec![w_scale; out_c], out_c, in_c, k);
+        let bias = vec![0.0; out_c];
+        (x, pack_conv_weight(&w), quantized, bias, padding)
+    });
+    let serve = || {
+        for (x, packed, quantized, bias, padding) in &serving {
+            let _ = conv2d_bias_act(x, packed, bias, true, 1, *padding);
+            let _ = conv2d_q8(x, quantized, 1.0 / 127.0, bias, true, 1, *padding);
+        }
+    };
 
     let session = hydronas_telemetry::session();
     let out = conv2d(&input, &weight, 1, 1);
     let grad_out = Tensor::ones(out.dims());
     let _ = conv2d_backward(&input, &weight, &grad_out, 1, 1);
-    let _ = conv2d_bias_act(&serving, &packed, &bias, true, 1, 1);
-    let _ = conv2d_q8(&serving, &quantized, 1.0 / 127.0, &bias, true, 1, 1);
+    serve();
     let counter = |m: &hydronas_telemetry::MetricsSnapshot, name: &str| {
         m.counters.get(name).copied().unwrap_or(0)
     };
@@ -402,8 +417,7 @@ fn bench_arena(steady_iters: usize) -> ArenaBench {
     for _ in 0..steady_iters {
         let _ = conv2d(&input, &weight, 1, 1);
         let _ = conv2d_backward(&input, &weight, &grad_out, 1, 1);
-        let _ = conv2d_bias_act(&serving, &packed, &bias, true, 1, 1);
-        let _ = conv2d_q8(&serving, &quantized, 1.0 / 127.0, &bias, true, 1, 1);
+        serve();
     }
     let steady = session.metrics();
     drop(session);

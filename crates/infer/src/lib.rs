@@ -572,6 +572,30 @@ mod tests {
                 .build(),
         );
         assert!(r.contains("NCHW"), "{r}");
+        // Calibration batches too small for a padding-0 k7 stem: each is
+        // turned away by the plan's shape walk before a kernel runs.
+        let k7_arch = ArchConfig {
+            kernel_size: 7,
+            padding: 0,
+            ..arch
+        };
+        let k7_model = warmed_model(&k7_arch, 73);
+        for dims in [
+            [2, k7_arch.in_channels, 4, 4],
+            [2, k7_arch.in_channels, 0, 0],
+        ] {
+            let small = Tensor::zeros(&dims);
+            let r = reason(
+                ExecutionPlan::builder(&k7_model)
+                    .numerics(Numerics::QuantizedInt8)
+                    .quantization(
+                        QuantizationScheme::per_channel()
+                            .calibrate(CalibrationMethod::MinMax, &small),
+                    )
+                    .build(),
+            );
+            assert!(r.contains(&format!("{dims:?}")), "{r}");
+        }
         // The error Displays with context.
         let err = InferError::InvalidQuantization {
             reason: "xyz".to_string(),

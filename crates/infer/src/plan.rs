@@ -23,9 +23,9 @@
 //!   while every row of a batched run is bit-identical to the same sample
 //!   run alone.
 //! * [`Numerics::QuantizedInt8`] folds batch norms the same way, then
-//!   quantizes every conv/FC weight to int8 (per-channel or per-tensor
-//!   symmetric) and fixes one static input scale per layer from a
-//!   calibration batch. At run time convs and the FC execute in pure
+//!   quantizes every weighted layer's weight to int8 (per-channel or
+//!   per-tensor symmetric) and fixes one static input scale per layer from
+//!   a calibration batch. At run time every weighted layer executes in pure
 //!   i8×i8→i32 arithmetic with a fused requantize+bias+ReLU epilogue
 //!   (`acc_i32 × (w_scale·in_scale) + bias`); activations travel between
 //!   layers as f32 and are re-quantized at each layer's static scale.
@@ -34,6 +34,13 @@
 //!   quantized output keeps the same batch-composition invariance as the
 //!   fused path, and the integer accumulation makes it bit-identical at any
 //!   thread count.
+//!
+//! ## One weighted-layer kind
+//!
+//! Every weighted layer runs on the serving conv ([`conv2d_bias_act`] or
+//! [`conv2d_q8`]): the classifier head, a fully connected layer over the
+//! globally pooled map, is exactly a 1×1 conv on that map as `[N, C, 1,
+//! 1]`, and the plan lowers it to one.
 //!
 //! ## One forward walk
 //!
@@ -46,11 +53,10 @@
 use hydronas_graph::{
     quantize_per_channel, quantize_tensor, ActivationObserver, CalibrationMethod,
 };
-use hydronas_nn::{BatchNorm2d, Conv2d, Linear, ResNet};
+use hydronas_nn::{BatchNorm2d, Conv2d, ResNet};
 use hydronas_tensor::{
-    avg_pool2d_global, conv2d_bias_act, conv2d_q8, conv_out_dim, fused_conv_tiles, gemm,
-    max_pool2d, pack_conv_weight, qgemm_nt, quantize_slice_i8, Epilogue, GemmA, GemmB,
-    PackedBLayout, PackedConvWeight, QEpilogue, QuantizedConvWeight, Tensor,
+    avg_pool2d_global, conv2d_bias_act, conv2d_q8, conv_out_dim, fused_conv_tiles, max_pool2d,
+    pack_conv_weight, PackedConvWeight, QuantizedConvWeight, Tensor,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -64,8 +70,8 @@ pub enum Numerics {
     /// equal to eval forward only up to float re-rounding.
     Fused,
     /// True int8 execution: BN-folded weights quantized to i8, static
-    /// calibrated activation scales, conv/FC running on i8×i8→i32 kernels
-    /// with fused requantization. Requires a calibrated
+    /// calibrated activation scales, every weighted layer running on the
+    /// i8×i8→i32 conv with fused requantization. Requires a calibrated
     /// [`QuantizationScheme`] via [`PlanBuilder::quantization`].
     QuantizedInt8,
 }
@@ -151,7 +157,9 @@ impl<'m> PlanBuilder<'m> {
         self
     }
 
-    /// Compiles the plan, validating the quantization setup first.
+    /// Compiles the plan, validating the quantization setup first: an
+    /// int8 plan needs a calibration batch whose dims fit every window of
+    /// the plan.
     pub fn build(self) -> Result<ExecutionPlan, InferError> {
         let invalid = |reason: String| InferError::InvalidQuantization { reason };
         match self.numerics {
@@ -184,23 +192,31 @@ impl<'m> PlanBuilder<'m> {
                 let batch = scheme
                     .calibration
                     .expect("calibrate() always sets the batch");
-                if batch.shape().ndim() != 4 {
+                let Ok(dims) = <[usize; 4]>::try_from(batch.dims()) else {
                     return Err(invalid(format!(
                         "calibration batch must be NCHW, got {} dims",
-                        batch.shape().ndim()
+                        batch.dims().len()
                     )));
-                }
-                if batch.dims()[0] == 0 {
+                };
+                if dims[0] == 0 {
                     return Err(invalid("calibration batch is empty".to_string()));
                 }
-                if batch.dims()[1] != self.model.arch.in_channels {
+                if dims[1] != self.model.arch.in_channels {
                     return Err(invalid(format!(
                         "calibration batch has {} channels but the model expects {}",
-                        batch.dims()[1],
-                        self.model.arch.in_channels
+                        dims[1], self.model.arch.in_channels
+                    )));
+                }
+                // Calibration runs on the f32 plan, whose shape walk turns
+                // away a batch too small for one of its windows.
+                let fused = compile_fused(self.model);
+                if fused.peak_resident(dims, &mut 0).is_none() {
+                    return Err(invalid(format!(
+                        "calibration batch dims {dims:?} do not fit the plan's windows"
                     )));
                 }
                 Ok(compile_quantized(
+                    fused,
                     self.model,
                     scheme.granularity,
                     method,
@@ -231,7 +247,8 @@ enum ConvKind {
     },
 }
 
-/// One conv + batch-norm (+ optional ReLU) step of the plan.
+/// One weighted layer of the plan: a conv + batch-norm (+ optional ReLU),
+/// or the classifier head as a 1×1 conv.
 struct ConvBnOp {
     stride: usize,
     padding: usize,
@@ -293,37 +310,6 @@ fn add_relu(main: &mut Tensor, skip: &Tensor) {
     }
 }
 
-/// The plan's fully-connected head.
-enum FcOp {
-    /// f32 weight `[in_f, out_f]` packed once as the GEMM's B operand,
-    /// so the head takes the packed path at every batch size and row `i`
-    /// of a batch is bit-identical to sample `i` run alone.
-    Fused {
-        layout: PackedBLayout,
-        weight: Vec<f32>,
-        bias: Vec<f32>,
-    },
-    /// Quantized transposed weight `[out_f, in_f]` for the NT int8 GEMM.
-    /// `scales[j]` is the combined `w_scale[j] × input_scale` applied in
-    /// the column-scaled epilogue.
-    Quantized {
-        wt: Vec<i8>,
-        scales: Vec<f32>,
-        input_scale: f32,
-        out_f: usize,
-        bias: Vec<f32>,
-    },
-}
-
-impl FcOp {
-    fn out_features(&self) -> usize {
-        match self {
-            FcOp::Fused { layout, .. } => layout.n(),
-            FcOp::Quantized { out_f, .. } => *out_f,
-        }
-    }
-}
-
 /// Running tally of serialized weight bytes.
 #[derive(Default)]
 struct SizeLedger {
@@ -353,37 +339,46 @@ pub struct ExecutionPlan {
     stem: ConvBnOp,
     stem_pool: Option<(usize, usize, usize)>,
     blocks: Vec<BlockOp>,
-    fc: FcOp,
+    fc: ConvBnOp,
     weight_bytes: u64,
 }
 
-/// Lowers `model` into a plan: every conv+BN through `conv`, called in
-/// walk order (stem, then each block's conv1, conv2 and projection), and
-/// the classifier head through `fc`.
+/// Lowers `model` into a plan: one [`ConvBnOp`] per weighted layer, its
+/// storage built by `layer` from the layer's BN-folded `[out_c, in_c, k,
+/// k]` weight and bias, called in walk order (stem, each block's conv1,
+/// conv2 and projection, then the classifier head). The head is the fc
+/// layer as a 1×1 conv: its `[in_f, out_f]` weight becomes an `[out_f,
+/// in_f, 1, 1]` filter, with stride 1, padding 0 and no ReLU.
 fn lower(
     model: &ResNet,
     numerics: Numerics,
-    mut conv: impl FnMut(&Conv2d, &BatchNorm2d, &mut SizeLedger) -> ConvKind,
-    fc: impl FnOnce(&Linear, &mut SizeLedger) -> FcOp,
+    mut layer: impl FnMut(Tensor, Vec<f32>, &mut SizeLedger) -> ConvKind,
 ) -> ExecutionPlan {
     let mut ledger = SizeLedger::default();
-    let mut op = |c: &Conv2d, bn: &BatchNorm2d, relu: bool| ConvBnOp {
-        stride: c.stride,
-        padding: c.padding,
+    let mut op = |weight, bias, stride, padding, relu| ConvBnOp {
+        stride,
+        padding,
         relu,
-        kind: conv(c, bn, &mut ledger),
+        kind: layer(weight, bias, &mut ledger),
     };
-    let stem = op(model.stem_conv(), model.stem_bn(), true);
+    let mut conv = |c: &Conv2d, bn: &BatchNorm2d, relu| {
+        let (weight, bias) = fold_conv_bn(c, bn);
+        op(weight, bias, c.stride, c.padding, relu)
+    };
+    let stem = conv(model.stem_conv(), model.stem_bn(), true);
     let blocks = model
         .blocks()
         .iter()
         .map(|b| BlockOp {
-            conv1: op(b.conv1(), b.bn1(), true),
-            conv2: op(b.conv2(), b.bn2(), false),
-            proj: b.downsample().map(|(c, bn)| op(c, bn, false)),
+            conv1: conv(b.conv1(), b.bn1(), true),
+            conv2: conv(b.conv2(), b.bn2(), false),
+            proj: b.downsample().map(|(c, bn)| conv(c, bn, false)),
         })
         .collect();
-    let fc = fc(model.fc(), &mut ledger);
+    let (weight, bias) = (&model.fc().weight.value, &model.fc().bias.value);
+    let (in_f, out_f) = (weight.dims()[0], weight.dims()[1]);
+    let filter = weight.transpose2().reshape(&[out_f, in_f, 1, 1]);
+    let fc = op(filter, bias.as_slice().to_vec(), 1, 0, false);
     ExecutionPlan {
         arch: model.arch,
         numerics,
@@ -419,35 +414,16 @@ fn fold_conv_bn(conv: &Conv2d, bn: &BatchNorm2d) -> (Tensor, Vec<f32>) {
 }
 
 /// Compiles a [`Numerics::Fused`] plan: each batch norm folded into its
-/// conv, and every conv weight and the FC weight packed once.
+/// conv, and every weighted layer's weight packed once.
 fn compile_fused(model: &ResNet) -> ExecutionPlan {
-    lower(
-        model,
-        Numerics::Fused,
-        |conv, bn, ledger| {
-            let (weight, bias) = fold_conv_bn(conv, bn);
-            ledger.store_f32(weight.as_slice());
-            ledger.store_f32(&bias);
-            ConvKind::Fused {
-                weight: pack_conv_weight(&weight),
-                bias,
-            }
-        },
-        |fc, ledger| {
-            let weight = &fc.weight.value;
-            let bias = fc.bias.value.as_slice().to_vec();
-            ledger.store_f32(weight.as_slice());
-            ledger.store_f32(&bias);
-            let layout = PackedBLayout::new(weight.dims()[0], weight.dims()[1]);
-            let mut packed = vec![0.0f32; layout.len()];
-            layout.pack(weight.as_slice(), &mut packed);
-            FcOp::Fused {
-                layout,
-                weight: packed,
-                bias,
-            }
-        },
-    )
+    lower(model, Numerics::Fused, |weight, bias, ledger| {
+        ledger.store_f32(weight.as_slice());
+        ledger.store_f32(&bias);
+        ConvKind::Fused {
+            weight: pack_conv_weight(&weight),
+            bias,
+        }
+    })
 }
 
 /// Quantizes a weight matrix of `rows` output rows per the scheme's
@@ -473,15 +449,16 @@ fn quantize_weight(
     (values, scales)
 }
 
-/// Compiles a [`Numerics::QuantizedInt8`] plan.
+/// Compiles a [`Numerics::QuantizedInt8`] plan of `model`.
 ///
-/// The calibration batch runs through a temporary [`Numerics::Fused`]
-/// plan — the same BN-folded f32 network — under a [`Calibrator`], so each
-/// scale describes exactly the tensor its layer quantizes at serve time.
-/// That plan is dropped before the batch norms are folded again layer by
-/// layer and quantized, so the build never holds two f32 copies of the
-/// network.
+/// The calibration batch runs through `fused`, the [`Numerics::Fused`]
+/// plan of the same model — the same BN-folded f32 network — under a
+/// [`Calibrator`], so each scale describes exactly the tensor its layer
+/// quantizes at serve time. That plan is dropped before the batch norms
+/// are folded again layer by layer and quantized, so the build never
+/// holds two f32 copies of the network.
 fn compile_quantized(
+    fused: ExecutionPlan,
     model: &ResNet,
     granularity: Granularity,
     method: CalibrationMethod,
@@ -491,49 +468,20 @@ fn compile_quantized(
         method,
         scales: Vec::new(),
     };
-    compile_fused(model).forward(batch, &mut calibrator);
-    let mut scales = calibrator.scales;
-    let fc_scale = scales.pop().expect("the walk observes the fc input last");
-    let mut conv_scales = scales.into_iter();
-    lower(
-        model,
-        Numerics::QuantizedInt8,
-        |conv, bn, ledger| {
-            let (weight, bias) = fold_conv_bn(conv, bn);
-            let d = weight.dims();
-            let (out_c, in_c, kernel) = (d[0], d[1], d[2]);
-            let (values, scales) = quantize_weight(weight.as_slice(), out_c, granularity, ledger);
-            ledger.store_f32(&bias);
-            ConvKind::Quantized {
-                weight: QuantizedConvWeight::new(values, scales, out_c, in_c, kernel),
-                input_scale: conv_scales.next().expect("one calibrated scale per conv"),
-                bias,
-            }
-        },
-        |fc, ledger| {
-            // Transpose [in_f, out_f] -> [out_f, in_f] so each output
-            // feature is one contiguous NT-GEMM row with its own scale.
-            let fc_w = &fc.weight.value;
-            let (in_f, out_f) = (fc_w.dims()[0], fc_w.dims()[1]);
-            let w = fc_w.as_slice();
-            let mut wt = vec![0.0f32; in_f * out_f];
-            for i in 0..in_f {
-                for o in 0..out_f {
-                    wt[o * in_f + i] = w[i * out_f + o];
-                }
-            }
-            let (values, w_scales) = quantize_weight(&wt, out_f, granularity, ledger);
-            let bias = fc.bias.value.as_slice().to_vec();
-            ledger.store_f32(&bias);
-            FcOp::Quantized {
-                wt: values,
-                scales: w_scales.iter().map(|s| s * fc_scale).collect(),
-                input_scale: fc_scale,
-                out_f,
-                bias,
-            }
-        },
-    )
+    fused.forward(batch, &mut calibrator);
+    drop(fused);
+    let mut scales = calibrator.scales.into_iter();
+    lower(model, Numerics::QuantizedInt8, |weight, bias, ledger| {
+        let d = weight.dims();
+        let (out_c, in_c, kernel) = (d[0], d[1], d[2]);
+        let (values, w_scales) = quantize_weight(weight.as_slice(), out_c, granularity, ledger);
+        ledger.store_f32(&bias);
+        ConvKind::Quantized {
+            weight: QuantizedConvWeight::new(values, w_scales, out_c, in_c, kernel),
+            input_scale: scales.next().expect("one calibrated scale per layer"),
+            bias,
+        }
+    })
 }
 
 impl ExecutionPlan {
@@ -583,10 +531,10 @@ impl ExecutionPlan {
     /// batch size and square input extent — the serving-memory half of the
     /// Pareto trade-off next to [`weight_bytes`](Self::weight_bytes).
     ///
-    /// Counts, per layer, the resident input + im2col column matrix +
-    /// output for convs (columns are 1 byte/element on the quantized path,
-    /// 4 on the fused path) and input + quantized staging + output for the FC,
-    /// and returns the largest. Pooling and the residual add are reads
+    /// Counts, per weighted layer, the resident input + im2col column
+    /// matrix + output (columns are 1 byte/element on the quantized path, 4
+    /// on the fused path; the head's column matrix is the pooled input), and
+    /// returns the largest. Pooling and the residual add are reads
     /// over already-counted buffers and never dominate.
     ///
     /// The column term is the whole batch's matrix, an upper bound on both
@@ -639,40 +587,6 @@ impl ExecutionPlan {
         visit(Layer::Fc(&self.fc), pooled).map(drop)
     }
 
-    /// The shared FC head: `pooled [N, in_f] -> logits [N, out_f]`.
-    fn fc_forward(&self, pooled: &Tensor) -> Tensor {
-        let (n, in_f) = (pooled.dims()[0], pooled.dims()[1]);
-        let out_f = self.fc.out_features();
-        let mut out = Tensor::zeros(&[n, out_f]);
-        let (b, bias) = match &self.fc {
-            FcOp::Fused {
-                layout,
-                weight,
-                bias,
-            } => (GemmB::Packed(layout, weight), bias),
-            FcOp::Quantized {
-                wt,
-                scales,
-                input_scale,
-                bias,
-                ..
-            } => {
-                let mut staged = vec![0i8; n * in_f];
-                quantize_slice_i8(pooled.as_slice(), *input_scale, &mut staged);
-                let epi = QEpilogue::Cols {
-                    scales,
-                    bias,
-                    relu: false,
-                };
-                qgemm_nt(&staged, wt, out.as_mut_slice(), n, in_f, out_f, epi);
-                return out;
-            }
-        };
-        let (a, c) = (GemmA::Slice(pooled.as_slice()), out.as_mut_slice());
-        gemm(a, b, c, n, in_f, out_f, Epilogue::ColBias(bias));
-        out
-    }
-
     /// The forward walk behind [`run_batch`](Self::run_batch),
     /// [`profile_batch`](Self::profile_batch) and int8 calibration: visits
     /// each layer once — stem, stem pool, each block's conv1, conv2,
@@ -706,15 +620,20 @@ impl ExecutionPlan {
             observer.layer(Layer::AddRelu(i), skip, || add_relu(&mut main, skip));
             x = main;
         }
-        let pooled = observer.layer(Layer::GlobalAvgPool, &x, || avg_pool2d_global(&x));
-        observer.layer(Layer::Fc(&self.fc), &pooled, || self.fc_forward(&pooled))
+        // The pooled map as [N, C, 1, 1], the head's 1×1 conv input.
+        let pooled = observer.layer(Layer::GlobalAvgPool, &x, || {
+            let dims = [x.dims()[0], x.dims()[1], 1, 1];
+            Tensor::from_vec(avg_pool2d_global(&x).into_vec(), &dims)
+        });
+        let logits = observer.layer(Layer::Fc(&self.fc), &pooled, || self.fc.apply(&pooled));
+        logits.reshape(&logits.dims()[..2])
     }
 
     /// Runs the plan over a batch: `[N, C, H, W] -> logits [N, classes]`.
     ///
     /// In [`Numerics::Fused`] mode every GEMM on this path has a prepacked
-    /// operand (the conv weights and the FC weight are packed at build
-    /// time), so it always takes the packed path and row `i` of a batched
+    /// operand (every weighted layer's weight is packed at build time), so
+    /// it always takes the packed path and row `i` of a batched
     /// run is bit-identical to running sample `i` alone at any batch size;
     /// against `ResNet::forward(x, false)`, the model's bit-exact eval
     /// pass, it holds only a float tolerance. [`Numerics::QuantizedInt8`]
@@ -757,17 +676,17 @@ pub struct LayerCost {
     pub name: String,
     /// Wall-clock time spent in this layer, milliseconds (wall field).
     pub wall_ms: f64,
-    /// Multiply-add FLOPs: `2·N·out_c·(in_c·k²)·(oh·ow)` for a conv,
-    /// `2·N·in_f·out_f` for the fc, 0 for pooling and the residual add.
+    /// Multiply-add FLOPs: `2·N·out_c·(in_c·k²)·(oh·ow)` for a weighted
+    /// layer (for the fc, a 1×1 conv over a 1×1 map, `2·N·in_f·out_f`), 0
+    /// for pooling and the residual add.
     pub flops: u64,
-    /// Bytes moved. Convs and the fc count their column (im2col or pooled
-    /// input) and output once each and their weight once per GEMM call
-    /// (a conv on either numerics runs one per column tile, see
-    /// [`fused_conv_tiles`](hydronas_tensor::fused_conv_tiles); the fc
-    /// runs one), operands at the kernel's element width (1 byte on int8
-    /// plans, 4 on f32) and outputs at 4; pooling counts its input and
-    /// outputs as its kernels' telemetry counters do; the residual add
-    /// counts 0.
+    /// Bytes moved. A weighted layer counts its column matrix and output
+    /// once each and its weight once per GEMM call, one per column tile on
+    /// either numerics (see
+    /// [`fused_conv_tiles`](hydronas_tensor::fused_conv_tiles)), operands
+    /// at the kernel's element width (1 byte on int8 plans, 4 on f32) and
+    /// outputs at 4; pooling counts its input and outputs as its kernels'
+    /// telemetry counters do; the residual add counts 0.
     pub bytes: u64,
     /// Share of the whole forward pass's wall time, percent.
     pub pct: f64,
@@ -796,7 +715,7 @@ enum Layer<'p> {
     Proj(usize, &'p ConvBnOp),
     AddRelu(usize),
     GlobalAvgPool,
-    Fc(&'p FcOp),
+    Fc(&'p ConvBnOp),
 }
 
 /// Shape and cost of one layer at one input shape.
@@ -808,10 +727,9 @@ struct Geometry {
     flops: u64,
     /// As [`LayerCost::bytes`].
     bytes: u64,
-    /// Transient bytes resident while a conv or the fc runs: f32 input +
-    /// column or int8 staging + f32 output. 0 for pooling and the
-    /// residual add, which are reads over already-counted buffers and
-    /// never dominate.
+    /// Transient bytes resident while a weighted layer runs: f32 input +
+    /// column matrix + f32 output. 0 for pooling and the residual add,
+    /// which are reads over already-counted buffers and never dominate.
     resident: u64,
 }
 
@@ -831,8 +749,8 @@ impl Layer<'_> {
         }
     }
 
-    /// Whether the layer quantizes its input on an int8 plan (every conv
-    /// and the fc).
+    /// Whether the layer quantizes its input on an int8 plan (every
+    /// weighted layer).
     fn quantizes_input(self) -> bool {
         matches!(
             self,
@@ -862,9 +780,11 @@ impl Layer<'_> {
             })
         };
         match self {
-            Layer::Stem(op) | Layer::Conv1(_, op) | Layer::Conv2(_, op) | Layer::Proj(_, op) => {
-                conv(op)
-            }
+            Layer::Stem(op)
+            | Layer::Conv1(_, op)
+            | Layer::Conv2(_, op)
+            | Layer::Proj(_, op)
+            | Layer::Fc(op) => conv(op),
             Layer::StemPool((kernel, stride, padding)) => {
                 let oh = conv_out_dim(h, kernel, stride, padding)?;
                 let ow = conv_out_dim(w, kernel, stride, padding)?;
@@ -883,29 +803,8 @@ impl Layer<'_> {
                 bytes: (4 * (n * c * h * w + n * c)) as u64,
                 ..Geometry::default()
             }),
-            Layer::Fc(fc) => {
-                let (in_f, out_f) = (c, fc.out_features());
-                let quantized = matches!(fc, FcOp::Quantized { .. });
-                let elem = if quantized { 1 } else { 4 };
-                let staging = if quantized { n * in_f } else { 0 };
-                let output = 4 * n * out_f;
-                Some(Geometry {
-                    out: [n, out_f, 1, 1],
-                    flops: (2 * n * in_f * out_f) as u64,
-                    bytes: (elem * (in_f * out_f + n * in_f) + output) as u64,
-                    resident: (4 * n * in_f + staging + output) as u64,
-                })
-            }
         }
     }
-}
-
-/// `dims` padded with trailing 1s to four axes (the pooled `[N, C]`
-/// becomes `[N, C, 1, 1]`).
-fn nchw(dims: &[usize]) -> [usize; 4] {
-    let mut d = [1; 4];
-    d[..dims.len()].copy_from_slice(dims);
-    d
 }
 
 /// Receives every layer of the forward walk, in execution order.
@@ -933,7 +832,8 @@ struct Timer {
 
 impl LayerObserver for Timer {
     fn layer<T>(&mut self, layer: Layer<'_>, input: &Tensor, run: impl FnOnce() -> T) -> T {
-        let geometry = layer.geometry(nchw(input.dims()));
+        let dims = input.dims().try_into().expect("every layer input is NCHW");
+        let geometry = layer.geometry(dims);
         let start = Instant::now();
         let out = run();
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;

@@ -9,8 +9,11 @@ use hydronas_infer::{ExecutionPlan, LayerCost, Numerics, QuantizationScheme};
 use hydronas_nn::ResNet;
 use hydronas_tensor::{uniform, TensorRng};
 
-fn is_conv(name: &str) -> bool {
+/// The weighted layers: every conv, and the fc head, which the plan runs
+/// as a 1×1 conv.
+fn is_weighted(name: &str) -> bool {
     name == "stem"
+        || name == "fc"
         || name.ends_with(".conv1")
         || name.ends_with(".conv2")
         || name.ends_with(".proj")
@@ -81,13 +84,13 @@ fn profile_costs_match_the_kernel_counters() {
             };
             let context = format!("{numerics:?} on {arch:?}");
 
-            // Every conv counted once, whatever kernel runs it.
+            // Every weighted layer counted once, whatever kernel runs it.
             assert_eq!(
-                sum(is_conv, |l| l.flops),
+                sum(is_weighted, |l| l.flops),
                 counter(conv_counter),
                 "{context}"
             );
-            // All FLOPs are GEMM FLOPs (convs lower to one, the fc is one).
+            // All FLOPs are GEMM FLOPs (every weighted layer lowers to one).
             assert_eq!(
                 sum(|_| true, |l| l.flops),
                 counter(gemm_counter),
@@ -104,12 +107,12 @@ fn profile_costs_match_the_kernel_counters() {
                 counter("tensor.avg_pool2d_global.bytes"),
                 "{context}"
             );
-            // Either numerics issues one GEMM per conv column tile and one
-            // for the fc, and the profile counts a conv's weight once per
-            // tile, so the GEMM byte counter is the profile's GEMM bytes.
-            // (The unpooled arch's 16x16 layers run two tiles.)
+            // Either numerics issues one GEMM per column tile of each
+            // weighted layer, and the profile counts a layer's weight once
+            // per tile, so the GEMM byte counter is the profile's GEMM
+            // bytes. (The unpooled arch's 16x16 layers run two tiles.)
             assert_eq!(
-                sum(|n| is_conv(n) || n == "fc", |l| l.bytes),
+                sum(is_weighted, |l| l.bytes),
                 counter(gemm_bytes),
                 "{context}"
             );

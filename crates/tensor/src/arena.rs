@@ -10,11 +10,14 @@
 //!
 //! A buffer is checked out with [`scratch`] (contents unspecified) or
 //! [`scratch_zeroed`] and returns to its thread's pool when the
-//! [`Scratch`] guard drops. Pools are thread-local, so the threads that
-//! run kernels (compute-pool workers, which also run NAS sweep trials;
-//! grid submitters; engine workers) never contend; a guard must drop on
-//! the thread that created it, which the RAII shape guarantees for the
-//! closure-scoped uses in this crate.
+//! [`Scratch`] guard drops. The int8 conv's quantized operands are `i8`
+//! views of buffers from the same pool, so they keep no buffers of their
+//! own: a separate `i8` pool would hold up to eight more buffers per
+//! thread for the life of the process. Pools are thread-local, so the
+//! threads that run kernels (compute-pool workers, which also run NAS
+//! sweep trials; grid submitters; engine workers) never contend; a guard
+//! must drop on the thread that created it, which the RAII shape
+//! guarantees for the closure-scoped uses in this crate.
 //!
 //! ## Telemetry
 //!
@@ -134,6 +137,36 @@ pub fn scratch_zeroed(len: usize) -> Scratch {
     s
 }
 
+/// `len` bytes of `i8` scratch with unspecified contents: a view of a
+/// pooled `f32` buffer (see the module docs), returned to the pool on drop.
+pub(crate) struct ScratchI8 {
+    buf: Scratch,
+    len: usize,
+}
+
+impl Deref for ScratchI8 {
+    type Target = [i8];
+    fn deref(&self) -> &[i8] {
+        // SAFETY: `buf` holds at least `len` initialized bytes, and every
+        // byte is a valid `i8`, whose alignment is 1.
+        unsafe { std::slice::from_raw_parts(self.buf.as_ptr().cast(), self.len) }
+    }
+}
+
+impl DerefMut for ScratchI8 {
+    fn deref_mut(&mut self) -> &mut [i8] {
+        // SAFETY: as in `deref`; any bytes written are valid f32 bits for
+        // the buffer's next checkout.
+        unsafe { std::slice::from_raw_parts_mut(self.buf.as_mut_ptr().cast(), self.len) }
+    }
+}
+
+/// Checks out a [`ScratchI8`] of `len` bytes.
+pub(crate) fn scratch_i8(len: usize) -> ScratchI8 {
+    let buf = scratch(len.div_ceil(4));
+    ScratchI8 { buf, len }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,6 +197,15 @@ mod tests {
         assert_ne!(a.as_ptr(), b.as_ptr());
         drop(a);
         drop(b);
+    }
+
+    #[test]
+    fn i8_scratch_views_a_pooled_float_buffer() {
+        let ptr = scratch(256).as_ptr() as usize;
+        let mut q = scratch_i8(1023);
+        assert_eq!((q.len(), q.as_ptr() as usize), (1023, ptr));
+        q.fill(-7);
+        assert!(q.iter().all(|&v| v == -7));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   results are bit-identical at any thread count.
 //! * Serving runs two convs through one tile driver: [`conv2d_bias_act`]
 //!   over a BN-folded f32 weight packed once by [`pack_conv_weight`], and
-//!   [`conv2d_q8`](crate::conv2d_q8) over an int8 weight. The driver cuts
+//!   [`conv2d_q8`](crate::conv2d_q8) over an int8 weight. A serving plan
+//!   runs every weighted layer on them, its classifier head as a 1×1
+//!   conv over the pooled `[N, C, 1, 1]` map. The driver cuts
 //!   the batch into column tiles of whole samples, about one GEMM column
 //!   block each, and runs each tile as one compute-pool task that unfolds
 //!   its samples through one tap-offset table, multiplies them while they
@@ -657,8 +659,10 @@ mod tests {
     /// fused exactly as an unfused pass would apply them. Geometries cover
     /// stride, padding, multi-row-block out_c and multi-k-block cr, all on
     /// the GEMM's packed path; the batch-23 calls end in a partial tile,
-    /// and a 24×24 stride-1 sample is 576 columns, wider than a tile and
-    /// spanning two GEMM column blocks.
+    /// a 24×24 stride-1 sample is 576 columns, wider than a tile and
+    /// spanning two GEMM column blocks, and the plan's classifier head (a
+    /// 1×1 conv over 1×1 maps) at batch 600 runs as tiles of 512 and 88
+    /// samples.
     #[test]
     fn packed_im2col_matches_row_major_im2col_and_packing() {
         let mut rng = TensorRng::seed_from_u64(47);
@@ -667,6 +671,7 @@ mod tests {
             (23, 32, 8, 9, 3, 2, 1),
             (23, 3, 24, 9, 7, 2, 3),
             (2, 32, 16, 24, 3, 1, 1),
+            (600, 288, 3, 1, 1, 1, 0),
         ] {
             let input = uniform(&[batch, in_c, h, h], -1.0, 1.0, &mut rng);
             let weight = uniform(&[out_c, in_c, k, k], -0.5, 0.5, &mut rng);

@@ -613,10 +613,11 @@ impl PackedA {
 ///
 /// The buffer holds one block per `(jc, pc)` pair, column blocks outer:
 /// `ceil(nc/nr)` column panels of `kc` steps each. Producers never address
-/// it themselves: [`PackedBLayout::pack`] and the fused convolution's
-/// unfold both fill it through one panel visitor, so the blocking stays
-/// private to this module. A constant operand (the inference plan's FC
-/// weight) is packed once with [`PackedBLayout::pack`].
+/// it themselves: the fused convolution's unfold fills it through a panel
+/// visitor, so the blocking stays private to this module. No plan weight
+/// is packed as B (every weighted layer's weight is the conv's packed A);
+/// [`PackedBLayout::pack`] is the reference packer the tests check the
+/// unfold and the packed path against.
 pub struct PackedBLayout {
     k: usize,
     n: usize,
@@ -651,11 +652,6 @@ impl PackedBLayout {
     /// non-degenerate by construction).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Inner dimension (`k`).
-    pub fn k(&self) -> usize {
-        self.k
     }
 
     /// Output columns (`n`).
@@ -697,7 +693,8 @@ impl PackedBLayout {
         }
     }
 
-    /// Packs a full row-major `[k x n]` matrix into `buf`.
+    /// Packs a full row-major `[k x n]` matrix into `buf` — the reference
+    /// the tests check the fused convolution's unfold against.
     pub fn pack(&self, b: &[f32], buf: &mut [f32]) {
         assert_eq!(b.len(), self.k * self.n, "B size mismatch");
         assert!(buf.len() >= self.len(), "packed buffer too small");

@@ -1,6 +1,8 @@
-//! Int8 quantized inference kernels: an i8×i8→i32 GEMM with fused
-//! requantize+bias+ReLU epilogues, and the int8 convolution, which runs
-//! on the serving convs' column-tile driver in [`crate::conv`].
+//! Int8 quantized inference kernels: an i8×i8→i32 GEMM with a fused
+//! per-row requantize+bias+ReLU epilogue, and the int8 convolution, which
+//! runs on the serving convs' column-tile driver in [`crate::conv`]. An
+//! int8 plan runs every weighted layer through that conv, its classifier
+//! head included (as a 1×1 conv over the pooled `[N, C, 1, 1]` map).
 //!
 //! ## Layout and determinism
 //!
@@ -26,7 +28,7 @@
 //! and `255 × 127 × 2` overflows, so it is only exact with operand-range
 //! restrictions we do not want to impose. Sign-extending to i16 first makes
 //! the SIMD kernel exactly equal to the scalar fallback on every input.
-use crate::arena::scratch;
+use crate::arena::{scratch, scratch_i8};
 use crate::conv::{conv_tiles, unfold_tile_t, Conv2dDims};
 use crate::parallel;
 use crate::tensor::Tensor;
@@ -43,13 +45,8 @@ pub fn quantize_slice_i8(src: &[f32], scale: f32, dst: &mut [i8]) {
         "quantization scale must be positive and finite, got {scale}"
     );
     for (d, &s) in dst.iter_mut().zip(src) {
-        *d = quantize_one(s, scale);
+        *d = (s / scale).round().clamp(-127.0, 127.0) as i8;
     }
-}
-
-#[inline]
-fn quantize_one(v: f32, scale: f32) -> i8 {
-    (v / scale).round().clamp(-127.0, 127.0) as i8
 }
 
 type DotFn = fn(&[i8], &[i8]) -> i32;
@@ -125,28 +122,17 @@ fn record_qgemm(m: usize, k: usize, n: usize) {
     }
 }
 
-/// Requantizing epilogue of [`qgemm_nt`]: `C[i][j] = act(acc × scale +
-/// bias)`, one f32 multiply-add per exact i32 accumulator, with `scale`
-/// and `bias` indexed by the named axis and `act` ReLU when `relu` is
-/// set. Each scale is the *combined* `w_scale × input_scale` that maps
-/// the integer accumulator back to real units in one multiply.
+/// Requantizing epilogue of [`qgemm_nt`]: `C[i][j] = act(acc ×
+/// scales[i] + bias[i])`, one f32 multiply-add per exact i32 accumulator,
+/// with one scale and bias per output row (`len == m`, the conv's output
+/// channel) and `act` ReLU when `relu` is set. Each scale is the
+/// *combined* `w_scale × input_scale` that maps the integer accumulator
+/// back to real units in one multiply.
 #[derive(Clone, Copy)]
-pub enum QEpilogue<'a> {
-    /// One scale and bias per output row (`len == m`): the convolution
-    /// shape, where row `i` is output channel `i`.
-    Rows {
-        scales: &'a [f32],
-        bias: &'a [f32],
-        relu: bool,
-    },
-    /// One scale and bias per output column (`len == n`): the
-    /// fully-connected shape, where row `i` is a batch sample and column
-    /// `j` an output feature.
-    Cols {
-        scales: &'a [f32],
-        bias: &'a [f32],
-        relu: bool,
-    },
+pub struct QEpilogue<'a> {
+    pub scales: &'a [f32],
+    pub bias: &'a [f32],
+    pub relu: bool,
 }
 
 /// Int8 NT GEMM with a fused requantizing epilogue: `C[i][j] =
@@ -164,52 +150,21 @@ pub fn qgemm_nt(a: &[i8], bt: &[i8], c: &mut [f32], m: usize, k: usize, n: usize
         "B must be supplied transposed as [n, k] i8"
     );
     assert_eq!(c.len(), m * n, "output must be [m, n]");
-    let (scales, bias, relu, per_row) = match epi {
-        QEpilogue::Rows { scales, bias, relu } => (scales, bias, relu, true),
-        QEpilogue::Cols { scales, bias, relu } => (scales, bias, relu, false),
-    };
-    let (axis, len) = if per_row { ("row", m) } else { ("column", n) };
-    assert_eq!(scales.len(), len, "epilogue needs one scale per {axis}");
-    assert_eq!(bias.len(), len, "epilogue needs one bias per {axis}");
+    let QEpilogue { scales, bias, relu } = epi;
+    assert_eq!(scales.len(), m, "epilogue needs one scale per row");
+    assert_eq!(bias.len(), m, "epilogue needs one bias per row");
     record_qgemm(m, k, n);
     if m == 0 || n == 0 {
         return;
     }
-    // The axis is fixed per call, so each arm compiles its own loop.
-    if per_row {
-        qgemm_rows(a, bt, c, k, n, |i, _, acc| {
-            requant(acc, scales[i], bias[i], relu)
-        });
-    } else {
-        qgemm_rows(a, bt, c, k, n, |_, j, acc| {
-            requant(acc, scales[j], bias[j], relu)
-        });
-    }
-}
-
-/// One requantized output: `act(acc × scale + bias)`, a single f32
-/// multiply-add, so the rounding does not depend on accumulation order.
-#[inline(always)]
-fn requant(acc: i32, scale: f32, bias: f32, relu: bool) -> f32 {
-    let v = acc as f32 * scale + bias;
-    if relu {
-        v.max(0.0)
-    } else {
-        v
-    }
-}
-
-/// The NT GEMM loop: parallelizes over rows of `C` and writes
-/// `epilogue(row, col, acc)` for each exact i32 dot product.
-fn qgemm_rows<E>(a: &[i8], bt: &[i8], c: &mut [f32], k: usize, n: usize, epilogue: E)
-where
-    E: Fn(usize, usize, i32) -> f32 + Sync,
-{
     let dot = dot_kernel();
     parallel::par_chunks_mut(c, n, |i, row| {
         let ar = &a[i * k..(i + 1) * k];
         for (j, out) in row.iter_mut().enumerate() {
-            *out = epilogue(i, j, dot(ar, &bt[j * k..(j + 1) * k]));
+            // A single f32 multiply-add, so the rounding does not depend
+            // on the accumulation order.
+            let v = dot(ar, &bt[j * k..(j + 1) * k]) as f32 * scales[i] + bias[i];
+            *out = if relu { v.max(0.0) } else { v };
         }
     });
 }
@@ -290,9 +245,9 @@ impl QuantizedConvWeight {
 /// (which is `quantize(0.0)`), and i32 accumulation is exact in any
 /// grouping, so the bits do not depend on the tiling.
 ///
-/// The tile's f32 result comes from the scratch arena ([`crate::arena`]);
-/// the arena is f32-typed, so the two i8 buffers (quantized input and
-/// column matrix) are plain per-tile allocations outside it.
+/// A tile's three buffers — its quantized input, its column matrix and
+/// its f32 result — come from the per-thread scratch arena
+/// ([`crate::arena`]), so a warm serving loop allocates nothing per tile.
 pub fn conv2d_q8(
     input: &Tensor,
     weight: &QuantizedConvWeight,
@@ -326,17 +281,15 @@ pub fn conv2d_q8(
         ]);
     }
     let combined: Vec<f32> = weight.scales.iter().map(|s| s * input_scale).collect();
-    let epi = QEpilogue::Rows {
+    let epi = QEpilogue {
         scales: &combined,
         bias,
         relu,
     };
     conv_tiles(input, &d, |tile_in, taps, cols| {
-        let q: Vec<i8> = tile_in
-            .iter()
-            .map(|&v| quantize_one(v, input_scale))
-            .collect();
-        let mut bt = vec![0i8; cols * cr];
+        let mut q = scratch_i8(tile_in.len());
+        quantize_slice_i8(tile_in, input_scale, &mut q);
+        let mut bt = scratch_i8(cols * cr);
         unfold_tile_t(&q, &d, taps, &mut bt);
         let mut c = scratch(d.out_c * cols);
         qgemm_nt(&weight.values, &bt, &mut c, d.out_c, cr, cols, epi);
@@ -372,7 +325,7 @@ mod tests {
     /// f32, exact while `|acc| < 2^24` (`127² · 100 < 2^24`).
     fn qgemm_exact(a: &[i8], bt: &[i8], m: usize, k: usize, n: usize) -> Vec<f32> {
         let (scales, bias) = (vec![1.0f32; m], vec![0.0f32; m]);
-        let epi = QEpilogue::Rows {
+        let epi = QEpilogue {
             scales: &scales,
             bias: &bias,
             relu: false,
@@ -414,7 +367,7 @@ mod tests {
     fn row_scaled_epilogue_applies_scale_bias_relu() {
         let a = vec![2i8, -3, 1, 4]; // [2, 2]
         let bt = vec![1i8, 1, 2, -1]; // [2, 2] transposed
-        let epi = QEpilogue::Rows {
+        let epi = QEpilogue {
             scales: &[0.5, 1.0],
             bias: &[10.0, -100.0],
             relu: true,
@@ -424,20 +377,6 @@ mod tests {
         // Row 0: acc = [-1, 7] -> 0.5*acc + 10 = [9.5, 13.5]
         // Row 1: acc = [5, -2] -> 1.0*acc - 100 -> relu -> [0, 0]
         assert_eq!(c, vec![9.5, 13.5, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn col_scaled_epilogue_applies_per_column() {
-        let a = vec![1i8, 2, 3, 4]; // [2, 2]
-        let bt = vec![1i8, 0, 0, 1]; // identity transposed
-        let epi = QEpilogue::Cols {
-            scales: &[2.0, 0.5],
-            bias: &[1.0, -1.0],
-            relu: false,
-        };
-        let mut c = vec![0.0f32; 4];
-        qgemm_nt(&a, &bt, &mut c, 2, 2, 2, epi);
-        assert_eq!(c, vec![3.0, 0.0, 7.0, 1.0]);
     }
 
     #[test]
@@ -499,10 +438,11 @@ mod tests {
 
     /// The tiled int8 conv equals the exact integer reference bit for bit
     /// at its tile edges: batch 23 ends in a partial tile, a 24×24
-    /// stride-1 sample is 576 columns (wider than a tile), and the k7
-    /// stride-2 and 1×1 stride-2 shapes are the stem's and the
-    /// projections'. The input range overshoots the scale, so some values
-    /// clamp at ±127.
+    /// stride-1 sample is 576 columns (wider than a tile), the k7 stride-2
+    /// and 1×1 stride-2 shapes are the stem's and the projections', and a
+    /// 1×1 conv over 1×1 maps at batch 600 is the classifier head's, run
+    /// as tiles of 512 and 88 samples. The input range overshoots the
+    /// scale, so some values clamp at ±127.
     #[test]
     fn conv_q8_matches_exact_integer_reference() {
         let mut rng = crate::init::TensorRng::seed_from_u64(61);
@@ -511,6 +451,7 @@ mod tests {
             (2, 3, 5, 24, 3, 1, 1),
             (5, 3, 8, 17, 7, 2, 3),
             (6, 8, 4, 9, 1, 2, 0),
+            (600, 40, 3, 1, 1, 1, 0),
         ] {
             let case = format!("batch={batch} in_c={in_c} h={h} k={k} s={s} p={p}");
             let input = crate::init::uniform(&[batch, in_c, h, h], -1.5, 1.5, &mut rng);
@@ -531,6 +472,7 @@ mod tests {
         }
         assert_eq!(crate::conv::fused_conv_tiles(23, 7 * 7), 3);
         assert_eq!(crate::conv::fused_conv_tiles(2, 24 * 24), 2);
+        assert_eq!(crate::conv::fused_conv_tiles(600, 1), 2);
     }
 
     #[test]

@@ -273,7 +273,7 @@ fn int8_gemm_is_thread_count_invariant() {
     let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.01 - 0.1).collect();
     assert_thread_invariant("qgemm row-scaled", || {
         let mut c = vec![0.0f32; m * n];
-        let epi = QEpilogue::Rows {
+        let epi = QEpilogue {
             scales: &scales,
             bias: &bias,
             relu: true,
