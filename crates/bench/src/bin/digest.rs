@@ -1,0 +1,208 @@
+//! The bit-identity probe: prints one FNV-1a digest line per case over
+//! the outputs a change that claims "no output bit moved" must leave
+//! alone.
+//!
+//! ```text
+//! digest
+//! ```
+//!
+//! It takes no flags. Cases, each run at 1, 2 and 8 compute threads:
+//!
+//! * **plan** — for 5 architectures × fp32 and int8 plans × 5 inputs
+//!   (`batch × H²`: 1×32², 3×32², 8×24², 32×32², 600×16²): the
+//!   `run_batch` and `profile_batch` logits, `weight_bytes`,
+//!   `activation_bytes`, and every `LayerCost` name, FLOPs and bytes;
+//! * **conv** — the training conv's `conv2d` output and
+//!   `conv2d_backward` input and weight gradients, at shapes whose GEMMs
+//!   take the small path and at shapes whose GEMMs take the packed path;
+//! * **train** — a small model's flat parameters after a few SGD steps.
+//!
+//! To check a change, build this binary from the change and from its
+//! parent on one host (copy this file into the parent's
+//! `crates/bench/src/bin/`), run both, and `diff` the outputs. Digests
+//! are comparable only between builds on one host: the GEMM microkernel
+//! is chosen by CPU detection.
+
+use hydronas_graph::{ArchConfig, CalibrationMethod, PoolConfig};
+use hydronas_infer::{ExecutionPlan, Numerics, QuantizationScheme};
+use hydronas_nn::{CrossEntropyLoss, Optimizer, ParamVisitor, ResNet, Sgd};
+use hydronas_tensor::{conv2d, conv2d_backward, set_compute_threads, uniform, TensorRng};
+
+const THREADS: [usize; 3] = [1, 2, 8];
+
+/// `(batch, H = W)` of each plan input.
+const INPUTS: [(usize, usize); 5] = [(1, 32), (3, 32), (8, 24), (32, 32), (600, 16)];
+
+/// `(batch, in_c, out_c, H = W, kernel, stride, padding)` of each
+/// training-conv case. The first three run every GEMM of the forward
+/// and backward on the small path, the last three on the packed path
+/// (the last with `in_c·k²` past one k block).
+const CONVS: [(usize, usize, usize, usize, usize, usize, usize); 6] = [
+    (1, 2, 3, 5, 3, 1, 1),
+    (2, 8, 16, 8, 1, 2, 0),
+    (2, 4, 4, 6, 3, 1, 1),
+    (4, 16, 32, 16, 3, 1, 1),
+    (2, 5, 8, 32, 7, 2, 3),
+    (3, 32, 64, 9, 3, 2, 1),
+];
+
+/// 64-bit FNV-1a.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn floats(&mut self, values: &[f32]) {
+        self.u64(values.len() as u64);
+        for v in values {
+            self.bytes(&v.to_bits().to_le_bytes());
+        }
+    }
+}
+
+fn arch(
+    in_channels: usize,
+    (kernel_size, stride, padding): (usize, usize, usize),
+    pool: Option<PoolConfig>,
+    initial_features: usize,
+    num_classes: usize,
+) -> ArchConfig {
+    ArchConfig {
+        in_channels,
+        kernel_size,
+        stride,
+        padding,
+        pool,
+        initial_features,
+        num_classes,
+    }
+}
+
+/// The probed architectures, each with a short label.
+fn archs() -> Vec<(&'static str, ArchConfig)> {
+    let pool = Some(PoolConfig {
+        kernel: 3,
+        stride: 2,
+    });
+    vec![
+        ("k3s2p1-f32-c5", arch(5, (3, 2, 1), None, 32, 2)),
+        ("k3s2p1-f32-c7", arch(7, (3, 2, 1), None, 32, 2)),
+        ("k7s2p3-pool-f8-c5-4cls", arch(5, (7, 2, 3), pool, 8, 4)),
+        ("k3s2p1-f64-c5", arch(5, (3, 2, 1), None, 64, 2)),
+        ("k3s1p1-f4-c5", arch(5, (3, 1, 1), None, 4, 2)),
+    ]
+}
+
+/// A seeded model whose batch norms hold one training pass's running
+/// statistics, so folding them into the plan is not the identity.
+fn warmed_model(arch: &ArchConfig, seed: u64) -> ResNet {
+    let mut rng = TensorRng::seed_from_u64(seed);
+    let mut model = ResNet::new(arch, &mut rng);
+    let warm = uniform(&[4, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
+    let _ = model.forward(&warm, true);
+    model
+}
+
+fn plans(model: &ResNet, arch: &ArchConfig, seed: u64) -> [(&'static str, ExecutionPlan); 2] {
+    let mut rng = TensorRng::seed_from_u64(seed);
+    let calibration = uniform(&[4, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
+    let fp32 = ExecutionPlan::builder(model).build();
+    let int8 = ExecutionPlan::builder(model)
+        .numerics(Numerics::QuantizedInt8)
+        .quantization(
+            QuantizationScheme::per_channel().calibrate(CalibrationMethod::MinMax, &calibration),
+        )
+        .build();
+    [
+        ("fp32", fp32.expect("fp32 plan builds")),
+        ("int8", int8.expect("int8 plan builds")),
+    ]
+}
+
+fn plan_cases() {
+    for (a, (label, arch)) in archs().into_iter().enumerate() {
+        let model = warmed_model(&arch, 100 + a as u64);
+        for (numerics, plan) in plans(&model, &arch, 200 + a as u64) {
+            for (i, &(batch, hw)) in INPUTS.iter().enumerate() {
+                let mut rng = TensorRng::seed_from_u64(300 + i as u64);
+                let x = uniform(&[batch, arch.in_channels, hw, hw], -1.0, 1.0, &mut rng);
+                for threads in THREADS {
+                    set_compute_threads(threads);
+                    let mut h = Fnv::new();
+                    h.u64(plan.weight_bytes());
+                    h.u64(plan.activation_bytes(batch, hw));
+                    h.floats(plan.run_batch(&x).as_slice());
+                    let (logits, profile) = plan.profile_batch(&x);
+                    h.floats(logits.as_slice());
+                    for layer in &profile.layers {
+                        h.bytes(layer.name.as_bytes());
+                        h.u64(layer.flops);
+                        h.u64(layer.bytes);
+                    }
+                    let case = format!("{label} {numerics} {batch}x{hw}^2");
+                    println!("plan {case} t{threads} {:016x}", h.0);
+                }
+            }
+        }
+    }
+}
+
+fn conv_cases() {
+    for (i, &(batch, in_c, out_c, hw, k, s, p)) in CONVS.iter().enumerate() {
+        let mut rng = TensorRng::seed_from_u64(400 + i as u64);
+        let input = uniform(&[batch, in_c, hw, hw], -1.0, 1.0, &mut rng);
+        let weight = uniform(&[out_c, in_c, k, k], -0.5, 0.5, &mut rng);
+        let out_dims = conv2d(&input, &weight, s, p).dims().to_vec();
+        let grad_out = uniform(&out_dims, -1.0, 1.0, &mut rng);
+        for threads in THREADS {
+            set_compute_threads(threads);
+            let mut h = Fnv::new();
+            h.floats(conv2d(&input, &weight, s, p).as_slice());
+            let (grad_input, grad_weight) = conv2d_backward(&input, &weight, &grad_out, s, p);
+            h.floats(grad_input.as_slice());
+            h.floats(grad_weight.as_slice());
+            let case = format!("n{batch} c{in_c} o{out_c} {hw}^2 k{k} s{s} p{p}");
+            println!("conv {case} t{threads} {:016x}", h.0);
+        }
+    }
+}
+
+fn train_case() {
+    let arch = arch(5, (3, 2, 1), None, 4, 2);
+    for threads in THREADS {
+        set_compute_threads(threads);
+        let mut rng = TensorRng::seed_from_u64(500);
+        let mut model = ResNet::new(&arch, &mut rng);
+        let mut opt = Sgd::new(0.01, 0.9, 1e-4);
+        let targets = [0, 1, 1, 0];
+        for _ in 0..3 {
+            let input = uniform(&[4, 5, 16, 16], -1.0, 1.0, &mut rng);
+            model.zero_grad();
+            let logits = model.forward(&input, true);
+            let (_, grad) = CrossEntropyLoss.forward_backward(&logits, &targets);
+            model.backward(&grad);
+            opt.step(&mut model);
+        }
+        let mut h = Fnv::new();
+        h.floats(&model.flat_params());
+        println!("train k3s2p1-f4-c5 3-sgd-steps t{threads} {:016x}", h.0);
+    }
+}
+
+fn main() {
+    plan_cases();
+    conv_cases();
+    train_case();
+}

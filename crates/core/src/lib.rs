@@ -110,7 +110,7 @@ pub mod prelude {
     pub use hydronas_infer::{
         DrainStats, Engine, EngineConfig, EngineStats, ExecutionPlan, InferError, InferRequest,
         LayerCost, LayerProfile, Numerics, PlanBuilder, Prediction, PredictionHandle,
-        QuantizationScheme, RetryConfig, ShedPolicy,
+        QuantizationScheme, ShedPolicy,
     };
     pub use hydronas_latency::{
         predict_all, predict_all_quantized, predict_energy, validate_table2, DeviceId,

@@ -3,8 +3,11 @@
 //! model and proportionally less weight traffic for the memory-bound
 //! kernels that dominate tile-resolution inference.
 //!
-//! Scheme: symmetric per-tensor affine quantization. Each initializer is
-//! stored as `i8` values plus one `f32` scale (`w ≈ scale * q`).
+//! Scheme: symmetric affine quantization, `i8` values plus `f32` scales
+//! (`w ≈ scale * q`). The size model ([`quantized_size_bytes`]) stores one
+//! scale per initializer; the serving plan quantizes each conv weight per
+//! output channel ([`quantize_per_channel`]) and calibrates activation
+//! scales with an [`ActivationObserver`].
 
 use crate::analysis::node_cost;
 use crate::graph::{GraphError, ModelGraph};
@@ -114,72 +117,33 @@ pub enum CalibrationMethod {
     /// Clip at the largest magnitude seen: zero clipping error, but one
     /// outlier can stretch the scale and waste resolution.
     MinMax,
-    /// Clip at the given quantile of observed magnitudes, in `(0, 1]`
-    /// (e.g. `Percentile(0.999)`): trades bounded clipping of outliers for
-    /// finer resolution in the bulk of the distribution.
-    Percentile(f64),
-}
-
-impl CalibrationMethod {
-    /// Validates the method's parameters; `Err` holds a human-readable
-    /// reason. `Percentile(1.0)` is exactly `MinMax`.
-    pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            CalibrationMethod::MinMax => Ok(()),
-            CalibrationMethod::Percentile(p) => {
-                if p.is_finite() && p > 0.0 && p <= 1.0 {
-                    Ok(())
-                } else {
-                    Err(format!("percentile must be in (0, 1], got {p}"))
-                }
-            }
-        }
-    }
 }
 
 /// Streams activation values and produces a deterministic symmetric int8
 /// scale for them.
 ///
 /// Determinism contract: the resulting scale depends only on the multiset
-/// of observed values and the method — never on observation batching,
-/// ordering, or thread count. `MinMax` folds a max (associative,
-/// order-free); `Percentile` stores every magnitude and sorts with
-/// `total_cmp` (a total order, so ties cannot reorder nondeterministically)
-/// before indexing.
+/// of observed values — never on observation batching, ordering, or thread
+/// count — because it folds a max, which is associative and order-free.
 #[derive(Clone, Debug)]
 pub struct ActivationObserver {
-    method: CalibrationMethod,
     max_abs: f32,
-    magnitudes: Vec<f32>,
 }
 
 impl ActivationObserver {
-    /// New observer; panics if the method's parameters are invalid
-    /// (validate with [`CalibrationMethod::validate`] first for a typed
-    /// error path).
+    /// New observer for `method`, having seen nothing.
     pub fn new(method: CalibrationMethod) -> Self {
-        method.validate().expect("invalid calibration method");
-        ActivationObserver {
-            method,
-            max_abs: 0.0,
-            magnitudes: Vec::new(),
+        match method {
+            CalibrationMethod::MinMax => ActivationObserver { max_abs: 0.0 },
         }
     }
 
     /// Folds a batch of activations into the observer. Non-finite values
     /// are ignored (they would otherwise poison the scale forever).
     pub fn observe(&mut self, values: &[f32]) {
-        match self.method {
-            CalibrationMethod::MinMax => {
-                for &v in values {
-                    if v.is_finite() {
-                        self.max_abs = self.max_abs.max(v.abs());
-                    }
-                }
-            }
-            CalibrationMethod::Percentile(_) => {
-                self.magnitudes
-                    .extend(values.iter().filter(|v| v.is_finite()).map(|v| v.abs()));
+        for &v in values {
+            if v.is_finite() {
+                self.max_abs = self.max_abs.max(v.abs());
             }
         }
     }
@@ -187,20 +151,7 @@ impl ActivationObserver {
     /// The symmetric int8 scale for everything observed so far. An
     /// observer that saw nothing (or only zeros) returns scale 1.
     pub fn scale(&self) -> f32 {
-        let clip = match self.method {
-            CalibrationMethod::MinMax => self.max_abs,
-            CalibrationMethod::Percentile(p) => {
-                if self.magnitudes.is_empty() {
-                    0.0
-                } else {
-                    let mut sorted = self.magnitudes.clone();
-                    sorted.sort_unstable_by(f32::total_cmp);
-                    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-                    sorted[idx.min(sorted.len() - 1)]
-                }
-            }
-        };
-        symmetric_scale(clip)
+        symmetric_scale(self.max_abs)
     }
 }
 
@@ -420,54 +371,14 @@ mod tests {
     }
 
     #[test]
-    fn percentile_observer_clips_outliers() {
-        // 999 values in [0, 1] plus one huge outlier: MinMax stretches the
-        // scale to the outlier, Percentile(0.99) ignores it.
-        let mut data: Vec<f32> = (0..999).map(|i| i as f32 / 999.0).collect();
-        data.push(1000.0);
-        let mut minmax = ActivationObserver::new(CalibrationMethod::MinMax);
-        minmax.observe(&data);
-        let mut pct = ActivationObserver::new(CalibrationMethod::Percentile(0.99));
-        pct.observe(&data);
-        assert!((minmax.scale() - 1000.0 / 127.0).abs() < 1e-3);
-        assert!(pct.scale() < 1.0 / 127.0 + 1e-3, "scale {}", pct.scale());
-        // Percentile(1.0) degenerates to MinMax exactly.
-        let mut full = ActivationObserver::new(CalibrationMethod::Percentile(1.0));
-        full.observe(&data);
-        assert_eq!(full.scale().to_bits(), minmax.scale().to_bits());
-    }
-
-    #[test]
-    fn percentile_observer_is_batch_invariant() {
-        let data: Vec<f32> = (0..500).map(|i| ((i * 73) % 500) as f32 * 0.01).collect();
-        let mut one_shot = ActivationObserver::new(CalibrationMethod::Percentile(0.95));
-        one_shot.observe(&data);
-        let mut chunked = ActivationObserver::new(CalibrationMethod::Percentile(0.95));
-        for chunk in data.chunks(13) {
-            chunked.observe(chunk);
-        }
-        assert_eq!(one_shot.scale().to_bits(), chunked.scale().to_bits());
-    }
-
-    #[test]
     fn observers_ignore_non_finite_and_empty_input() {
         let mut obs = ActivationObserver::new(CalibrationMethod::MinMax);
         obs.observe(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
         assert_eq!(obs.scale(), 1.0); // nothing (finite) observed
         obs.observe(&[0.5]);
         assert!((obs.scale() - 0.5 / 127.0).abs() < 1e-9);
-        let empty = ActivationObserver::new(CalibrationMethod::Percentile(0.9));
+        let empty = ActivationObserver::new(CalibrationMethod::MinMax);
         assert_eq!(empty.scale(), 1.0);
-    }
-
-    #[test]
-    fn calibration_method_validation() {
-        assert!(CalibrationMethod::MinMax.validate().is_ok());
-        assert!(CalibrationMethod::Percentile(0.999).validate().is_ok());
-        assert!(CalibrationMethod::Percentile(1.0).validate().is_ok());
-        for bad in [0.0, -0.5, 1.5, f64::NAN] {
-            assert!(CalibrationMethod::Percentile(bad).validate().is_err());
-        }
     }
 
     #[test]

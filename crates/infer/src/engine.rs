@@ -58,8 +58,8 @@ use std::time::{Duration, Instant};
 pub enum ShedPolicy {
     /// Refuse the new request: `submit` returns [`InferError::QueueFull`]
     /// and the queue is untouched. Favors requests already queued (their
-    /// deadlines are closer) and gives the client an immediate,
-    /// retryable signal — pair with [`InferRequest::retry`].
+    /// deadlines are closer) and gives the client an immediate signal;
+    /// whether and when to submit again is the client's call.
     #[default]
     RejectNew,
     /// Admit the new request and shed the *oldest* queued one, whose
@@ -171,10 +171,10 @@ pub enum InferError {
     /// A degenerate [`EngineConfig`] knob was rejected by
     /// [`EngineConfig::validate`]; `field` names the offender.
     InvalidConfig { field: &'static str },
-    /// A quantized plan could not be built: missing or uncalibrated
-    /// [`QuantizationScheme`](crate::QuantizationScheme), invalid
-    /// calibration parameters, or a calibration batch whose shape does not
-    /// match the model (see [`PlanBuilder::build`](crate::PlanBuilder::build)).
+    /// A quantized plan could not be built: a missing or uncalibrated
+    /// [`QuantizationScheme`](crate::QuantizationScheme), a scheme on an
+    /// f32 plan, or a calibration batch whose shape does not fit the model
+    /// (see [`PlanBuilder::build`](crate::PlanBuilder::build)).
     InvalidQuantization { reason: String },
 }
 
@@ -207,71 +207,19 @@ impl std::fmt::Display for InferError {
 
 impl std::error::Error for InferError {}
 
-/// Client-side retry policy attached to a request via
-/// [`InferRequest::retry`]: bounded attempts with exponential backoff
-/// over [`InferError::QueueFull`].
-///
-/// The same shape as the sweep engine's `RetryPolicy`, with backoff
-/// measured in engine ticks instead of simulated seconds.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryConfig {
-    /// Total attempts (so `1` disables retries).
-    pub max_attempts: usize,
-    /// Ticks slept before the first retry; `0` retries immediately.
-    pub backoff_base_ticks: u64,
-    /// Multiplier applied to the backoff for each further retry.
-    pub backoff_mult: f64,
-}
-
-impl RetryConfig {
-    /// A policy with `max_attempts` total attempts and no backoff.
-    pub fn new(max_attempts: usize) -> RetryConfig {
-        RetryConfig {
-            max_attempts: max_attempts.max(1),
-            backoff_base_ticks: 0,
-            backoff_mult: 2.0,
-        }
-    }
-
-    /// Adds exponential backoff: retry `r` (1-based) waits
-    /// `base_ticks * mult^(r-1)` ticks of `tick_us` wall microseconds.
-    pub fn with_backoff(mut self, base_ticks: u64, mult: f64) -> RetryConfig {
-        self.backoff_base_ticks = base_ticks;
-        self.backoff_mult = mult.max(1.0);
-        self
-    }
-
-    /// Ticks of backoff before attempt `attempt` (2-based; attempt 1
-    /// never waits).
-    pub fn backoff_ticks(&self, attempt: usize) -> u64 {
-        if attempt <= 1 || self.backoff_base_ticks == 0 {
-            return 0;
-        }
-        let scaled = self.backoff_base_ticks as f64 * self.backoff_mult.powi(attempt as i32 - 2);
-        scaled.min(u64::MAX as f64) as u64
-    }
-}
-
-impl Default for RetryConfig {
-    /// Three attempts with a one-tick doubling backoff.
-    fn default() -> RetryConfig {
-        RetryConfig::new(3).with_backoff(1, 2.0)
-    }
-}
-
-/// One typed inference request: the input tensor plus every per-request
-/// policy, submitted via [`Engine::submit`].
+/// One typed inference request: the input tensor plus its deadline,
+/// submitted via [`Engine::submit`].
 ///
 /// A bare [`Tensor`] converts into a plain request (`engine.submit(tensor)`
-/// and `engine.infer(tensor)`), and deadlines or retries chain on as
-/// builder calls:
+/// and `engine.infer(tensor)`), and a deadline chains on as a builder
+/// call:
 ///
 /// ```no_run
-/// # use hydronas_infer::{Engine, EngineConfig, InferRequest, RetryConfig};
+/// # use hydronas_infer::{Engine, EngineConfig, InferRequest};
 /// # use hydronas_tensor::Tensor;
 /// # fn demo(engine: &Engine, x: Tensor) {
 /// let handle = engine
-///     .submit(InferRequest::new(x).deadline_ticks(50).retry(RetryConfig::new(3)))
+///     .submit(InferRequest::new(x).deadline_ticks(50))
 ///     .unwrap();
 /// # }
 /// ```
@@ -279,36 +227,24 @@ impl Default for RetryConfig {
 pub struct InferRequest {
     input: Tensor,
     deadline_ticks: Option<u64>,
-    retry: Option<RetryConfig>,
 }
 
 impl InferRequest {
-    /// A request for one `[C, H, W]` sample with no deadline and no
-    /// retries.
+    /// A request for one `[C, H, W]` sample with no deadline.
     pub fn new(input: Tensor) -> InferRequest {
         InferRequest {
             input,
             deadline_ticks: None,
-            retry: None,
         }
     }
 
     /// Expires the request after `ticks` engine ticks: if no worker
     /// drains it within the budget it resolves to
     /// [`InferError::DeadlineExceeded`] instead of occupying a batch
-    /// slot. A budget of `0` expires as soon as the clock moves at all.
+    /// slot. A budget of `0` expires as soon as the clock moves at all;
+    /// `u64::MAX` never expires.
     pub fn deadline_ticks(mut self, ticks: u64) -> InferRequest {
         self.deadline_ticks = Some(ticks);
-        self
-    }
-
-    /// Retries [`InferError::QueueFull`] rejections inside
-    /// [`Engine::submit`] with the given bounded-backoff policy (each
-    /// backoff tick sleeps `tick_us` wall microseconds). Admission
-    /// rejection is synchronous, so the retry loop lives in `submit`
-    /// itself: the handle you get back is for an admitted request.
-    pub fn retry(mut self, retry: RetryConfig) -> InferRequest {
-        self.retry = Some(retry);
         self
     }
 }
@@ -564,47 +500,16 @@ impl Engine {
     /// Enqueues one typed request; returns a handle to wait on.
     ///
     /// Accepts anything convertible into an [`InferRequest`] — a bare
-    /// `[C, H, W]` [`Tensor`] submits with no deadline or retry, and
-    /// [`InferRequest::new`] chains `.deadline_ticks(n)` / `.retry(cfg)`
-    /// for the per-request policies. With a retry policy,
-    /// [`InferError::QueueFull`] rejections are retried here (bounded
-    /// attempts, exponential backoff in wall-clock ticks) before the
-    /// final error is surfaced; a returned handle is always for an
-    /// admitted request.
+    /// `[C, H, W]` [`Tensor`] submits with no deadline, and
+    /// [`InferRequest::new`] chains `.deadline_ticks(n)`. Admission is
+    /// decided here, synchronously: a full queue under
+    /// [`ShedPolicy::RejectNew`] returns [`InferError::QueueFull`] at once,
+    /// so a returned handle is always for an admitted request.
     pub fn submit(&self, request: impl Into<InferRequest>) -> Result<PredictionHandle, InferError> {
         let InferRequest {
             input,
             deadline_ticks,
-            retry,
         } = request.into();
-        let Some(retry) = retry else {
-            return self.submit_inner(input, deadline_ticks);
-        };
-        let mut attempt = 1;
-        loop {
-            match self.submit_inner(input.clone(), deadline_ticks) {
-                Err(InferError::QueueFull) if attempt < retry.max_attempts => {
-                    attempt += 1;
-                    if hydronas_telemetry::enabled() {
-                        hydronas_telemetry::add("infer.retry", 1);
-                    }
-                    let backoff = retry.backoff_ticks(attempt);
-                    if backoff > 0 {
-                        std::thread::sleep(Duration::from_micros(
-                            backoff.saturating_mul(self.config.tick_us),
-                        ));
-                    }
-                }
-                other => return other,
-            }
-        }
-    }
-
-    fn submit_inner(
-        &self,
-        input: Tensor,
-        deadline_ticks: Option<u64>,
-    ) -> Result<PredictionHandle, InferError> {
         let plan = &self.shared.plan;
         let expected = plan.arch().in_channels;
         // A conv or pool window that does not fit the tile would panic the
@@ -664,7 +569,8 @@ impl Engine {
                 sp.flow(flow);
                 sp.attr("request", id);
             }
-            let deadline = deadline_ticks.map(|t| now_ticks(&self.shared, &self.config) + t);
+            let deadline =
+                deadline_ticks.map(|t| now_ticks(&self.shared, &self.config).saturating_add(t));
             q.pending.push_back(Request {
                 id,
                 input,

@@ -63,7 +63,7 @@ mod plan;
 
 pub use engine::{
     DrainStats, Engine, EngineConfig, EngineStats, InferError, InferRequest, Prediction,
-    PredictionHandle, RetryConfig, ShedPolicy,
+    PredictionHandle, ShedPolicy,
 };
 pub use plan::{ExecutionPlan, LayerCost, LayerProfile, Numerics, PlanBuilder, QuantizationScheme};
 
@@ -539,17 +539,6 @@ mod tests {
                 .build(),
         );
         assert!(r.contains("QuantizedInt8"), "{r}");
-        // An out-of-range percentile.
-        let r = reason(
-            ExecutionPlan::builder(&model)
-                .numerics(Numerics::QuantizedInt8)
-                .quantization(
-                    QuantizationScheme::per_channel()
-                        .calibrate(CalibrationMethod::Percentile(1.5), &batch),
-                )
-                .build(),
-        );
-        assert!(r.contains("percentile"), "{r}");
         // A calibration batch with the wrong channel count.
         let bad = Tensor::zeros(&[2, arch.in_channels + 1, 16, 16]);
         let r = reason(
@@ -703,46 +692,5 @@ mod tests {
             let dims = format!("[1, 5, {hw}, {hw}]");
             assert!(message.contains(&dims), "{message}");
         }
-    }
-
-    #[test]
-    fn per_tensor_scheme_builds_and_stores_fewer_scale_bytes() {
-        let arch = tiny_arch();
-        let model = warmed_model(&arch, 97);
-        let batch = calibration_batch(&arch, 98);
-        let per_channel = quantized_plan(&model, &batch);
-        let per_tensor = ExecutionPlan::builder(&model)
-            .numerics(Numerics::QuantizedInt8)
-            .quantization(
-                QuantizationScheme::per_tensor().calibrate(CalibrationMethod::MinMax, &batch),
-            )
-            .build()
-            .unwrap();
-        // Same payload, fewer stored scales.
-        assert!(per_tensor.weight_bytes() < per_channel.weight_bytes());
-        // Still close enough to fp32 to agree on this batch's argmax.
-        let mut rng = TensorRng::seed_from_u64(99);
-        let x = uniform(&[4, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
-        let fp32 = ExecutionPlan::builder(&model).build().unwrap();
-        assert_quantization_agreement(&fp32.run_batch(&x), &per_tensor.run_batch(&x), 1.2);
-    }
-
-    #[test]
-    fn percentile_calibration_builds_and_stays_close() {
-        let arch = tiny_arch();
-        let model = warmed_model(&arch, 101);
-        let batch = calibration_batch(&arch, 102);
-        let plan = ExecutionPlan::builder(&model)
-            .numerics(Numerics::QuantizedInt8)
-            .quantization(
-                QuantizationScheme::per_channel()
-                    .calibrate(CalibrationMethod::Percentile(0.999), &batch),
-            )
-            .build()
-            .unwrap();
-        let fp32 = ExecutionPlan::builder(&model).build().unwrap();
-        let mut rng = TensorRng::seed_from_u64(103);
-        let x = uniform(&[4, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
-        assert_quantization_agreement(&fp32.run_batch(&x), &plan.run_batch(&x), 0.8);
     }
 }

@@ -23,9 +23,10 @@
 //!   while every row of a batched run is bit-identical to the same sample
 //!   run alone.
 //! * [`Numerics::QuantizedInt8`] folds batch norms the same way, then
-//!   quantizes every weighted layer's weight to int8 (per-channel or
-//!   per-tensor symmetric) and fixes one static input scale per layer from
-//!   a calibration batch. At run time every weighted layer executes in pure
+//!   quantizes every weighted layer's weight to int8 (per output channel,
+//!   symmetric) and fixes one static input scale per layer from the
+//!   largest magnitude its input reaches on a calibration batch. At run
+//!   time every weighted layer executes in pure
 //!   i8×i8→i32 arithmetic with a fused requantize+bias+ReLU epilogue
 //!   (`acc_i32 × (w_scale·in_scale) + bias`); activations travel between
 //!   layers as f32 and are re-quantized at each layer's static scale.
@@ -51,7 +52,7 @@
 //! A profile therefore times exactly the code `run_batch` runs.
 
 use hydronas_graph::{
-    quantize_per_channel, quantize_tensor, ActivationObserver, CalibrationMethod,
+    quantize_per_channel, ActivationObserver, CalibrationMethod, ChannelQuantizedTensor,
 };
 use hydronas_nn::{BatchNorm2d, Conv2d, ResNet};
 use hydronas_tensor::{
@@ -76,47 +77,25 @@ pub enum Numerics {
     QuantizedInt8,
 }
 
-/// Weight-scale granularity of a [`QuantizationScheme`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Granularity {
-    PerChannel,
-    PerTensor,
-}
-
 /// How a [`Numerics::QuantizedInt8`] plan quantizes weights and calibrates
-/// activation scales.
-///
-/// Construct with [`per_channel`](Self::per_channel) (one weight scale per
-/// output channel — the right default once batch norm is folded in, which
-/// stretches channel magnitudes unevenly) or
-/// [`per_tensor`](Self::per_tensor) (one scale per weight tensor), then
-/// attach a calibration batch:
+/// activation scales: one symmetric weight scale per output channel (the
+/// right choice once batch norm is folded in, which stretches channel
+/// magnitudes unevenly), and one static input scale per layer from a
+/// calibration batch:
 ///
 /// ```ignore
 /// QuantizationScheme::per_channel().calibrate(CalibrationMethod::MinMax, &batch)
 /// ```
 #[derive(Clone, Debug)]
 pub struct QuantizationScheme {
-    granularity: Granularity,
     method: Option<CalibrationMethod>,
     calibration: Option<Tensor>,
 }
 
 impl QuantizationScheme {
-    /// Per-output-channel symmetric weight scales.
+    /// Per-output-channel symmetric weight scales, not yet calibrated.
     pub fn per_channel() -> QuantizationScheme {
         QuantizationScheme {
-            granularity: Granularity::PerChannel,
-            method: None,
-            calibration: None,
-        }
-    }
-
-    /// One symmetric weight scale per tensor. Cheaper metadata, coarser
-    /// resolution — see DESIGN.md for the trade-off.
-    pub fn per_tensor() -> QuantizationScheme {
-        QuantizationScheme {
-            granularity: Granularity::PerTensor,
             method: None,
             calibration: None,
         }
@@ -188,7 +167,6 @@ impl<'m> PlanBuilder<'m> {
                             .to_string(),
                     )
                 })?;
-                method.validate().map_err(invalid)?;
                 let batch = scheme
                     .calibration
                     .expect("calibrate() always sets the batch");
@@ -215,13 +193,7 @@ impl<'m> PlanBuilder<'m> {
                         "calibration batch dims {dims:?} do not fit the plan's windows"
                     )));
                 }
-                Ok(compile_quantized(
-                    fused,
-                    self.model,
-                    scheme.granularity,
-                    method,
-                    &batch,
-                ))
+                Ok(compile_quantized(fused, self.model, method, &batch))
             }
         }
     }
@@ -317,11 +289,10 @@ struct SizeLedger {
 }
 
 impl SizeLedger {
-    /// Records a truly int8-stored tensor: 1 byte per scalar, one f32 per
-    /// stored weight scale, plus one f32 for the layer's static input
-    /// scale.
-    fn store_int8(&mut self, scalars: usize, stored_scales: usize) {
-        self.bytes += scalars as u64 + 4 * stored_scales as u64 + 4;
+    /// Records an int8 weight: 1 byte per scalar, one f32 per channel
+    /// scale, plus one f32 for the layer's static input scale.
+    fn store_int8(&mut self, q: &ChannelQuantizedTensor) {
+        self.bytes += q.values.len() as u64 + 4 * q.scales.len() as u64 + 4;
     }
 
     fn store_f32(&mut self, values: &[f32]) {
@@ -426,29 +397,6 @@ fn compile_fused(model: &ResNet) -> ExecutionPlan {
     })
 }
 
-/// Quantizes a weight matrix of `rows` output rows per the scheme's
-/// granularity and records its int8 payload; returns the i8 values and
-/// one scale per row.
-fn quantize_weight(
-    values: &[f32],
-    rows: usize,
-    granularity: Granularity,
-    ledger: &mut SizeLedger,
-) -> (Vec<i8>, Vec<f32>) {
-    let (values, scales, stored_scales) = match granularity {
-        Granularity::PerChannel => {
-            let q = quantize_per_channel(values, rows);
-            (q.values, q.scales, rows)
-        }
-        Granularity::PerTensor => {
-            let q = quantize_tensor(values);
-            (q.values, vec![q.scale; rows], 1)
-        }
-    };
-    ledger.store_int8(values.len(), stored_scales);
-    (values, scales)
-}
-
 /// Compiles a [`Numerics::QuantizedInt8`] plan of `model`.
 ///
 /// The calibration batch runs through `fused`, the [`Numerics::Fused`]
@@ -460,7 +408,6 @@ fn quantize_weight(
 fn compile_quantized(
     fused: ExecutionPlan,
     model: &ResNet,
-    granularity: Granularity,
     method: CalibrationMethod,
     batch: &Tensor,
 ) -> ExecutionPlan {
@@ -474,10 +421,11 @@ fn compile_quantized(
     lower(model, Numerics::QuantizedInt8, |weight, bias, ledger| {
         let d = weight.dims();
         let (out_c, in_c, kernel) = (d[0], d[1], d[2]);
-        let (values, w_scales) = quantize_weight(weight.as_slice(), out_c, granularity, ledger);
+        let q = quantize_per_channel(weight.as_slice(), out_c);
+        ledger.store_int8(&q);
         ledger.store_f32(&bias);
         ConvKind::Quantized {
-            weight: QuantizedConvWeight::new(values, w_scales, out_c, in_c, kernel),
+            weight: QuantizedConvWeight::new(q.values, q.scales, out_c, in_c, kernel),
             input_scale: scales.next().expect("one calibrated scale per layer"),
             bias,
         }
@@ -519,9 +467,8 @@ impl ExecutionPlan {
     /// Serialized weight footprint in bytes.
     ///
     /// For quantized plans this is the true serving footprint: 1 byte per
-    /// weight scalar, one f32 per stored weight scale (per output channel
-    /// or per tensor), one f32 static input scale per layer, and f32
-    /// biases. Fused plans count 4 bytes per folded weight and bias
+    /// weight scalar, one f32 weight scale per output channel, one f32
+    /// static input scale per layer, and f32 biases. Fused plans count 4 bytes per folded weight and bias
     /// scalar.
     pub fn weight_bytes(&self) -> u64 {
         self.weight_bytes

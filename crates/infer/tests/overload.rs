@@ -1,5 +1,5 @@
 //! Overload-protection behaviour of the batching engine: bounded
-//! admission, per-request deadlines, graceful drain, retry, and the
+//! admission, per-request deadlines, graceful drain, and the
 //! accounting-bug regression tests from the serving-engine fix PR.
 //!
 //! Every test opens a telemetry session as its *first* action and keeps
@@ -15,9 +15,7 @@
 //! outcomes depend only on arrival order and *whether* the budget
 //! lapsed, not on how many extra ticks follow — changes no outcome.
 
-use hydronas_infer::{
-    Engine, EngineConfig, ExecutionPlan, InferError, InferRequest, RetryConfig, ShedPolicy,
-};
+use hydronas_infer::{Engine, EngineConfig, ExecutionPlan, InferError, InferRequest, ShedPolicy};
 use hydronas_nn::ResNet;
 use hydronas_telemetry::QuantileHistogram;
 use hydronas_tensor::{uniform, Tensor, TensorRng};
@@ -274,6 +272,27 @@ fn expired_requests_do_not_occupy_batch_slots() {
     assert_eq!(stats.batched_samples, 1);
 }
 
+/// A `u64::MAX` budget never expires: the deadline is the current tick
+/// plus the budget, saturated, so a request submitted after the clock has
+/// moved neither overflows `submit` nor wraps to an already-lapsed tick.
+#[test]
+fn max_deadline_after_the_clock_moved_never_expires() {
+    let _session = hydronas_telemetry::session();
+    let plan = tiny_plan();
+    let engine = Engine::start(plan, parked_config(1, 8, ShedPolicy::RejectNew));
+    engine.advance_ticks(1);
+    let forever = engine
+        .submit(InferRequest::new(input(3)).deadline_ticks(u64::MAX))
+        .unwrap();
+    advance_until(&engine, "the request resolved", || {
+        let s = engine.stats();
+        s.completed + s.expired == 1
+    });
+    assert!(forever.wait().is_ok(), "a u64::MAX deadline expired");
+    let stats = engine.stats();
+    assert_eq!((stats.completed, stats.expired), (1, 0), "{stats:?}");
+}
+
 /// Satellite regression: rejected submits must consume no request id and
 /// emit no orphan enqueue span. The enqueue spans of admitted requests
 /// stay dense (`request 1..=N`) across interleaved rejections.
@@ -357,53 +376,6 @@ fn queue_wait_is_measured_once_and_all_sinks_agree() {
         .get("infer.request.wait_wall_ms")
         .expect("wait quantile recorded");
     assert_eq!(recorded, &expected.snapshot());
-}
-
-/// A retrying request gives up after `max_attempts` queue-full
-/// rejections, and every refused attempt is visible in the stats.
-#[test]
-fn retry_exhausts_against_a_parked_full_queue() {
-    let _session = hydronas_telemetry::session();
-    let plan = tiny_plan();
-    let engine = Engine::start(plan, parked_config(1, 1, ShedPolicy::RejectNew));
-    let _filler = engine.submit(input(1)).unwrap();
-    let err = engine
-        .infer(InferRequest::new(input(2)).retry(RetryConfig::new(3)))
-        .unwrap_err();
-    assert_eq!(err, InferError::QueueFull);
-    assert_eq!(engine.stats().rejected, 3, "one rejection per attempt");
-}
-
-/// A retrying request rides out transient overload: once the parked
-/// queue drains, a later attempt is admitted and served.
-#[test]
-fn retry_succeeds_once_the_queue_drains() {
-    let _session = hydronas_telemetry::session();
-    let plan = tiny_plan();
-    let engine = Arc::new(Engine::start(
-        plan,
-        parked_config(1, 1, ShedPolicy::RejectNew),
-    ));
-    let filler = engine.submit(input(1)).unwrap();
-    let retry_engine = Arc::clone(&engine);
-    let retrier = std::thread::spawn(move || {
-        retry_engine
-            .infer(InferRequest::new(input(2)).retry(RetryConfig::new(4000).with_backoff(1, 1.0)))
-    });
-    // Guarantee the retrier observed at least one rejection before the
-    // queue is allowed to drain.
-    while engine.stats().rejected == 0 {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    advance_until(&engine, "both requests served", || {
-        engine.stats().completed == 2
-    });
-    let p = retrier.join().unwrap().expect("retry must succeed");
-    assert!(!p.logits.is_empty());
-    filler.wait().unwrap();
-    let stats = engine.stats();
-    assert!(stats.rejected >= 1, "{stats:?}");
-    assert_eq!(stats.completed, 2);
 }
 
 /// Tentpole drain contract, proven deadlock-free under a live

@@ -316,18 +316,27 @@ fn unfold_tile(
     });
 }
 
-/// Unfolds one column tile of quantized CHW samples into the transposed
-/// `[cols, col_rows]` column matrix the int8 NT GEMM reads: row `j` is the
-/// patch under tile column `j`, whose entry `(c, ky, kx)` gathers input
-/// `c`'s plane at its [`tap_offsets`] entry, 0 in the padding.
-pub(crate) fn unfold_tile_t(tile_in: &[i8], d: &Conv2dDims, taps: &[u32], bt: &mut [i8]) {
+/// Unfolds one column tile of CHW samples into the transposed `[cols,
+/// col_rows]` patch matrix: row `j` is the patch under tile column `j`,
+/// whose entry `(c, ky, kx)` gathers input `c`'s plane at its
+/// [`tap_offsets`] entry, 0 in the padding. The int8 conv reads it as its
+/// NT GEMM's `Bᵀ`, the weight gradient as its row-major B.
+pub(crate) fn unfold_tile_t<T: Copy + Default>(
+    tile_in: &[T],
+    d: &Conv2dDims,
+    taps: &[u32],
+    bt: &mut [T],
+) {
     let (plane, taps_k) = (d.in_h * d.in_w, d.kernel * d.kernel);
     let width = taps.len() / taps_k;
     for (j, row) in bt.chunks_exact_mut(d.col_rows()).enumerate() {
         for (c, patch) in row.chunks_exact_mut(taps_k).enumerate() {
             let src = &tile_in[c * plane..];
             for (t, v) in patch.iter_mut().enumerate() {
-                *v = src.get(taps[t * width + j] as usize).copied().unwrap_or(0);
+                *v = src
+                    .get(taps[t * width + j] as usize)
+                    .copied()
+                    .unwrap_or_default();
             }
         }
     }
@@ -473,6 +482,7 @@ pub fn conv2d_backward(
         ]);
     }
     let w_t = weight.reshape(&[d.out_c, cr]).transpose2(); // [cr, out_c]
+    let taps = tap_offsets(&d, 1);
 
     let inp = input.as_slice();
     let go = grad_out.as_slice();
@@ -499,13 +509,12 @@ pub fn conv2d_backward(
             gemm(a, b, &mut gcol, cr, d.out_c, cc, Epilogue::None);
             col2im(&gcol, &d, gi_n);
 
-            // grad wrt weight: grad_out [out_c, cc] x col^T [cc, cr].
-            // The im2col matrix [cr, cc] already *is* col^T in
-            // transposed storage, so the GEMM reads it as a transposed B
-            // instead of materializing a transposed copy per sample.
-            let mut col = scratch(cr * cc);
-            im2col(&inp[n * in_sz..(n + 1) * in_sz], &d, &mut col);
-            let (a, b) = (GemmA::Slice(go_n), GemmB::Transposed(&col));
+            // grad wrt weight: grad_out [out_c, cc] x patches [cc, cr],
+            // the sample's patch matrix gathered straight into the
+            // transposed layout of its im2col matrix.
+            let mut patches = scratch(cc * cr);
+            unfold_tile_t(&inp[n * in_sz..(n + 1) * in_sz], &d, &taps, &mut patches);
+            let (a, b) = (GemmA::Slice(go_n), GemmB::Slice(&patches));
             gemm(a, b, gw_n, d.out_c, cc, cr, Epilogue::None);
         },
     );

@@ -2,7 +2,7 @@
 //!
 //! One call, [`gemm`], computes `C = epilogue(A (m x k) * B (k x n))`
 //! into row-major C. [`GemmA`] and [`GemmB`] name where each operand
-//! lives (row-major, transposed, or packed ahead of time) and
+//! lives (row-major or packed ahead of time) and
 //! [`Epilogue`] names the bias/ReLU fused into the write-back. The kernel
 //! is structured the way high-performance BLAS implementations
 //! (BLIS/GotoBLAS) are: operands are repacked into cache-resident panels
@@ -86,10 +86,6 @@ pub enum GemmA<'a> {
 pub enum GemmB<'a> {
     /// Row-major `[k x n]`, packed inside the call.
     Slice(&'a [f32]),
-    /// Row-major `[n x k]`, i.e. B stored transposed. Callers that would
-    /// otherwise materialize a transposed copy — conv2d's weight-gradient
-    /// GEMM against the im2col matrix — pack straight from it instead.
-    Transposed(&'a [f32]),
     /// A buffer holding B in the panel order of its layout, written by
     /// [`PackedBLayout::pack`] or, column tile by column tile, by the
     /// fused convolution's unfold; always takes the packed path.
@@ -455,13 +451,6 @@ fn gemm_packed(a: GemmA, b: GemmB, c: &mut [f32], m: usize, k: usize, n: usize, 
                     });
                     &b_staged
                 }
-                GemmB::Transposed(bt) => {
-                    b_staged = scratch(nc_padded * kc);
-                    pack_b(&mut b_staged, kc, jc, nc, kern.nr, |kk, col| {
-                        bt[col * k + pc + kk]
-                    });
-                    &b_staged
-                }
             };
             parallel::par_chunks_mut(c, mc_task * n, |bi, c_block| {
                 let ic = bi * mc_task;
@@ -502,21 +491,6 @@ fn gemm_small(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize, epi: Epil
     }
 }
 
-/// [`gemm_small`] with B stored transposed: one dot product per element.
-fn gemm_small_nt(a: &[f32], bt: &[f32], c: &mut [f32], k: usize, n: usize, epi: Epilogue) {
-    for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
-        let a_row = &a[i * k..(i + 1) * k];
-        for (j, cj) in c_row.iter_mut().enumerate() {
-            let b_row = &bt[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
-                acc += av * bv;
-            }
-            *cj = epi.apply(acc, i, j);
-        }
-    }
-}
-
 /// Matrix multiply with a fused epilogue: `c[m x n] = epi(a[m x k] *
 /// b[k x n])`. `c` is overwritten, not accumulated into.
 ///
@@ -533,7 +507,6 @@ pub fn gemm(a: GemmA, b: GemmB, c: &mut [f32], m: usize, k: usize, n: usize, epi
     }
     match b {
         GemmB::Slice(b) => assert_eq!(b.len(), k * n, "B size mismatch"),
-        GemmB::Transposed(bt) => assert_eq!(bt.len(), n * k, "B^T size mismatch"),
         GemmB::Packed(layout, buf) => {
             assert_eq!(
                 (layout.k, layout.n),
@@ -567,7 +540,6 @@ pub fn gemm(a: GemmA, b: GemmB, c: &mut [f32], m: usize, k: usize, n: usize, epi
     let small = m * k * n < SMALL_FLOPS;
     match (a, b) {
         (GemmA::Slice(a), GemmB::Slice(b)) if small => gemm_small(a, b, c, k, n, epi),
-        (GemmA::Slice(a), GemmB::Transposed(bt)) if small => gemm_small_nt(a, bt, c, k, n, epi),
         _ => gemm_packed(a, b, c, m, k, n, epi),
     }
 }
@@ -993,47 +965,6 @@ mod tests {
         let b: Vec<f32> = (0..k * n).map(|v| ((v % 19) as f32) * 0.2 - 1.0).collect();
         let mut c = vec![0.0; m * n];
         gemm_nn(&a, &b, &mut c, m, k, n);
-        let want = naive(&a, &b, m, k, n);
-        for (x, y) in c.iter().zip(want.iter()) {
-            assert!(approx_eq(*x, *y, 1e-4));
-        }
-    }
-
-    #[test]
-    fn transposed_b_matches_explicit_transpose() {
-        let (m, k, n) = (7, 13, 5);
-        let a: Vec<f32> = (0..m * k).map(|v| ((v * 37 % 11) as f32) - 5.0).collect();
-        let b: Vec<f32> = (0..k * n).map(|v| ((v * 17 % 7) as f32) - 3.0).collect();
-        // b_t[n x k] = b[k x n] transposed.
-        let mut b_t = vec![0.0; n * k];
-        for r in 0..k {
-            for c in 0..n {
-                b_t[c * k + r] = b[r * n + c];
-            }
-        }
-        let mut via_nt = vec![0.0; m * n];
-        let b_op = GemmB::Transposed(&b_t);
-        gemm(GemmA::Slice(&a), b_op, &mut via_nt, m, k, n, Epilogue::None);
-        let want = naive(&a, &b, m, k, n);
-        for (x, y) in via_nt.iter().zip(want.iter()) {
-            assert!(approx_eq(*x, *y, 1e-5), "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn transposed_b_packed_path_matches_naive() {
-        let (m, k, n) = (130, 20, 140);
-        let a: Vec<f32> = (0..m * k).map(|v| ((v % 23) as f32) * 0.1).collect();
-        let b_t: Vec<f32> = (0..n * k).map(|v| ((v % 19) as f32) * 0.2 - 1.0).collect();
-        let mut b = vec![0.0; k * n];
-        for j in 0..n {
-            for r in 0..k {
-                b[r * n + j] = b_t[j * k + r];
-            }
-        }
-        let mut c = vec![0.0; m * n];
-        let b_op = GemmB::Transposed(&b_t);
-        gemm(GemmA::Slice(&a), b_op, &mut c, m, k, n, Epilogue::None);
         let want = naive(&a, &b, m, k, n);
         for (x, y) in c.iter().zip(want.iter()) {
             assert!(approx_eq(*x, *y, 1e-4));

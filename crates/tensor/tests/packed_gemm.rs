@@ -1,7 +1,7 @@
 //! Property-style validation of the packed GEMM against a naive
 //! reference: randomized shapes (including tails smaller than one
-//! register block), every operand layout the workspace calls `gemm` with
-//! (row-major, transposed B, prepacked A and B), fused epilogues, and the
+//! register block), every operand layout `gemm` accepts (row-major,
+//! prepacked A and B), fused epilogues, and the
 //! determinism contract (bit-identical output run-to-run, across operand
 //! layouts on the packed path, and across concurrent callers on
 //! independent threads).
@@ -59,24 +59,19 @@ fn packed_path(m: usize, k: usize, n: usize) -> bool {
     m * k * n >= 32 * 1024
 }
 
-/// The operand layouts the workspace calls `gemm` with: conv forward and
-/// backward, `matmul` and the linear layer pass two slices; the weight
-/// gradient a transposed B; the serving conv a prepacked weight and a
-/// packed im2col matrix; the serving FC a prepacked weight as B.
+/// The operand layouts `gemm` accepts: conv forward and backward,
+/// `matmul` and the linear layer pass two slices; the serving conv a
+/// prepacked weight and a packed im2col matrix; and a slice A against a
+/// packed B, which no caller passes but the packed path must still get
+/// right.
 #[derive(Clone, Copy, Debug)]
 enum Layout {
     Slices,
-    TransposedB,
     PackedAB,
     PackedB,
 }
 
-const LAYOUTS: [Layout; 4] = [
-    Layout::Slices,
-    Layout::TransposedB,
-    Layout::PackedAB,
-    Layout::PackedB,
-];
+const LAYOUTS: [Layout; 3] = [Layout::Slices, Layout::PackedAB, Layout::PackedB];
 
 /// One `[m x k] x [k x n]` problem held in every storage a layout reads.
 struct Operands {
@@ -85,7 +80,6 @@ struct Operands {
     n: usize,
     a: Vec<f32>,
     b: Vec<f32>,
-    b_t: Vec<f32>,
     packed_a: PackedA,
     b_layout: PackedBLayout,
     b_pack: Vec<f32>,
@@ -94,12 +88,6 @@ struct Operands {
 impl Operands {
     fn new(m: usize, k: usize, n: usize, seed: u64) -> Operands {
         let (a, b) = random_operands(m, k, n, seed);
-        let mut b_t = vec![0.0; n * k];
-        for r in 0..k {
-            for c in 0..n {
-                b_t[c * k + r] = b[r * n + c];
-            }
-        }
         let packed_a = PackedA::pack(&a, m, k);
         let b_layout = PackedBLayout::new(k, n);
         // Poisoned, so a lane the packing misses would surface as NaN.
@@ -111,7 +99,6 @@ impl Operands {
             n,
             a,
             b,
-            b_t,
             packed_a,
             b_layout,
             b_pack,
@@ -123,11 +110,10 @@ impl Operands {
     fn run(&self, layout: Layout, epi: Epilogue) -> Vec<f32> {
         let a = match layout {
             Layout::PackedAB => GemmA::Packed(&self.packed_a),
-            Layout::Slices | Layout::TransposedB | Layout::PackedB => GemmA::Slice(&self.a),
+            Layout::Slices | Layout::PackedB => GemmA::Slice(&self.a),
         };
         let b = match layout {
             Layout::Slices => GemmB::Slice(&self.b),
-            Layout::TransposedB => GemmB::Transposed(&self.b_t),
             Layout::PackedAB | Layout::PackedB => GemmB::Packed(&self.b_layout, &self.b_pack),
         };
         let mut c = vec![7.0; self.m * self.n];

@@ -26,9 +26,16 @@ fn gemm_records_calls_flops_and_bytes() {
         Epilogue::None,
     );
 
-    let b_t = vec![1.0f32; n * k];
-    let b_op = GemmB::Transposed(&b_t);
-    gemm(GemmA::Slice(&a), b_op, &mut c, m, k, n, Epilogue::None);
+    let b_op = GemmB::Slice(&b);
+    gemm(
+        GemmA::Slice(&a),
+        b_op,
+        &mut c,
+        m,
+        k,
+        n,
+        Epilogue::RowBias(&[0.5; 3]),
+    );
 
     let counters = session.metrics().counters;
     assert_eq!(counters["tensor.gemm.calls"], 2);

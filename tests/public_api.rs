@@ -63,7 +63,6 @@ mod types {
     pub type A48 = prelude::RealTrainer;
     pub type A49 = prelude::ReproArtifacts;
     pub type A51 = prelude::ResNet;
-    pub type A52 = prelude::RetryConfig;
     pub type A53 = prelude::RetryPolicy;
     pub type A55 = prelude::SchedulerConfig;
     pub type A56 = prelude::SearchSpace;
@@ -170,7 +169,6 @@ fn type_snapshot_is_sorted_and_duplicate_free() {
         "RealTrainer",
         "ReproArtifacts",
         "ResNet",
-        "RetryConfig",
         "RetryPolicy",
         "SchedulerConfig",
         "SearchSpace",
@@ -202,7 +200,7 @@ fn type_snapshot_is_sorted_and_duplicate_free() {
     }
     // One aliased type per snapshot row (plus the two traits pinned in
     // `types::UsesTraits`).
-    assert_eq!(EXPECTED.len(), 68);
+    assert_eq!(EXPECTED.len(), 67);
 }
 
 /// The error taxonomy stays typed: the facade error wraps each
