@@ -17,7 +17,7 @@ fn bench_tile_synthesis(c: &mut Criterion) {
                 synthesize_tile(&TileParams {
                     size,
                     seed,
-                    has_crossing: seed % 2 == 0,
+                    has_crossing: seed.is_multiple_of(2),
                     ..Default::default()
                 })
             });

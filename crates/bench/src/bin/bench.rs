@@ -53,10 +53,11 @@ struct GemmBench {
 /// The packed i8 x i8 -> i32 GEMM (requantizing epilogue included)
 /// against the f32 packed GEMM at the same shape. The int8 kernel's win
 /// is exactness (integer accumulation, bit-identical at any thread
-/// count) and 4x-smaller operands, not necessarily raw speed: on hosts
-/// whose f32 path runs AVX2+FMA the two land close together, so the
-/// ratio is recorded honestly and only the int8 throughput itself is
-/// gated against the committed baseline.
+/// count) and 4x-smaller operands, not necessarily raw speed: the int8
+/// kernel uses AVX2 at most, while the f32 path runs FMA tiles on AVX2
+/// and, 32 columns wide, on AVX-512 hosts, so the ratio is recorded
+/// honestly and only the int8 throughput itself is gated against the
+/// committed baseline. `avx2` records the int8 kernel's own path.
 #[derive(Debug, Serialize, Deserialize)]
 struct Int8GemmBench {
     /// `m = k = n` of the timed problem.

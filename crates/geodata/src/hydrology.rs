@@ -42,7 +42,7 @@ pub fn d8_flow_directions(h: &Heightmap) -> Vec<Option<u8>> {
                     1.0
                 };
                 let grad = dz / dist;
-                if grad > 0.0 && best.map_or(true, |(_, g)| grad > g) {
+                if grad > 0.0 && best.is_none_or(|(_, g)| grad > g) {
                     best = Some((i as u8, grad));
                 }
             }

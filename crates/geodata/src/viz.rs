@@ -26,7 +26,7 @@ fn to_gray(values: &[f32]) -> Vec<u8> {
 /// Renders a square f32 raster as binary PGM (P5).
 pub fn raster_to_pgm(values: &[f32], width: usize) -> Vec<u8> {
     assert!(
-        width > 0 && values.len() % width == 0,
+        width > 0 && values.len().is_multiple_of(width),
         "raster shape mismatch"
     );
     let height = values.len() / width;

@@ -49,7 +49,7 @@ use crate::plan::ExecutionPlan;
 use hydronas_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -640,7 +640,11 @@ impl Engine {
 
     /// Stops accepting new requests; workers drain the queue then exit.
     pub fn close(&self) {
-        self.shared.queue.lock().unwrap().open = false;
+        // Clearing `open` is valid whatever state a panicking holder left
+        // the queue in, and `Drop` calls this, where a second panic would
+        // abort an unwind.
+        let queue = self.shared.queue.lock();
+        queue.unwrap_or_else(PoisonError::into_inner).open = false;
         self.shared.cv.notify_all();
     }
 
@@ -935,5 +939,40 @@ fn execute_batch(shared: &Shared, config: &EngineConfig, batch: Vec<Request>, wa
             batch_size: size,
             wait_us: waits[i],
         }));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hydronas_graph::ArchConfig;
+    use hydronas_nn::ResNet;
+    use hydronas_tensor::TensorRng;
+
+    /// A thread that panics while holding the queue lock poisons it.
+    /// Dropping the engine must still close it and join its workers: a
+    /// panic in `drop` while another panic unwinds aborts the process.
+    #[test]
+    fn drop_survives_a_poisoned_queue_lock() {
+        let arch = ArchConfig {
+            in_channels: 5,
+            kernel_size: 3,
+            stride: 2,
+            padding: 1,
+            pool: None,
+            initial_features: 4,
+            num_classes: 2,
+        };
+        let model = ResNet::new(&arch, &mut TensorRng::seed_from_u64(3));
+        let plan = Arc::new(ExecutionPlan::builder(&model).build().unwrap());
+        let engine = Engine::start(plan, EngineConfig::default());
+        let shared = Arc::clone(&engine.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _queue = shared.queue.lock().unwrap();
+            panic!("panicking with the queue lock held");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(engine.shared.queue.is_poisoned());
+        drop(engine);
     }
 }

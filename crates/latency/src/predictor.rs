@@ -23,9 +23,9 @@ pub struct LatencyPrediction {
 /// same sawtooth non-linearity).
 pub fn alignment_utilization(out_hw: (usize, usize)) -> f64 {
     let w = out_hw.1.max(1);
-    if w % 4 == 0 {
+    if w.is_multiple_of(4) {
         1.0
-    } else if w % 2 == 0 {
+    } else if w.is_multiple_of(2) {
         0.85
     } else {
         // Odd maps fall off the vectorized tile path entirely on these

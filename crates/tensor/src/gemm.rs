@@ -21,12 +21,17 @@
 //!   loop performs `MR * NR` multiply-adds per `MR + NR` loads and
 //!   touches memory for C only at tile boundaries.
 //!
-//! The microkernel shape is chosen once per process by CPU detection
-//! ([`kernel`]): a 6 x 16 AVX2+FMA instantiation (12 ymm accumulators,
-//! `mul_add` lowered to vfmadd) when the host supports it, else a
-//! portable 4 x 8 instantiation sized for SSE2's register file. Pack
-//! buffers come from the per-thread scratch arena ([`crate::arena`]),
-//! so steady-state GEMM calls allocate nothing.
+//! The microkernel ([`kernel`]) is picked by CPU detection, once per
+//! process, and by the call's B width `n`. An avx512f+FMA host runs a
+//! 6 x 32 tile (12 zmm accumulators) when it pads `n` to no more columns
+//! than a 6 x 16 tile would, and the 6 x 16 zmm tile otherwise, so a
+//! narrow B (the trainer's per-sample GEMMs, `n` of 4–36) never pays for
+//! 32-lane padding. An AVX2+FMA host runs 6 x 16 on ymm registers for
+//! every `n`. Each FMA tile lowers `mul_add` to vfmadd. Any other host
+//! runs a portable 4 x 8 tile sized for SSE2's register file. Every x86
+//! tile is 6 rows tall, so one [`PackedA`] serves every `n`. Pack buffers
+//! come from the per-thread scratch arena ([`crate::arena`]), so
+//! steady-state GEMM calls allocate nothing.
 //!
 //! ## Determinism contract
 //!
@@ -34,9 +39,11 @@
 //! ascending, and within a block strictly ascending k (the microkernel
 //! holds one scalar accumulator per C element — no horizontal
 //! reductions). Row blocks are written by exactly one task each, and the
-//! kernel instantiation is fixed for the process lifetime, so results
-//! are bit-identical run-to-run and across worker counts on a given
-//! machine.
+//! tile is fixed per host and per `n`, so results are bit-identical
+//! run-to-run and across worker counts on a given machine. The FMA tiles
+//! of either width compute each C element as the same FMA chain, so they
+//! give the same bits; only the portable tile, which a host with FMA
+//! never picks, rounds each product separately.
 //!
 //! Path choice depends only on the shape and on whether an operand is
 //! prepacked, never on thread count. Two slice operands with
@@ -162,9 +169,9 @@ struct BlockArgs {
 
 /// One microkernel instantiation: the register-tile shape it was
 /// monomorphized for, the row-block height to parallelize over, and the
-/// monomorphized row-block driver. Selected once per process
-/// ([`kernel`]), so path choice never varies within a run — part of the
-/// determinism contract.
+/// monomorphized row-block driver. Picked per host and per B width
+/// ([`kernel`]), so path choice never varies between calls of one shape
+/// — part of the determinism contract.
 #[derive(Clone, Copy)]
 struct Kernel {
     /// Register tile width (columns of B per tile).
@@ -177,31 +184,87 @@ struct Kernel {
     block: for<'a> fn(GemmA<'a>, &[f32], &mut [f32], BlockArgs, Epilogue<'a>),
 }
 
-/// Returns the per-process microkernel: AVX2+FMA 6x16 when the CPU
-/// supports it (12 ymm accumulators + broadcast + B loads fill the
-/// 16-register file), portable 4x8 otherwise (fits SSE2's 8 xmm with
-/// room to spare). Detection runs once; every GEMM in the process uses
-/// the same kernel, so results are bit-identical run-to-run.
-fn kernel() -> Kernel {
-    static KERNEL: OnceLock<Kernel> = OnceLock::new();
-    *KERNEL.get_or_init(|| {
+/// 4x8, plain mul+add: fits SSE2's 8 xmm with room to spare.
+const PORTABLE_4X8: Kernel = Kernel {
+    nr: 8,
+    mr: 4,
+    mc: 64,
+    block: row_block_portable,
+};
+
+/// 6x16 on ymm: 12 accumulators plus the broadcast and B loads fill
+/// AVX2's 16-register file.
+#[cfg(target_arch = "x86_64")]
+const AVX2_6X16: Kernel = Kernel {
+    nr: 16,
+    mr: 6,
+    mc: 96,
+    block: row_block_avx2,
+};
+
+/// 6x16 on zmm: one register per accumulator row.
+#[cfg(target_arch = "x86_64")]
+const AVX512_6X16: Kernel = Kernel {
+    nr: 16,
+    mr: 6,
+    mc: 96,
+    block: row_block_avx512::<16>,
+};
+
+/// 6x32 on zmm: 12 accumulators of AVX-512's 32 registers.
+#[cfg(target_arch = "x86_64")]
+const AVX512_6X32: Kernel = Kernel {
+    nr: 32,
+    mr: 6,
+    mc: 96,
+    block: row_block_avx512::<32>,
+};
+
+/// Returns the microkernel for a GEMM whose B is `n` columns wide.
+///
+/// CPU detection runs once and fixes the host's tiles: on avx512f+FMA
+/// the 6x32 tile for every `n` it pads to no more columns than the 6x16
+/// zmm tile would, and that 6x16 tile for the rest; on AVX2+FMA the
+/// 6x16 ymm tile; elsewhere the portable 4x8. So every call of one shape
+/// runs the same tile, and the two tiles an AVX-512 host switches
+/// between give the same bits (see the module docs).
+fn kernel(n: usize) -> Kernel {
+    static TILES: OnceLock<(Kernel, Option<Kernel>)> = OnceLock::new();
+    let &(narrow, wide) = TILES.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return Kernel {
-                nr: 16,
-                mr: 6,
-                mc: 96,
-                block: row_block_avx2,
-            };
+        if std::arch::is_x86_feature_detected!("fma") {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return (AVX512_6X16, Some(AVX512_6X32));
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return (AVX2_6X16, None);
+            }
         }
-        Kernel {
-            nr: 8,
-            mr: 4,
-            mc: 64,
-            block: row_block_portable,
+        (PORTABLE_4X8, None)
+    });
+    match wide {
+        Some(wide) if n.div_ceil(wide.nr) * wide.nr == n.div_ceil(narrow.nr) * narrow.nr => wide,
+        _ => narrow,
+    }
+}
+
+/// Every tile this host can run, named, with whether it is an FMA tile:
+/// the portable 4x8 everywhere, and the x86 tiles whose features the CPU
+/// has.
+#[cfg(test)]
+fn host_tiles() -> Vec<(&'static str, bool, Kernel)> {
+    let mut tiles = vec![("portable 4x8", false, PORTABLE_4X8)];
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            tiles.push(("avx2 6x16", true, AVX2_6X16));
         }
-    })
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            tiles.push(("avx512 6x16", true, AVX512_6X16));
+            tiles.push(("avx512 6x32", true, AVX512_6X32));
+        }
+    }
+    tiles
 }
 
 /// Packs `kc` steps of `mc` A rows (starting at `ic`, `pc`) into
@@ -403,6 +466,40 @@ fn row_block_avx2(a: GemmA, b_pack: &[f32], c_block: &mut [f32], g: BlockArgs, e
     unsafe { row_block_avx2_impl(a, b_pack, c_block, g, epi) }
 }
 
+/// AVX-512+FMA instantiations: 6xNR tiles on zmm registers, 6x16 (one
+/// register per accumulator row) and 6x32 (two), `mul_add` lowered to
+/// vfmadd.
+///
+/// # Safety
+/// The CPU must support avx512f and fma.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+unsafe fn row_block_avx512_impl<const NR: usize>(
+    a: GemmA,
+    b_pack: &[f32],
+    c_block: &mut [f32],
+    g: BlockArgs,
+    epi: Epilogue,
+) {
+    row_block_body::<6, NR, true>(a, b_pack, c_block, g, epi);
+}
+
+/// Safe shim around the AVX-512 kernels, reachable only through
+/// [`AVX512_6X16`] and [`AVX512_6X32`].
+#[cfg(target_arch = "x86_64")]
+fn row_block_avx512<const NR: usize>(
+    a: GemmA,
+    b_pack: &[f32],
+    c_block: &mut [f32],
+    g: BlockArgs,
+    epi: Epilogue,
+) {
+    // SAFETY: `kernel` (and, in tests, `host_tiles`) hands out the
+    // AVX-512 tiles only after `is_x86_feature_detected!` confirms
+    // avx512f and fma.
+    unsafe { row_block_avx512_impl::<NR>(a, b_pack, c_block, g, epi) }
+}
+
 /// Height of one parallel row-block task, always a multiple of `mr` and
 /// capped at `kern.mc` (the cache-blocking height).
 ///
@@ -423,16 +520,34 @@ fn par_row_block(m: usize, kern: &Kernel) -> usize {
     per.next_multiple_of(kern.mr).clamp(kern.mr, kern.mc)
 }
 
-/// The packed path: NC/KC/MC blocking around the microkernel, row blocks
-/// fanned out as independent compute-pool tasks.
+/// The packed path: NC/KC/MC blocking around the microkernel `kern`, row
+/// blocks fanned out as independent compute-pool tasks.
 ///
 /// A slice operand is packed inside the call — B here, once per
 /// `(jc, pc)` block on the calling thread, read-shared by every row task;
 /// A by each row task for its own rows — and a prepacked operand is read
 /// in place. Either way the panels hold the same floats in the same
 /// places.
-fn gemm_packed(a: GemmA, b: GemmB, c: &mut [f32], m: usize, k: usize, n: usize, epi: Epilogue) {
-    let kern = kernel();
+///
+/// # Panics
+/// If a prepacked operand was packed for another tile height or width.
+#[allow(clippy::too_many_arguments)]
+fn gemm_packed(
+    kern: Kernel,
+    a: GemmA,
+    b: GemmB,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    epi: Epilogue,
+) {
+    if let GemmA::Packed(packed) = a {
+        assert_eq!(packed.mr, kern.mr, "PackedA packed for another tile");
+    }
+    if let GemmB::Packed(layout, _) = b {
+        assert_eq!(layout.nr, kern.nr, "PackedBLayout built for another tile");
+    }
     let mc_task = par_row_block(m, &kern);
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
@@ -540,7 +655,7 @@ pub fn gemm(a: GemmA, b: GemmB, c: &mut [f32], m: usize, k: usize, n: usize, epi
     let small = m * k * n < SMALL_FLOPS;
     match (a, b) {
         (GemmA::Slice(a), GemmB::Slice(b)) if small => gemm_small(a, b, c, k, n, epi),
-        _ => gemm_packed(a, b, c, m, k, n, epi),
+        _ => gemm_packed(kernel(n), a, b, c, m, k, n, epi),
     }
 }
 
@@ -555,6 +670,8 @@ pub fn gemm(a: GemmA, b: GemmB, c: &mut [f32], m: usize, k: usize, n: usize, epi
 pub struct PackedA {
     m: usize,
     k: usize,
+    /// Panel height, the tile height it was packed for.
+    mr: usize,
     /// `m` rounded up to whole `mr`-row panels.
     group: usize,
     /// k-block-major: the block starting at k index `pc` holds all
@@ -567,14 +684,22 @@ impl PackedA {
     pub fn pack(a: &[f32], m: usize, k: usize) -> PackedA {
         assert_eq!(a.len(), m * k, "A size mismatch");
         assert!(m > 0 && k > 0, "PackedA requires non-degenerate extents");
-        let mr = kernel().mr;
+        // Every tile `kernel` picks on this host has the same height, so
+        // the panels serve a B of any width.
+        let mr = kernel(1).mr;
         let group = m.div_ceil(mr) * mr;
         let mut buf = vec![0.0f32; group * k];
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             pack_a(a, &mut buf[group * pc..][..group * kc], k, 0, m, pc, kc, mr);
         }
-        PackedA { m, k, group, buf }
+        PackedA {
+            m,
+            k,
+            mr,
+            group,
+            buf,
+        }
     }
 }
 
@@ -599,13 +724,18 @@ pub struct PackedBLayout {
 }
 
 impl PackedBLayout {
-    /// Layout for a `[k x n]` B operand under the process kernel.
+    /// Layout for a `[k x n]` B operand, in the panel width of the tile
+    /// [`gemm`] runs for a B `n` columns wide on this host.
     pub fn new(k: usize, n: usize) -> PackedBLayout {
+        PackedBLayout::for_tile(k, n, kernel(n).nr)
+    }
+
+    /// Layout for a `[k x n]` B operand in `nr`-column panels.
+    fn for_tile(k: usize, n: usize, nr: usize) -> PackedBLayout {
         assert!(
             k > 0 && n > 0,
             "PackedBLayout requires non-degenerate extents"
         );
-        let nr = kernel().nr;
         PackedBLayout {
             k,
             n,
@@ -908,6 +1038,70 @@ mod tests {
                     reference[i * n + j] + col_bias[j],
                     1e-4
                 ));
+            }
+        }
+    }
+
+    /// Every tile this host can run, on the same operands: the FMA tiles
+    /// must agree bit for bit, whichever of them `gemm` picks for an `n`,
+    /// and every tile must match the naive product. The widths straddle
+    /// both tile widths and NC; `m` spans two row blocks and `k` two k
+    /// blocks. Run with `--nocapture` to see which tiles were compared.
+    #[test]
+    fn every_host_tile_agrees_bit_for_bit() {
+        let tiles = host_tiles();
+        let names: Vec<&str> = tiles.iter().map(|&(name, ..)| name).collect();
+        println!("register tiles compared: {}", names.join(", "));
+        let (m, k) = (150usize, 300usize);
+        let a: Vec<f32> = (0..m * k)
+            .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.03)
+            .collect();
+        let packed_a = PackedA::pack(&a, m, k);
+        let row_bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.01 - 0.6).collect();
+        for n in [4usize, 9, 16, 17, 31, 32, 36, 144, 515] {
+            let b: Vec<f32> = (0..k * n)
+                .map(|i| ((i * 53 % 97) as f32 - 48.0) * 0.02)
+                .collect();
+            let col_bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.02 - 0.3).collect();
+            let reference = naive(&a, &b, m, k, n);
+            for epi in [
+                Epilogue::None,
+                Epilogue::ColBias(&col_bias),
+                Epilogue::RowBias(&row_bias),
+                Epilogue::RowBiasRelu(&row_bias),
+            ] {
+                let mut fma_bits: Option<Vec<u32>> = None;
+                for &(name, fma, tile) in &tiles {
+                    let layout = PackedBLayout::for_tile(k, n, tile.nr);
+                    let mut b_pack = vec![f32::NAN; layout.len()];
+                    layout.pack(&b, &mut b_pack);
+                    let mut operands = vec![
+                        (GemmA::Slice(&a), GemmB::Slice(&b)),
+                        (GemmA::Slice(&a), GemmB::Packed(&layout, &b_pack)),
+                    ];
+                    if packed_a.mr == tile.mr {
+                        operands.push((GemmA::Packed(&packed_a), GemmB::Slice(&b)));
+                        operands.push((GemmA::Packed(&packed_a), GemmB::Packed(&layout, &b_pack)));
+                    }
+                    let mut tile_bits: Option<Vec<u32>> = None;
+                    for (a_op, b_op) in operands {
+                        let mut c = vec![f32::NAN; m * n];
+                        gemm_packed(tile, a_op, b_op, &mut c, m, k, n, epi);
+                        for (i, &v) in c.iter().enumerate() {
+                            // Within 1e-4, relative above magnitude 1:
+                            // cancellation leaves some sums near zero.
+                            let want = epi.apply(reference[i], i / n, i % n);
+                            let close = (v - want).abs() <= 1e-4 * want.abs().max(1.0);
+                            assert!(close, "{name} n={n} elem {i}: {v} vs {want}");
+                        }
+                        let bits: Vec<u32> = c.iter().map(|v| v.to_bits()).collect();
+                        let agreed = if fma { &mut fma_bits } else { &mut tile_bits };
+                        match agreed {
+                            Some(want) => assert!(*want == bits, "{name} n={n} changed the bits"),
+                            None => *agreed = Some(bits),
+                        }
+                    }
+                }
             }
         }
     }

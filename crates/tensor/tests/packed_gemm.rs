@@ -38,8 +38,9 @@ fn gemm_nn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
 
 /// Shapes chosen to cross every dispatch boundary: the small-problem
 /// path, the packed path, k spanning multiple KC=256 blocks, n spanning
-/// multiple NC=512 blocks, and m/n tails of 1..7 — smaller than the
-/// 4x8 register tile.
+/// multiple NC=512 blocks, m/n tails of 1..7 — narrower than every
+/// register tile — and packed-path widths on both sides of the switch
+/// between 16- and 32-column tiles.
 const SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
     (3, 5, 7),
@@ -51,6 +52,10 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (12, 100, 515), // n crosses the NC=512 block boundary
     (130, 31, 140), // wide-ish with odd k
     (96, 96, 96),
+    (64, 40, 16),  // one 16-column panel, no padding
+    (37, 60, 17),  // 17 columns pad to 32 in either width
+    (25, 70, 32),  // one 32-column panel, no padding
+    (45, 300, 36), // 36 columns pad to 48 or 64, two k blocks
 ];
 
 /// Whether two slice operands of this shape take the packed path (the
