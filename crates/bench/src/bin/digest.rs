@@ -14,8 +14,10 @@
 //!   `activation_bytes`, and every `LayerCost` name, FLOPs and bytes;
 //! * **conv** — the training conv's `conv2d` output and
 //!   `conv2d_backward` input and weight gradients, at shapes whose GEMMs
-//!   take the small path and at shapes whose GEMMs take the packed path;
-//! * **train** — a small model's flat parameters after a few SGD steps.
+//!   take the small path and at shapes whose GEMMs take the packed path,
+//!   the miniature trainer's among them;
+//! * **train** — two small models' flat parameters after a few SGD steps,
+//!   one at the miniature trainer's shape.
 //!
 //! To check a change, build this binary from the change and from its
 //! parent on one host (copy this file into the parent's
@@ -35,15 +37,22 @@ const INPUTS: [(usize, usize); 5] = [(1, 32), (3, 32), (8, 24), (32, 32), (600, 
 
 /// `(batch, in_c, out_c, H = W, kernel, stride, padding)` of each
 /// training-conv case. The first three run every GEMM of the forward
-/// and backward on the small path, the last three on the packed path
-/// (the last with `in_c·k²` past one k block).
-const CONVS: [(usize, usize, usize, usize, usize, usize, usize); 6] = [
+/// and backward on the small path, the next three on the packed path
+/// (the sixth with `in_c·k²` past one k block). The last four are the
+/// miniature trainer's shapes at batch 32 (the stem at 24×24, the 2×2
+/// stage, a 1×1 stride-2 projection on the small path) and a batch of 5
+/// whose last column tile holds one sample of two.
+const CONVS: [(usize, usize, usize, usize, usize, usize, usize); 10] = [
     (1, 2, 3, 5, 3, 1, 1),
     (2, 8, 16, 8, 1, 2, 0),
     (2, 4, 4, 6, 3, 1, 1),
     (4, 16, 32, 16, 3, 1, 1),
     (2, 5, 8, 32, 7, 2, 3),
     (3, 32, 64, 9, 3, 2, 1),
+    (32, 5, 8, 24, 3, 1, 1),
+    (32, 64, 64, 2, 3, 1, 1),
+    (32, 8, 16, 12, 1, 2, 0),
+    (5, 8, 16, 16, 3, 1, 1),
 ];
 
 /// 64-bit FNV-1a.
@@ -179,25 +188,41 @@ fn conv_cases() {
     }
 }
 
+/// `(label, arch, batch, H = W, SGD steps)` of each train case: a small
+/// model, then the miniature trainer's (24×24 tiles, 8 features, k3 s1
+/// with a 3×3 stride-2 pool, batch 32).
+fn train_cases() -> [(&'static str, ArchConfig, usize, usize, usize); 2] {
+    let pool = Some(PoolConfig {
+        kernel: 3,
+        stride: 2,
+    });
+    let miniature = arch(5, (3, 1, 1), pool, 8, 2);
+    [
+        ("k3s2p1-f4-c5", arch(5, (3, 2, 1), None, 4, 2), 4, 16, 3),
+        ("k3s1p1-pool-f8-c5", miniature, 32, 24, 2),
+    ]
+}
+
 fn train_case() {
-    let arch = arch(5, (3, 2, 1), None, 4, 2);
-    for threads in THREADS {
-        set_compute_threads(threads);
-        let mut rng = TensorRng::seed_from_u64(500);
-        let mut model = ResNet::new(&arch, &mut rng);
-        let mut opt = Sgd::new(0.01, 0.9, 1e-4);
-        let targets = [0, 1, 1, 0];
-        for _ in 0..3 {
-            let input = uniform(&[4, 5, 16, 16], -1.0, 1.0, &mut rng);
-            model.zero_grad();
-            let logits = model.forward(&input, true);
-            let (_, grad) = CrossEntropyLoss.forward_backward(&logits, &targets);
-            model.backward(&grad);
-            opt.step(&mut model);
+    for (label, arch, batch, hw, steps) in train_cases() {
+        let targets: Vec<usize> = (0..batch).map(|i| [0, 1, 1, 0][i % 4]).collect();
+        for threads in THREADS {
+            set_compute_threads(threads);
+            let mut rng = TensorRng::seed_from_u64(500);
+            let mut model = ResNet::new(&arch, &mut rng);
+            let mut opt = Sgd::new(0.01, 0.9, 1e-4);
+            for _ in 0..steps {
+                let input = uniform(&[batch, 5, hw, hw], -1.0, 1.0, &mut rng);
+                model.zero_grad();
+                let logits = model.forward(&input, true);
+                let (_, grad) = CrossEntropyLoss.forward_backward(&logits, &targets);
+                model.backward(&grad);
+                opt.step(&mut model);
+            }
+            let mut h = Fnv::new();
+            h.floats(&model.flat_params());
+            println!("train {label} {steps}-sgd-steps t{threads} {:016x}", h.0);
         }
-        let mut h = Fnv::new();
-        h.floats(&model.flat_params());
-        println!("train k3s2p1-f4-c5 3-sgd-steps t{threads} {:016x}", h.0);
     }
 }
 

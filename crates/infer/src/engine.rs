@@ -49,7 +49,7 @@ use crate::plan::ExecutionPlan;
 use hydronas_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -422,6 +422,22 @@ struct Shared {
     exec_us: AtomicU64,
 }
 
+/// Unwraps a [`Queue`] lock or condvar wait, recovering the guard if a
+/// thread panicked while it held the lock, so one panic under the lock
+/// does not take every client and worker down after it.
+///
+/// Recovery is sound because every critical section leaves the queue
+/// valid after each single mutation: `pending` changes by one
+/// `VecDeque` call at a time and holds only admitted, unresolved
+/// requests; `open` is only ever cleared; `executing` rises in the
+/// section that drains the batch it counts and falls in one of its own
+/// once that batch has run. A panic under the lock can lose at most the
+/// request or batch in hand, whose dropped sender resolves its client
+/// with [`InferError::Closed`], never the queue's consistency.
+fn recover<T>(result: LockResult<T>) -> T {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The engine's tick clock: wall-derived by default, manual under
 /// [`EngineConfig::manual_clock`].
 fn now_ticks(shared: &Shared, config: &EngineConfig) -> u64 {
@@ -527,7 +543,7 @@ impl Engine {
         let (tx, rx) = mpsc::channel();
         let telemetry = hydronas_telemetry::enabled();
         {
-            let mut q = self.shared.queue.lock().unwrap();
+            let mut q = recover(self.shared.queue.lock());
             // Admission is decided *before* a request id is consumed or
             // an enqueue span emitted, so rejected submits leave no gap
             // in the dense 1-based id sequence and no orphan span.
@@ -640,11 +656,8 @@ impl Engine {
 
     /// Stops accepting new requests; workers drain the queue then exit.
     pub fn close(&self) {
-        // Clearing `open` is valid whatever state a panicking holder left
-        // the queue in, and `Drop` calls this, where a second panic would
-        // abort an unwind.
-        let queue = self.shared.queue.lock();
-        queue.unwrap_or_else(PoisonError::into_inner).open = false;
+        // `Drop` calls this, where a second panic would abort an unwind.
+        recover(self.shared.queue.lock()).open = false;
         self.shared.cv.notify_all();
     }
 
@@ -660,7 +673,7 @@ impl Engine {
     /// (prediction or structured error); none are left stuck.
     pub fn close_and_drain(&self, max_ticks: u64) -> DrainStats {
         let leftovers: Vec<Request> = {
-            let mut q = self.shared.queue.lock().unwrap();
+            let mut q = recover(self.shared.queue.lock());
             q.open = false;
             q.pending.drain(..).collect()
         };
@@ -676,7 +689,7 @@ impl Engine {
         }
         let deadline =
             Instant::now() + Duration::from_micros(max_ticks.saturating_mul(self.config.tick_us));
-        let mut q = self.shared.queue.lock().unwrap();
+        let mut q = recover(self.shared.queue.lock());
         let mut timed_out = false;
         while q.executing > 0 {
             let now = Instant::now();
@@ -684,7 +697,7 @@ impl Engine {
                 timed_out = true;
                 break;
             }
-            let (guard, _) = self.shared.done_cv.wait_timeout(q, deadline - now).unwrap();
+            let (guard, _) = recover(self.shared.done_cv.wait_timeout(q, deadline - now));
             q = guard;
         }
         drop(q);
@@ -756,10 +769,10 @@ fn expire_request(shared: &Shared, request: Request) {
 fn worker_loop(shared: &Shared, config: &EngineConfig) {
     loop {
         let (batch, collect_us) = {
-            let mut q = shared.queue.lock().unwrap();
+            let mut q = recover(shared.queue.lock());
             // Sleep until there is work or the engine closes.
             while q.pending.is_empty() && q.open {
-                q = shared.cv.wait(q).unwrap();
+                q = recover(shared.cv.wait(q));
             }
             if q.pending.is_empty() {
                 return; // closed and drained
@@ -773,10 +786,8 @@ fn worker_loop(shared: &Shared, config: &EngineConfig) {
             let window_start_tick = now_ticks(shared, config);
             let mut elapsed = 0u64;
             while q.pending.len() < config.max_batch && q.open && elapsed < config.max_wait_ticks {
-                let (guard, timeout) = shared
-                    .cv
-                    .wait_timeout(q, Duration::from_micros(config.tick_us))
-                    .unwrap();
+                let tick = Duration::from_micros(config.tick_us);
+                let (guard, timeout) = recover(shared.cv.wait_timeout(q, tick));
                 q = guard;
                 if config.manual_clock {
                     elapsed = now_ticks(shared, config).saturating_sub(window_start_tick);
@@ -850,10 +861,7 @@ fn worker_loop(shared: &Shared, config: &EngineConfig) {
         if !live.is_empty() {
             execute_batch(shared, config, live, &waits);
         }
-        {
-            let mut q = shared.queue.lock().unwrap();
-            q.executing -= 1;
-        }
+        recover(shared.queue.lock()).executing -= 1;
         shared.done_cv.notify_all();
     }
 }
@@ -947,13 +955,11 @@ mod tests {
     use super::*;
     use hydronas_graph::ArchConfig;
     use hydronas_nn::ResNet;
-    use hydronas_tensor::TensorRng;
+    use hydronas_tensor::{uniform, TensorRng};
 
-    /// A thread that panics while holding the queue lock poisons it.
-    /// Dropping the engine must still close it and join its workers: a
-    /// panic in `drop` while another panic unwinds aborts the process.
-    #[test]
-    fn drop_survives_a_poisoned_queue_lock() {
+    /// An engine whose queue lock a thread poisoned by panicking while
+    /// holding it, and the plan it serves.
+    fn poisoned_engine() -> (Engine, Arc<ExecutionPlan>) {
         let arch = ArchConfig {
             in_channels: 5,
             kernel_size: 3,
@@ -965,7 +971,7 @@ mod tests {
         };
         let model = ResNet::new(&arch, &mut TensorRng::seed_from_u64(3));
         let plan = Arc::new(ExecutionPlan::builder(&model).build().unwrap());
-        let engine = Engine::start(plan, EngineConfig::default());
+        let engine = Engine::start(Arc::clone(&plan), EngineConfig::default());
         let shared = Arc::clone(&engine.shared);
         let poisoner = std::thread::spawn(move || {
             let _queue = shared.queue.lock().unwrap();
@@ -973,6 +979,29 @@ mod tests {
         });
         assert!(poisoner.join().is_err());
         assert!(engine.shared.queue.is_poisoned());
+        (engine, plan)
+    }
+
+    /// Dropping the engine must still close it and join its workers: a
+    /// panic in `drop` while another panic unwinds aborts the process.
+    #[test]
+    fn drop_survives_a_poisoned_queue_lock() {
+        let (engine, _) = poisoned_engine();
         drop(engine);
+    }
+
+    /// Clients and workers must keep going too: a request is served with
+    /// the logits `run_batch` gives its tile, and a drain does not time
+    /// out waiting for a worker the poisoned lock killed.
+    #[test]
+    fn engine_serves_through_a_poisoned_queue_lock() {
+        let (engine, plan) = poisoned_engine();
+        let tile = uniform(&[5, 16, 16], -1.0, 1.0, &mut TensorRng::seed_from_u64(4));
+        let prediction = engine.infer(tile.clone()).expect("request served");
+        let want = plan.run_batch(&tile.reshape(&[1, 5, 16, 16]));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&prediction.logits), bits(want.as_slice()));
+        let drain = engine.close_and_drain(50_000);
+        assert!(!drain.timed_out, "a worker died on the poisoned lock");
     }
 }

@@ -3,11 +3,15 @@
 //! Layout conventions follow PyTorch: activations are NCHW, weights are
 //! `[out_c, in_c, kh, kw]`.
 //!
-//! * Training runs [`conv2d`] and [`conv2d_backward`]. Batch samples are
-//!   independent, so both fan out across the batch on the deterministic
-//!   compute pool ([`crate::parallel`]): each sample's task owns that
-//!   sample's output slice and its GEMM runs inline inside the task, so
-//!   results are bit-identical at any thread count.
+//! * Training runs [`conv2d`] and [`conv2d_backward`] on the serving
+//!   convs' column tiles (below). The forward and the input gradient run
+//!   one GEMM per tile against a weight packed once per call; the weight
+//!   gradient runs one GEMM per sample and reduces the partials in sample
+//!   order. A sample's bits are those it gets run alone, at any tiling
+//!   and thread count: the packed GEMM fixes each element's summation by
+//!   its k blocks alone, and a conv whose per-sample GEMMs fall below the
+//!   GEMM's packing break-even runs as one-sample tiles of row-major
+//!   operands, so it keeps the unpacked path.
 //! * Serving runs two convs through one tile driver: [`conv2d_bias_act`]
 //!   over a BN-folded f32 weight packed once by [`pack_conv_weight`], and
 //!   [`conv2d_q8`](crate::conv2d_q8) over an int8 weight. A serving plan
@@ -19,7 +23,7 @@
 //!   are still in cache, and writes its samples' NCHW output.
 
 use crate::arena::{scratch, Scratch};
-use crate::gemm::{gemm, Epilogue, GemmA, GemmB, PackedA, PackedBLayout, NC};
+use crate::gemm::{gemm, Epilogue, GemmA, GemmB, PackedA, PackedBLayout, NC, SMALL_FLOPS};
 use crate::parallel;
 use crate::shape::conv_out_dim;
 use crate::tensor::Tensor;
@@ -130,27 +134,40 @@ pub fn im2col(img: &[f32], d: &Conv2dDims, col: &mut [f32]) {
 /// Folds a column matrix back into a CHW image, accumulating overlaps —
 /// the adjoint of [`im2col`], used for input gradients.
 pub fn col2im(col: &[f32], d: &Conv2dDims, img: &mut [f32]) {
-    assert_eq!(img.len(), d.in_c * d.in_h * d.in_w);
     assert_eq!(col.len(), d.col_rows() * d.col_cols());
+    col2im_rows(col, d.col_cols(), d, img);
+}
+
+/// [`col2im`] of a column matrix whose rows start `stride` floats apart:
+/// row `r` is `col[r * stride..][..out_h * out_w]`, so one sample's
+/// columns fold back straight out of a multi-sample tile. Each input
+/// pixel sums its taps in row order, then output order; the in-bounds
+/// outputs of one row and output row fold into one input row as a run.
+fn col2im_rows(col: &[f32], stride: usize, d: &Conv2dDims, img: &mut [f32]) {
+    assert_eq!(img.len(), d.in_c * d.in_h * d.in_w);
     img.fill(0.0);
     let cols = d.col_cols();
-    for c in 0..d.in_c {
-        let plane = &mut img[c * d.in_h * d.in_w..(c + 1) * d.in_h * d.in_w];
+    for (c, plane) in img.chunks_exact_mut(d.in_h * d.in_w).enumerate() {
         for ky in 0..d.kernel {
+            let oys = tap_range(d, ky, d.in_h, d.out_h);
             for kx in 0..d.kernel {
+                let oxs = tap_range(d, kx, d.in_w, d.out_w);
+                if oxs.is_empty() {
+                    continue;
+                }
+                let ix0 = oxs.start * d.stride + kx - d.padding;
                 let row = (c * d.kernel + ky) * d.kernel + kx;
-                let src = &col[row * cols..(row + 1) * cols];
-                for oy in 0..d.out_h {
-                    let iy = (oy * d.stride + ky) as isize - d.padding as isize;
-                    if iy < 0 || iy >= d.in_h as isize {
-                        continue;
-                    }
-                    for ox in 0..d.out_w {
-                        let ix = (ox * d.stride + kx) as isize - d.padding as isize;
-                        if ix < 0 || ix >= d.in_w as isize {
-                            continue;
-                        }
-                        plane[iy as usize * d.in_w + ix as usize] += src[oy * d.out_w + ox];
+                let src = &col[row * stride..][..cols];
+                for oy in oys.clone() {
+                    let iy = oy * d.stride + ky - d.padding;
+                    let run = &src[oy * d.out_w..][oxs.clone()];
+                    let dst = &mut plane[iy * d.in_w + ix0..];
+                    if d.stride == 1 {
+                        // A contiguous run, which vectorizes.
+                        dst.iter_mut().zip(run).for_each(|(p, &v)| *p += v);
+                    } else {
+                        let dst = dst.iter_mut().step_by(d.stride);
+                        dst.zip(run).for_each(|(p, &v)| *p += v);
                     }
                 }
             }
@@ -158,7 +175,26 @@ pub fn col2im(col: &[f32], d: &Conv2dDims, img: &mut [f32]) {
     }
 }
 
+/// The outputs `o` in `0..out` whose tap `k` lands inside an input axis
+/// of `extent`: `o * stride + k - padding` in `0..extent`.
+fn tap_range(d: &Conv2dDims, k: usize, extent: usize, out: usize) -> std::ops::Range<usize> {
+    let lo = d.padding.saturating_sub(k).div_ceil(d.stride);
+    let hi = (extent + d.padding)
+        .saturating_sub(k)
+        .div_ceil(d.stride)
+        .min(out);
+    lo.min(hi)..hi
+}
+
 /// Convolution forward: `input [N,C,H,W] * weight [O,C,k,k] -> [N,O,H',W']`.
+///
+/// Runs on the serving convs' column tiles: each tile of whole samples
+/// unfolds straight into packed panels and runs one GEMM against the
+/// weight, packed once per call. A conv whose per-sample GEMM falls
+/// below the GEMM's packing break-even runs as one-sample tiles of
+/// row-major operands instead, so that GEMM keeps its unpacked path.
+/// Either way each sample's output is bit-identical to the sample run
+/// alone.
 pub fn conv2d(input: &Tensor, weight: &Tensor, stride: usize, padding: usize) -> Tensor {
     let d = Conv2dDims::resolve(input.dims(), weight.dims(), stride, padding)
         .expect("conv2d: kernel does not fit input");
@@ -175,24 +211,12 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, stride: usize, padding: usize) ->
             ),
         ]);
     }
-    let mut out = Tensor::zeros(&[d.batch, d.out_c, d.out_h, d.out_w]);
-    let in_sz = d.in_c * d.in_h * d.in_w;
-    let out_sz = d.out_c * d.out_h * d.out_w;
     let w = weight.as_slice();
-    let inp = input.as_slice();
-
-    parallel::par_chunks_mut(out.as_mut_slice(), out_sz, |n, out_n| {
-        // im2col fully overwrites the column matrix, so the scratch
-        // checkout never clears — zero allocations per sample once
-        // the per-thread arena is warm (pool workers included).
-        let (cr, cc) = (d.col_rows(), d.col_cols());
-        let mut col = scratch(cr * cc);
-        im2col(&inp[n * in_sz..(n + 1) * in_sz], &d, &mut col);
-        // [out_c, col_rows] x [col_rows, col_cols] -> [out_c, col_cols]
-        let (a, b) = (GemmA::Slice(w), GemmB::Slice(&col));
-        gemm(a, b, out_n, d.out_c, cr, cc, Epilogue::None);
-    });
-    out
+    let packed = (!below_break_even(&d)).then(|| PackedA::pack(w, d.out_c, d.col_rows()));
+    let a = packed.as_ref().map_or(GemmA::Slice(w), GemmA::Packed);
+    conv_tiles(input, &d, train_tile_samples(&d), |tile_in, taps, cols| {
+        tile_gemm(a, tile_in, &d, taps, cols, Epilogue::None)
+    })
 }
 
 /// A conv weight repacked once into GEMM A panels, for serving paths that
@@ -237,13 +261,32 @@ pub fn pack_conv_weight(weight: &Tensor) -> PackedConvWeight {
     }
 }
 
-/// Samples per column tile of the serving convs when each sample has
-/// `cols` output pixels: as many whole samples as fit one GEMM column
-/// block, at least one. The width is a scheduling choice, not a numeric
-/// one: the packed GEMM fixes each element's summation order by its k
-/// blocks alone, so any tiling gives the same bits.
-fn tile_samples(cols: usize) -> usize {
+/// Samples per column tile when each sample has `cols` output pixels: as
+/// many whole samples as fit one GEMM column block, at least one. The
+/// width is a scheduling choice, not a numeric one: the packed GEMM fixes
+/// each element's summation order by its k blocks alone, so any tiling
+/// gives the same bits.
+pub(crate) fn tile_samples(cols: usize) -> usize {
     (NC / cols.max(1)).max(1)
+}
+
+/// Whether a conv's per-sample GEMMs fall below the GEMM's packing
+/// break-even, where two row-major operands take its unpacked path. The
+/// forward, input-gradient and weight-gradient GEMMs of one sample share
+/// one `m·k·n = out_c·cr·cc`, so this is a property of the conv.
+fn below_break_even(d: &Conv2dDims) -> bool {
+    d.out_c * d.col_rows() * d.col_cols() < SMALL_FLOPS
+}
+
+/// Samples per column tile of a training conv: the serving width, or one
+/// [`below_break_even`], where a tile's GEMM must see the single sample's
+/// row-major operands to round as the sample's own GEMM always has.
+fn train_tile_samples(d: &Conv2dDims) -> usize {
+    if below_break_even(d) {
+        1
+    } else {
+        tile_samples(d.col_cols())
+    }
 }
 
 /// Column tiles, and so GEMM calls, that a serving conv
@@ -342,8 +385,9 @@ pub(crate) fn unfold_tile_t<T: Copy + Default>(
     }
 }
 
-/// The serving convs' tile loop. Runs the `d.batch` samples of `input` as
-/// [`fused_conv_tiles`] column tiles of whole samples, one compute-pool
+/// The convs' tile loop. Runs the `d.batch` samples of `input` as column
+/// tiles of `per` whole samples ([`tile_samples`] for the serving convs,
+/// [`train_tile_samples`] for the training forward), one compute-pool
 /// task per tile, and builds the [`tap_offsets`] table every tile shares
 /// once per call. `tile(tile_in, taps, cols)` computes one tile from its
 /// samples' CHW input, that table and its column count, and returns the
@@ -357,12 +401,12 @@ pub(crate) fn unfold_tile_t<T: Copy + Default>(
 /// A call that fits one tile (batch 1, the deep layers) runs on the
 /// caller, and its GEMM fans its row blocks out instead; inside a
 /// multi-tile call each tile's GEMM runs inline in its task.
-pub(crate) fn conv_tiles<F>(input: &Tensor, d: &Conv2dDims, tile: F) -> Tensor
+pub(crate) fn conv_tiles<F>(input: &Tensor, d: &Conv2dDims, per: usize, tile: F) -> Tensor
 where
     F: Fn(&[f32], &[u32], usize) -> Scratch + Sync,
 {
     let (cc, in_sz) = (d.col_cols(), d.in_c * d.in_h * d.in_w);
-    let per = tile_samples(cc).min(d.batch).max(1);
+    let per = per.min(d.batch).max(1);
     let taps = tap_offsets(d, per);
     let inp = input.as_slice();
 
@@ -378,6 +422,36 @@ where
         }
     });
     out
+}
+
+/// One column tile's GEMM, `epi(a [out_c x cr] x unfold(tile_in) [cr x
+/// cols])`, the tile body of every f32 conv. A packed `a` multiplies the
+/// tile's samples unfolded straight into packed panels. A row-major `a`
+/// (a training conv [`below_break_even`], one sample a tile) multiplies
+/// the sample's [`im2col`] matrix, so the GEMM keeps its unpacked path.
+fn tile_gemm(
+    a: GemmA,
+    tile_in: &[f32],
+    d: &Conv2dDims,
+    taps: &[u32],
+    cols: usize,
+    epi: Epilogue,
+) -> Scratch {
+    let (m, cr) = (d.out_c, d.col_rows());
+    let mut c;
+    if let GemmA::Packed(_) = a {
+        let layout = PackedBLayout::new(cr, cols);
+        let mut panels = scratch(layout.len());
+        unfold_tile(tile_in, d, taps, &layout, &mut panels);
+        c = scratch(m * cols);
+        gemm(a, GemmB::Packed(&layout, &panels), &mut c, m, cr, cols, epi);
+    } else {
+        let mut col = scratch(cr * cols);
+        im2col(tile_in, d, &mut col);
+        c = scratch(m * cols);
+        gemm(a, GemmB::Slice(&col), &mut c, m, cr, cols, epi);
+    }
+    c
 }
 
 /// Fused inference convolution over a prepacked weight: `conv2d(input,
@@ -428,22 +502,15 @@ pub fn conv2d_bias_act(
             ),
         ]);
     }
-    let cr = d.col_rows();
+    // [out_c, cr] x [cr, cols] -> [out_c, cols], bias per channel row.
     let epi = if relu {
         Epilogue::RowBiasRelu(bias)
     } else {
         Epilogue::RowBias(bias)
     };
-    conv_tiles(input, &d, |tile_in, taps, cols| {
-        let layout = PackedBLayout::new(cr, cols);
-        let mut panels = scratch(layout.len());
-        unfold_tile(tile_in, &d, taps, &layout, &mut panels);
-
-        // [out_c, cr] x [cr, cols] -> [out_c, cols], bias per channel row.
-        let mut c = scratch(d.out_c * cols);
-        let (a, b) = (GemmA::Packed(&weight.a), GemmB::Packed(&layout, &panels));
-        gemm(a, b, &mut c, d.out_c, cr, cols, epi);
-        c
+    let (a, per) = (GemmA::Packed(&weight.a), tile_samples(d.col_cols()));
+    conv_tiles(input, &d, per, |tile_in, taps, cols| {
+        tile_gemm(a, tile_in, &d, taps, cols, epi)
     })
 }
 
@@ -451,6 +518,17 @@ pub fn conv2d_bias_act(
 ///
 /// Given upstream `grad_out [N,O,H',W']`, returns
 /// `(grad_input [N,C,H,W], grad_weight [O,C,k,k])`.
+///
+/// The input gradient runs on [`conv2d`]'s column tiles, one
+/// compute-pool task each. Its GEMM, `Wᵀ [cr, O] x grad_out [O, cc]` per
+/// sample, is a 1×1 conv of `grad_out` by `Wᵀ`: a tile gathers its
+/// samples' `grad_out` columns through the same unfold, runs one GEMM
+/// against `Wᵀ` packed once per call, and folds each sample back from its
+/// columns of the result. The weight gradient stays one GEMM per sample,
+/// one task each, because its k is the sample's pixels; the partials
+/// reduce in sample order. Each sample's `grad_input` is bit-identical to
+/// the sample run alone, and `grad_weight` to the lone samples' gradients
+/// summed in sample order.
 pub fn conv2d_backward(
     input: &Tensor,
     weight: &Tensor,
@@ -467,8 +545,8 @@ pub fn conv2d_backward(
     let cr = d.col_rows();
     let cc = d.col_cols();
     if hydronas_telemetry::enabled() {
-        // Two GEMMs per sample (input grad + weight grad), 2*out_c*cr*cc
-        // multiply-adds each.
+        // Two GEMM passes (input grad per tile, weight grad per sample),
+        // each 2*out_c*cr*cc multiply-adds a sample.
         hydronas_telemetry::add_all(&[
             ("tensor.conv2d_backward.calls", 1),
             (
@@ -481,43 +559,47 @@ pub fn conv2d_backward(
             ),
         ]);
     }
+    let go_d = Conv2dDims::resolve(grad_out.dims(), &[cr, d.out_c, 1, 1], 1, 0)
+        .expect("a 1x1 kernel fits any map");
     let w_t = weight.reshape(&[d.out_c, cr]).transpose2(); // [cr, out_c]
-    let taps = tap_offsets(&d, 1);
-
+    let w_t = w_t.as_slice();
+    let packed = (!below_break_even(&d)).then(|| PackedA::pack(w_t, cr, d.out_c));
+    let a_t = packed.as_ref().map_or(GemmA::Slice(w_t), GemmA::Packed);
+    let per = train_tile_samples(&d).min(d.batch).max(1);
+    let go_taps = tap_offsets(&go_d, per);
     let inp = input.as_slice();
     let go = grad_out.as_slice();
 
-    // Per-sample partials land in disjoint slices of one flat scratch
-    // buffer (not a Vec per sample), then reduce sequentially in sample
-    // order — deterministic for any worker count, and zero per-sample
-    // heap allocations once the arenas are warm.
-    let gw_sz = d.out_c * cr;
+    // grad wrt columns, per tile: Wᵀ [cr, out_c] x grad_out [out_c,
+    // cols], each sample folded back from its cc columns of the result.
     let mut grad_input = Tensor::zeros(input.dims());
-    let mut gw_all = scratch(d.batch * gw_sz);
-    parallel::par_chunks_mut2(
-        grad_input.as_mut_slice(),
-        in_sz,
-        &mut gw_all,
-        gw_sz,
-        |n, gi_n, gw_n| {
-            let go_n = &go[n * out_sz..(n + 1) * out_sz];
-            // grad wrt columns: W^T [cr, out_c] x grad_out [out_c, cc].
-            // The GEMM fully overwrites gcol, so unspecified scratch
-            // contents are fine.
-            let mut gcol = scratch(cr * cc);
-            let (a, b) = (GemmA::Slice(w_t.as_slice()), GemmB::Slice(go_n));
-            gemm(a, b, &mut gcol, cr, d.out_c, cc, Epilogue::None);
-            col2im(&gcol, &d, gi_n);
+    parallel::par_chunks_mut(grad_input.as_mut_slice(), per * in_sz, |t, gi_t| {
+        let samples = gi_t.len() / in_sz;
+        let tile_go = &go[t * per * out_sz..][..samples * out_sz];
+        let cols = samples * cc;
+        let gcol = tile_gemm(a_t, tile_go, &go_d, &go_taps, cols, Epilogue::None);
+        for (s, gi_s) in gi_t.chunks_exact_mut(in_sz).enumerate() {
+            col2im_rows(&gcol[s * cc..], cols, &d, gi_s);
+        }
+    });
 
-            // grad wrt weight: grad_out [out_c, cc] x patches [cc, cr],
-            // the sample's patch matrix gathered straight into the
-            // transposed layout of its im2col matrix.
-            let mut patches = scratch(cc * cr);
-            unfold_tile_t(&inp[n * in_sz..(n + 1) * in_sz], &d, &taps, &mut patches);
-            let (a, b) = (GemmA::Slice(go_n), GemmB::Slice(&patches));
-            gemm(a, b, gw_n, d.out_c, cc, cr, Epilogue::None);
-        },
-    );
+    // grad wrt weight, per sample: grad_out [out_c, cc] x patches [cc,
+    // cr], the sample's patch matrix gathered straight into the
+    // transposed layout of its im2col matrix. The partials land in
+    // disjoint slices of one flat scratch buffer (not a Vec per sample),
+    // then reduce sequentially in sample order — deterministic for any
+    // worker count, and zero per-sample heap allocations once the arenas
+    // are warm.
+    let taps = tap_offsets(&d, 1);
+    let gw_sz = d.out_c * cr;
+    let mut gw_all = scratch(d.batch * gw_sz);
+    parallel::par_chunks_mut(&mut gw_all, gw_sz, |n, gw_n| {
+        let mut patches = scratch(cc * cr);
+        unfold_tile_t(&inp[n * in_sz..][..in_sz], &d, &taps, &mut patches);
+        let go_n = &go[n * out_sz..][..out_sz];
+        let (a, b) = (GemmA::Slice(go_n), GemmB::Slice(&patches));
+        gemm(a, b, gw_n, d.out_c, cc, cr, Epilogue::None);
+    });
 
     let mut grad_weight = Tensor::zeros(weight.dims());
     for gw in gw_all.chunks_exact(gw_sz) {
@@ -808,6 +890,54 @@ mod tests {
         assert!(approx_eq(lhs, rhs, 1e-4), "{lhs} vs {rhs}");
     }
 
+    /// `col2im`'s runs must fold every tap in the order of the plain
+    /// per-pixel loop below, so the input gradient keeps its bits. The
+    /// geometries cover stride 2 and 3, taps that miss the input on one
+    /// side or, with a 7×7 kernel on a 3×3 map, entirely.
+    #[test]
+    fn col2im_matches_the_per_pixel_fold_bit_for_bit() {
+        fn per_pixel(col: &[f32], d: &Conv2dDims, img: &mut [f32]) {
+            img.fill(0.0);
+            let (s, p) = (d.stride as isize, d.padding as isize);
+            for (r, src) in col.chunks_exact(d.col_cols()).enumerate() {
+                let (c, ky, kx) = (
+                    r / (d.kernel * d.kernel),
+                    r / d.kernel % d.kernel,
+                    r % d.kernel,
+                );
+                for (j, &v) in src.iter().enumerate() {
+                    let iy = (j / d.out_w) as isize * s + ky as isize - p;
+                    let ix = (j % d.out_w) as isize * s + kx as isize - p;
+                    if (0..d.in_h as isize).contains(&iy) && (0..d.in_w as isize).contains(&ix) {
+                        img[(c * d.in_h + iy as usize) * d.in_w + ix as usize] += v;
+                    }
+                }
+            }
+        }
+        let mut rng = TensorRng::seed_from_u64(8);
+        for &(in_c, h, k, s, p) in &[
+            (2usize, 6usize, 3usize, 2usize, 1usize),
+            (3, 9, 7, 2, 3),
+            (2, 3, 7, 1, 3),
+            (2, 5, 2, 2, 0),
+            (1, 7, 3, 3, 2),
+            (4, 12, 3, 1, 1),
+        ] {
+            let d = Conv2dDims::resolve(&[1, in_c, h, h], &[1, in_c, k, k], s, p).unwrap();
+            let col = uniform(&[d.col_rows() * d.col_cols()], -1.0, 1.0, &mut rng);
+            let (mut got, mut want) = (vec![f32::NAN; in_c * h * h], vec![0.0; in_c * h * h]);
+            col2im(col.as_slice(), &d, &mut got);
+            per_pixel(col.as_slice(), &d, &mut want);
+            for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "h={h} k={k} s={s} p={p}: pixel {i}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn backward_matches_finite_differences() {
         let mut rng = TensorRng::seed_from_u64(17);
@@ -853,21 +983,60 @@ mod tests {
         }
     }
 
+    /// A training conv's sample must get, inside any batch, the bits it
+    /// gets run alone: its `conv2d` output and `conv2d_backward` input
+    /// gradient rows `to_bits`-equal, and the batch's weight gradient
+    /// equal to the lone samples' weight gradients summed into zeros in
+    /// sample order. The first case and the last (a 1×1 stride-2
+    /// projection) sit below the GEMM's packing break-even; the packed
+    /// cases cover a partial last tile (batch 5 at two samples a tile), a
+    /// sample wider than a column block (576 columns), `cr` past one k
+    /// block, k7 s2 p3, and the 2×2 stage's batch of 32 in one tile.
     #[test]
     fn batch_samples_are_independent() {
         let mut rng = TensorRng::seed_from_u64(5);
-        let a = uniform(&[1, 2, 6, 6], -1.0, 1.0, &mut rng);
-        let b = uniform(&[1, 2, 6, 6], -1.0, 1.0, &mut rng);
-        let weight = uniform(&[3, 2, 3, 3], -0.5, 0.5, &mut rng);
-        let both = Tensor::from_vec(
-            a.as_slice().iter().chain(b.as_slice()).copied().collect(),
-            &[2, 2, 6, 6],
-        );
-        let out_both = conv2d(&both, &weight, 1, 1);
-        let out_a = conv2d(&a, &weight, 1, 1);
-        let out_b = conv2d(&b, &weight, 1, 1);
-        let half = out_a.numel();
-        assert_eq!(&out_both.as_slice()[..half], out_a.as_slice());
-        assert_eq!(&out_both.as_slice()[half..], out_b.as_slice());
+        for &(batch, in_c, out_c, h, k, s, p, small) in &[
+            (2usize, 2usize, 3usize, 6usize, 3usize, 1usize, 1usize, true),
+            (5, 8, 16, 16, 3, 1, 1, false),
+            (2, 8, 8, 24, 3, 1, 1, false),
+            (3, 32, 8, 5, 3, 1, 1, false),
+            (3, 3, 8, 16, 7, 2, 3, false),
+            (32, 64, 64, 2, 3, 1, 1, false),
+            (3, 8, 16, 12, 1, 2, 0, true),
+        ] {
+            let input = uniform(&[batch, in_c, h, h], -1.0, 1.0, &mut rng);
+            let weight = uniform(&[out_c, in_c, k, k], -0.5, 0.5, &mut rng);
+            let d = Conv2dDims::resolve(input.dims(), weight.dims(), s, p).unwrap();
+            let case = format!("batch={batch} in_c={in_c} out_c={out_c} h={h} k={k} s={s} p={p}");
+            assert_eq!(below_break_even(&d), small, "{case}: wrong GEMM path");
+            let out = conv2d(&input, &weight, s, p);
+            let grad_out = uniform(out.dims(), -1.0, 1.0, &mut rng);
+            let (gi, gw) = conv2d_backward(&input, &weight, &grad_out, s, p);
+
+            let (in_sz, out_sz) = (input.numel() / batch, out.numel() / batch);
+            let mut gw_sum = Tensor::zeros(weight.dims());
+            for n in 0..batch {
+                let x = input.index_axis0(n).reshape(&[1, in_c, h, h]);
+                let g = grad_out
+                    .index_axis0(n)
+                    .reshape(&[1, out_c, d.out_h, d.out_w]);
+                let alone = conv2d(&x, &weight, s, p);
+                let (gi_n, gw_n) = conv2d_backward(&x, &weight, &g, s, p);
+                for (what, got, want) in [
+                    ("output", &out.as_slice()[n * out_sz..][..out_sz], &alone),
+                    ("grad_input", &gi.as_slice()[n * in_sz..][..in_sz], &gi_n),
+                ] {
+                    for (j, (x, y)) in got.iter().zip(want.as_slice()).enumerate() {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{case}: sample {n} {what} {j}");
+                    }
+                }
+                for (acc, &v) in gw_sum.as_mut_slice().iter_mut().zip(gw_n.as_slice()) {
+                    *acc += v;
+                }
+            }
+            for (j, (x, y)) in gw.as_slice().iter().zip(gw_sum.as_slice()).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{case}: grad_weight {j}");
+            }
+        }
     }
 }

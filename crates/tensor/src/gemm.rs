@@ -25,9 +25,12 @@
 //! process, and by the call's B width `n`. An avx512f+FMA host runs a
 //! 6 x 32 tile (12 zmm accumulators) when it pads `n` to no more columns
 //! than a 6 x 16 tile would, and the 6 x 16 zmm tile otherwise, so a
-//! narrow B (the trainer's per-sample GEMMs, `n` of 4–36) never pays for
-//! 32-lane padding. An AVX2+FMA host runs 6 x 16 on ymm registers for
-//! every `n`. Each FMA tile lowers `mul_add` to vfmadd. Any other host
+//! narrow B never pays for 32-lane padding. The convs run whole-sample
+//! column tiles, so B is narrow where a call's whole batch spans less
+//! than a tile (a serving conv at batch 1 on the deep stages, `n` of
+//! 1–16; a small training batch on a small map) and in the training
+//! weight gradient, whose `n` is `in_c·k²` (45 for a five-channel 3 x 3
+//! stem). An AVX2+FMA host runs 6 x 16 on ymm registers for every `n`. Each FMA tile lowers `mul_add` to vfmadd. Any other host
 //! runs a portable 4 x 8 tile sized for SSE2's register file. Every x86
 //! tile is 6 rows tall, so one [`PackedA`] serves every `n`. Pack buffers
 //! come from the per-thread scratch arena ([`crate::arena`]), so
@@ -77,7 +80,7 @@ const KC: usize = 256;
 /// Column-block width (multiple of every kernel's `NR`).
 pub(crate) const NC: usize = 512;
 /// `m * k * n` below which two slice operands take the unpacked path.
-const SMALL_FLOPS: usize = 32 * 1024;
+pub(crate) const SMALL_FLOPS: usize = 32 * 1024;
 
 /// The left operand of [`gemm`], `[m x k]`.
 #[derive(Clone, Copy)]

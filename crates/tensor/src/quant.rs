@@ -29,7 +29,7 @@
 //! restrictions we do not want to impose. Sign-extending to i16 first makes
 //! the SIMD kernel exactly equal to the scalar fallback on every input.
 use crate::arena::{scratch, scratch_i8};
-use crate::conv::{conv_tiles, unfold_tile_t, Conv2dDims};
+use crate::conv::{conv_tiles, tile_samples, unfold_tile_t, Conv2dDims};
 use crate::parallel;
 use crate::tensor::Tensor;
 use std::sync::OnceLock;
@@ -286,7 +286,7 @@ pub fn conv2d_q8(
         bias,
         relu,
     };
-    conv_tiles(input, &d, |tile_in, taps, cols| {
+    conv_tiles(input, &d, tile_samples(cc), |tile_in, taps, cols| {
         let mut q = scratch_i8(tile_in.len());
         quantize_slice_i8(tile_in, input_scale, &mut q);
         let mut bt = scratch_i8(cols * cr);

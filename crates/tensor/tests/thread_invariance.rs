@@ -119,6 +119,14 @@ fn conv2d_forward_is_thread_count_invariant() {
     assert_thread_invariant("conv2d", || {
         conv2d(&input, &weight, 1, 1).as_slice().to_vec()
     });
+    // 289 columns a sample above is one sample a column tile; 144 is
+    // three, so a batch of 11 runs three full tiles and a partial one.
+    let weight = uniform(&[10, 4, 3, 3], -0.5, 0.5, &mut rng);
+    let input = uniform(&[11, 4, 12, 12], -1.0, 1.0, &mut rng);
+    assert_eq!(fused_conv_tiles(11, 12 * 12), 4);
+    assert_thread_invariant("conv2d multi-sample tiles", || {
+        conv2d(&input, &weight, 1, 1).as_slice().to_vec()
+    });
 }
 
 #[test]
