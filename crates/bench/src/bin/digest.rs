@@ -16,6 +16,9 @@
 //!   `conv2d_backward` input and weight gradients, at shapes whose GEMMs
 //!   take the small path and at shapes whose GEMMs take the packed path,
 //!   the miniature trainer's among them;
+//! * **gemm** — the packed GEMM itself, at small-k shapes and at a k past
+//!   two k blocks, with slice and with prepacked operands and each
+//!   epilogue;
 //! * **train** — two small models' flat parameters after a few SGD steps,
 //!   one at the miniature trainer's shape.
 //!
@@ -28,7 +31,10 @@
 use hydronas_graph::{ArchConfig, CalibrationMethod, PoolConfig};
 use hydronas_infer::{ExecutionPlan, Numerics, QuantizationScheme};
 use hydronas_nn::{CrossEntropyLoss, Optimizer, ParamVisitor, ResNet, Sgd};
-use hydronas_tensor::{conv2d, conv2d_backward, set_compute_threads, uniform, TensorRng};
+use hydronas_tensor::{
+    conv2d, conv2d_backward, gemm, set_compute_threads, uniform, Epilogue, GemmA, GemmB, PackedA,
+    PackedBLayout, TensorRng,
+};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -53,6 +59,19 @@ const CONVS: [(usize, usize, usize, usize, usize, usize, usize); 10] = [
     (32, 64, 64, 2, 3, 1, 1),
     (32, 8, 16, 12, 1, 2, 0),
     (5, 8, 16, 16, 3, 1, 1),
+];
+
+/// `(m, k, n)` of each direct GEMM case: small-k shapes, where the
+/// write-back sets the speed (the input gradient's m45 k8 n576 and m288
+/// k32 n288, the 2×2 stage's weight gradient m64 k4 n576, the stem's
+/// m8 k576 n45), and m13 k515 n45, whose k spans three 256-deep k blocks
+/// and whose rows and columns end in partial register tiles.
+const GEMMS: [(usize, usize, usize); 5] = [
+    (45, 8, 576),
+    (288, 32, 288),
+    (64, 4, 576),
+    (8, 576, 45),
+    (13, 515, 45),
 ];
 
 /// 64-bit FNV-1a.
@@ -188,6 +207,48 @@ fn conv_cases() {
     }
 }
 
+fn gemm_cases() {
+    for (i, &(m, k, n)) in GEMMS.iter().enumerate() {
+        let mut rng = TensorRng::seed_from_u64(600 + i as u64);
+        let a = uniform(&[m, k], -1.0, 1.0, &mut rng);
+        let b = uniform(&[k, n], -1.0, 1.0, &mut rng);
+        let row_bias = uniform(&[m], -0.5, 0.5, &mut rng);
+        let col_bias = uniform(&[n], -0.5, 0.5, &mut rng);
+        let (a, b) = (a.as_slice(), b.as_slice());
+        let packed_a = PackedA::pack(a, m, k);
+        let layout = PackedBLayout::new(k, n);
+        let mut packed_b = vec![0.0; layout.len()];
+        layout.pack(b, &mut packed_b);
+        let operands = [
+            ("slice", GemmA::Slice(a), GemmB::Slice(b)),
+            (
+                "packed",
+                GemmA::Packed(&packed_a),
+                GemmB::Packed(&layout, &packed_b),
+            ),
+        ];
+        let epilogues = [
+            ("none", Epilogue::None),
+            ("col-bias", Epilogue::ColBias(col_bias.as_slice())),
+            ("row-bias", Epilogue::RowBias(row_bias.as_slice())),
+            ("row-bias-relu", Epilogue::RowBiasRelu(row_bias.as_slice())),
+        ];
+        for &(operand, a_op, b_op) in &operands {
+            for &(epilogue, epi) in &epilogues {
+                for threads in THREADS {
+                    set_compute_threads(threads);
+                    let mut c = vec![0.0; m * n];
+                    gemm(a_op, b_op, &mut c, m, k, n, epi);
+                    let mut h = Fnv::new();
+                    h.floats(&c);
+                    let case = format!("m{m} k{k} n{n} {operand} {epilogue}");
+                    println!("gemm {case} t{threads} {:016x}", h.0);
+                }
+            }
+        }
+    }
+}
+
 /// `(label, arch, batch, H = W, SGD steps)` of each train case: a small
 /// model, then the miniature trainer's (24×24 tiles, 8 features, k3 s1
 /// with a 3×3 stride-2 pool, batch 32).
@@ -229,5 +290,6 @@ fn train_case() {
 fn main() {
     plan_cases();
     conv_cases();
+    gemm_cases();
     train_case();
 }

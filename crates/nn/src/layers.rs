@@ -8,8 +8,8 @@
 
 use crate::param::{Param, ParamVisitor};
 use hydronas_tensor::{
-    avg_pool2d_global, conv2d, conv2d_backward, gemm, kaiming_normal, max_pool2d,
-    max_pool2d_backward, Epilogue, GemmA, GemmB, Tensor, TensorRng,
+    avg_pool2d_global, conv2d, conv2d_backward, conv2d_backward_weight, gemm, kaiming_normal,
+    max_pool2d, max_pool2d_backward, Epilogue, GemmA, GemmB, Tensor, TensorRng,
 };
 
 /// 2-d convolution without bias (ResNet convention: bias folds into BN).
@@ -60,6 +60,24 @@ impl Conv2d {
         );
         self.weight.accumulate(&gw);
         gi
+    }
+
+    /// [`Conv2d::backward`] for a conv whose input gradient nobody reads,
+    /// a network's first conv over the data batch: accumulates the same
+    /// weight gradient and computes no input gradient.
+    pub(crate) fn backward_weight(&mut self, grad_out: &Tensor) {
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("Conv2d::backward before forward");
+        let gw = conv2d_backward_weight(
+            input,
+            &self.weight.value,
+            grad_out,
+            self.stride,
+            self.padding,
+        );
+        self.weight.accumulate(&gw);
     }
 }
 

@@ -78,8 +78,9 @@ impl ResNet {
     }
 
     /// Backward pass from the loss gradient wrt logits; accumulates
-    /// parameter gradients and returns the gradient wrt the input.
-    pub fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
+    /// parameter gradients. The gradient wrt the input batch is never
+    /// formed: the stem conv computes its weight gradient alone.
+    pub fn backward(&mut self, grad_logits: &Tensor) {
         let mut g = self.fc.backward(grad_logits);
         g = self.gap.backward(&g);
         for block in self.stages.iter_mut().rev() {
@@ -90,7 +91,7 @@ impl ResNet {
         }
         g = self.stem_relu.backward(&g);
         g = self.stem_bn.backward(&g);
-        self.stem_conv.backward(&g)
+        self.stem_conv.backward_weight(&g);
     }
 
     /// Number of residual blocks (always 8 for ResNet-18).
@@ -207,8 +208,7 @@ mod tests {
         let x = uniform(&[2, 5, 16, 16], -1.0, 1.0, &mut rng);
         let y = model.forward(&x, true);
         let g = Tensor::ones(y.dims());
-        let gx = model.backward(&g);
-        assert_eq!(gx.dims(), x.dims());
+        model.backward(&g);
         assert!(model.grad_norm() > 0.0);
         // Every parameter tensor should have at least one nonzero gradient
         // (dead blocks would indicate a broken skip/backward wiring).
@@ -233,7 +233,7 @@ mod tests {
         let x = uniform(&[1, 5, 32, 32], -1.0, 1.0, &mut rng);
         let y = model.forward(&x, true);
         assert_eq!(y.dims(), &[1, 2]);
-        let _ = model.backward(&Tensor::ones(y.dims()));
+        model.backward(&Tensor::ones(y.dims()));
     }
 
     #[test]
@@ -328,7 +328,7 @@ mod eval_forward_tests {
         let x = uniform(&[2, arch.in_channels, 32, 32], -1.0, 1.0, &mut rng);
         let _ = model.forward(&x, true);
         let logits = model.forward(&x, false);
-        let _ = model.backward(&Tensor::ones(logits.dims()));
+        model.backward(&Tensor::ones(logits.dims()));
     }
 }
 

@@ -428,7 +428,10 @@ where
 /// cols])`, the tile body of every f32 conv. A packed `a` multiplies the
 /// tile's samples unfolded straight into packed panels. A row-major `a`
 /// (a training conv [`below_break_even`], one sample a tile) multiplies
-/// the sample's [`im2col`] matrix, so the GEMM keeps its unpacked path.
+/// the sample's [`im2col`] matrix, so the GEMM keeps its unpacked path;
+/// where that unfold is the identity (1×1, stride 1, no padding, as in
+/// the input gradient's view of `grad_out`), the sample's CHW input is
+/// that matrix already and goes in as it is.
 fn tile_gemm(
     a: GemmA,
     tile_in: &[f32],
@@ -445,6 +448,9 @@ fn tile_gemm(
         unfold_tile(tile_in, d, taps, &layout, &mut panels);
         c = scratch(m * cols);
         gemm(a, GemmB::Packed(&layout, &panels), &mut c, m, cr, cols, epi);
+    } else if (d.kernel, d.stride, d.padding) == (1, 1, 0) {
+        c = scratch(m * cols);
+        gemm(a, GemmB::Slice(tile_in), &mut c, m, cr, cols, epi);
     } else {
         let mut col = scratch(cr * cols);
         im2col(tile_in, d, &mut col);
@@ -526,9 +532,10 @@ pub fn conv2d_bias_act(
 /// against `Wᵀ` packed once per call, and folds each sample back from its
 /// columns of the result. The weight gradient stays one GEMM per sample,
 /// one task each, because its k is the sample's pixels; the partials
-/// reduce in sample order. Each sample's `grad_input` is bit-identical to
-/// the sample run alone, and `grad_weight` to the lone samples' gradients
-/// summed in sample order.
+/// reduce in sample order ([`conv2d_backward_weight`] runs this half
+/// alone). Each sample's `grad_input` is bit-identical to the sample run
+/// alone, and `grad_weight` to the lone samples' gradients summed in
+/// sample order.
 pub fn conv2d_backward(
     input: &Tensor,
     weight: &Tensor,
@@ -536,29 +543,13 @@ pub fn conv2d_backward(
     stride: usize,
     padding: usize,
 ) -> (Tensor, Tensor) {
-    let d = Conv2dDims::resolve(input.dims(), weight.dims(), stride, padding)
-        .expect("conv2d_backward: kernel does not fit input");
-    assert_eq!(grad_out.dims(), &[d.batch, d.out_c, d.out_h, d.out_w]);
-
+    // Two GEMM passes: the input gradient per tile, the weight gradient
+    // per sample.
+    let d = backward_dims(input, weight, grad_out, stride, padding, 2);
     let in_sz = d.in_c * d.in_h * d.in_w;
     let out_sz = d.out_c * d.out_h * d.out_w;
     let cr = d.col_rows();
     let cc = d.col_cols();
-    if hydronas_telemetry::enabled() {
-        // Two GEMM passes (input grad per tile, weight grad per sample),
-        // each 2*out_c*cr*cc multiply-adds a sample.
-        hydronas_telemetry::add_all(&[
-            ("tensor.conv2d_backward.calls", 1),
-            (
-                "tensor.conv2d_backward.flops",
-                (d.batch * 4 * d.out_c * cr * cc) as u64,
-            ),
-            (
-                "tensor.conv2d_backward.bytes",
-                (4 * (2 * input.numel() + 2 * weight.numel() + grad_out.numel())) as u64,
-            ),
-        ]);
-    }
     let go_d = Conv2dDims::resolve(grad_out.dims(), &[cr, d.out_c, 1, 1], 1, 0)
         .expect("a 1x1 kernel fits any map");
     let w_t = weight.reshape(&[d.out_c, cr]).transpose2(); // [cr, out_c]
@@ -567,7 +558,6 @@ pub fn conv2d_backward(
     let a_t = packed.as_ref().map_or(GemmA::Slice(w_t), GemmA::Packed);
     let per = train_tile_samples(&d).min(d.batch).max(1);
     let go_taps = tap_offsets(&go_d, per);
-    let inp = input.as_slice();
     let go = grad_out.as_slice();
 
     // grad wrt columns, per tile: Wᵀ [cr, out_c] x grad_out [out_c,
@@ -583,31 +573,79 @@ pub fn conv2d_backward(
         }
     });
 
-    // grad wrt weight, per sample: grad_out [out_c, cc] x patches [cc,
-    // cr], the sample's patch matrix gathered straight into the
-    // transposed layout of its im2col matrix. The partials land in
-    // disjoint slices of one flat scratch buffer (not a Vec per sample),
-    // then reduce sequentially in sample order — deterministic for any
-    // worker count, and zero per-sample heap allocations once the arenas
-    // are warm.
-    let taps = tap_offsets(&d, 1);
+    (grad_input, weight_grad(input, grad_out, &d))
+}
+
+/// The weight gradient alone of [`conv2d_backward`], bit for bit, for a
+/// conv whose input gradient nobody reads: a network's first conv, whose
+/// input is the data batch.
+pub fn conv2d_backward_weight(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    stride: usize,
+    padding: usize,
+) -> Tensor {
+    let d = backward_dims(input, weight, grad_out, stride, padding, 1);
+    weight_grad(input, grad_out, &d)
+}
+
+/// Resolves a backward call's geometry, checks `grad_out` against it and
+/// counts the call's `passes` GEMM passes, each `2·out_c·cr·cc`
+/// multiply-adds a sample.
+fn backward_dims(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    stride: usize,
+    padding: usize,
+    passes: usize,
+) -> Conv2dDims {
+    let d = Conv2dDims::resolve(input.dims(), weight.dims(), stride, padding)
+        .expect("conv2d_backward: kernel does not fit input");
+    assert_eq!(grad_out.dims(), &[d.batch, d.out_c, d.out_h, d.out_w]);
+    if hydronas_telemetry::enabled() {
+        let operands = passes * (input.numel() + weight.numel()) + grad_out.numel();
+        hydronas_telemetry::add_all(&[
+            ("tensor.conv2d_backward.calls", 1),
+            (
+                "tensor.conv2d_backward.flops",
+                (d.batch * passes * 2 * d.out_c * d.col_rows() * d.col_cols()) as u64,
+            ),
+            ("tensor.conv2d_backward.bytes", (4 * operands) as u64),
+        ]);
+    }
+    d
+}
+
+/// The weight gradient, one GEMM per sample: grad_out [out_c, cc] x
+/// patches [cc, cr], the sample's patch matrix gathered straight into the
+/// transposed layout of its im2col matrix. The partials land in disjoint
+/// slices of one flat scratch buffer (not a Vec per sample), then reduce
+/// sequentially in sample order — deterministic for any worker count, and
+/// zero per-sample heap allocations once the arenas are warm.
+fn weight_grad(input: &Tensor, grad_out: &Tensor, d: &Conv2dDims) -> Tensor {
+    let (cr, cc) = (d.col_rows(), d.col_cols());
+    let (in_sz, out_sz) = (d.in_c * d.in_h * d.in_w, d.out_c * cc);
+    let (inp, go) = (input.as_slice(), grad_out.as_slice());
+    let taps = tap_offsets(d, 1);
     let gw_sz = d.out_c * cr;
     let mut gw_all = scratch(d.batch * gw_sz);
     parallel::par_chunks_mut(&mut gw_all, gw_sz, |n, gw_n| {
         let mut patches = scratch(cc * cr);
-        unfold_tile_t(&inp[n * in_sz..][..in_sz], &d, &taps, &mut patches);
+        unfold_tile_t(&inp[n * in_sz..][..in_sz], d, &taps, &mut patches);
         let go_n = &go[n * out_sz..][..out_sz];
         let (a, b) = (GemmA::Slice(go_n), GemmB::Slice(&patches));
         gemm(a, b, gw_n, d.out_c, cc, cr, Epilogue::None);
     });
 
-    let mut grad_weight = Tensor::zeros(weight.dims());
+    let mut grad_weight = Tensor::zeros(&[d.out_c, d.in_c, d.kernel, d.kernel]);
     for gw in gw_all.chunks_exact(gw_sz) {
         for (dst, &src) in grad_weight.as_mut_slice().iter_mut().zip(gw.iter()) {
             *dst += src;
         }
     }
-    (grad_input, grad_weight)
+    grad_weight
 }
 
 #[cfg(test)]
@@ -987,7 +1025,8 @@ mod tests {
     /// gets run alone: its `conv2d` output and `conv2d_backward` input
     /// gradient rows `to_bits`-equal, and the batch's weight gradient
     /// equal to the lone samples' weight gradients summed into zeros in
-    /// sample order. The first case and the last (a 1×1 stride-2
+    /// sample order, which `conv2d_backward_weight` must reproduce on its
+    /// own. The first case and the last (a 1×1 stride-2
     /// projection) sit below the GEMM's packing break-even; the packed
     /// cases cover a partial last tile (batch 5 at two samples a tile), a
     /// sample wider than a column block (576 columns), `cr` past one k
@@ -1034,8 +1073,16 @@ mod tests {
                     *acc += v;
                 }
             }
-            for (j, (x, y)) in gw.as_slice().iter().zip(gw_sum.as_slice()).enumerate() {
+            let gw_only = conv2d_backward_weight(&input, &weight, &grad_out, s, p);
+            for (j, ((x, y), z)) in gw
+                .as_slice()
+                .iter()
+                .zip(gw_sum.as_slice())
+                .zip(gw_only.as_slice())
+                .enumerate()
+            {
                 assert_eq!(x.to_bits(), y.to_bits(), "{case}: grad_weight {j}");
+                assert_eq!(x.to_bits(), z.to_bits(), "{case}: weight-only {j}");
             }
         }
     }

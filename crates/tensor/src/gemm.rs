@@ -19,7 +19,18 @@
 //! * an `MR x NR` register-tile microkernel: `MR * NR` scalar
 //!   accumulators the compiler keeps in vector registers, so the hot
 //!   loop performs `MR * NR` multiply-adds per `MR + NR` loads and
-//!   touches memory for C only at tile boundaries.
+//!   touches memory for C only at tile boundaries,
+//! * a write-back of each tile into C that runs on whole vectors: the k
+//!   block's place (overwrite or add) and the epilogue are settled once
+//!   per row, and a full row is read, added, biased, clamped and stored
+//!   as one fixed `[f32; NR]`. A GEMM with a small k (the training
+//!   backward's: k is `out_c` for the input gradient and a sample's
+//!   pixels for the weight gradient) spends more time storing a tile
+//!   than computing it, so a branch per element here would set its
+//!   speed.
+//!
+//! A row-major B is staged into the panels of each `(jc, pc)` block by
+//! one row copy per k step and column panel, zero-padded.
 //!
 //! The microkernel ([`kernel`]) is picked by CPU detection, once per
 //! process, and by the call's B width `n`. An avx512f+FMA host runs a
@@ -30,18 +41,25 @@
 //! than a tile (a serving conv at batch 1 on the deep stages, `n` of
 //! 1–16; a small training batch on a small map) and in the training
 //! weight gradient, whose `n` is `in_c·k²` (45 for a five-channel 3 x 3
-//! stem). An AVX2+FMA host runs 6 x 16 on ymm registers for every `n`. Each FMA tile lowers `mul_add` to vfmadd. Any other host
-//! runs a portable 4 x 8 tile sized for SSE2's register file. Every x86
-//! tile is 6 rows tall, so one [`PackedA`] serves every `n`. Pack buffers
-//! come from the per-thread scratch arena ([`crate::arena`]), so
-//! steady-state GEMM calls allocate nothing.
+//! stem). An AVX2+FMA host runs 6 x 16 on ymm registers for every `n`.
+//! Each FMA tile lowers `mul_add` to vfmadd. Any other host runs a
+//! portable 4 x 8 tile sized for SSE2's register file. Every x86 tile is
+//! 6 rows tall, so one [`PackedA`] serves every `n`. Pack buffers come
+//! from the per-thread scratch arena ([`crate::arena`]), so steady-state
+//! GEMM calls allocate nothing.
 //!
 //! ## Determinism contract
 //!
 //! Every C element accumulates its k products in a fixed order: k blocks
 //! ascending, and within a block strictly ascending k (the microkernel
 //! holds one scalar accumulator per C element — no horizontal
-//! reductions). Row blocks are written by exactly one task each, and the
+//! reductions). Each block's chain starts from +0.0; the first k block
+//! stores it as is and each later block stores `chain + c`, so the block
+//! sums fold in ascending order, and the last block's store then adds
+//! the bias and clamps. Full and partial tile rows store through
+//! different loops with the same arithmetic in the same order, which
+//! `packed_path_association_matches_the_scalar_reference` pins bit for
+//! bit. Row blocks are written by exactly one task each, and the
 //! tile is fixed per host and per `n`, so results are bit-identical
 //! run-to-run and across worker counts on a given machine. The FMA tiles
 //! of either width compute each C element as the same FMA chain, so they
@@ -296,27 +314,16 @@ fn pack_a(
     }
 }
 
-/// Packs `kc` k steps of the `nc` B columns starting at `jc` into
-/// `ceil(nc/nr)` column panels, reading B through `at(kk, col)` (k step
-/// within the block, global column); panel layout is k-major: step `kk`
-/// holds the `nr` column values contiguously. Columns past `nc` pad with
-/// zeros.
-fn pack_b(
-    out: &mut [f32],
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    nr: usize,
-    at: impl Fn(usize, usize) -> f32,
-) {
-    for (pj, panel) in out.chunks_exact_mut(nr * kc).enumerate() {
-        let c0 = jc + pj * nr;
-        let cols = nr.min(jc + nc - c0);
-        for (kk, dst) in panel.chunks_exact_mut(nr).enumerate() {
-            for (cc, d) in dst.iter_mut().enumerate() {
-                *d = if cc < cols { at(kk, c0 + cc) } else { 0.0 };
-            }
-        }
+/// Packs one B panel from row-major `b` (`n` columns wide): the
+/// `dst.len() / nr` k steps from row `r0` of the `nr` columns from `j0`,
+/// k-major, so step `kk` holds the `nr` column values contiguously. Each
+/// step is one row copy and the lanes past column `n` are zeroed, so a
+/// panel holds the same floats in the same places as the unfold writes.
+fn pack_b_panel(b: &[f32], n: usize, r0: usize, j0: usize, nr: usize, dst: &mut [f32]) {
+    let cols = nr.min(n - j0);
+    for (lanes, row) in dst.chunks_exact_mut(nr).zip(b[r0 * n + j0..].chunks(n)) {
+        lanes[..cols].copy_from_slice(&row[..cols]);
+        lanes[cols..].fill(0.0);
     }
 }
 
@@ -350,9 +357,17 @@ fn micro_tile<const MR: usize, const NR: usize, const FMA: bool>(
 }
 
 /// Writes one microkernel tile into the C row block. `first` overwrites
-/// (the first k block needs no prior zeroing of C), later blocks
-/// accumulate; the epilogue is fused into the `last` block's store so no
+/// (the first k block needs no prior zeroing of C), later blocks store
+/// `acc + c`; the epilogue is fused into the `last` block's store so no
 /// separate pass over C ever runs.
+///
+/// No branch runs per element. The k block's place and the epilogue
+/// kind are settled per row, in [`store_row`], and a full row (`nr_eff ==
+/// NR`) reaches it as a fixed `[f32; NR]`, so its loads, adds, bias and
+/// clamp compile to whole-vector ops; only a partial last panel loops
+/// over its `nr_eff` lanes. A small-k GEMM is bound by this write-back,
+/// not by the FMA loop: at k = 4 a 6 x 32 tile runs 48 vector FMAs, then
+/// stores 192 elements.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn store_tile<const MR: usize, const NR: usize>(
@@ -368,20 +383,55 @@ fn store_tile<const MR: usize, const NR: usize>(
     last: bool,
     epi: Epilogue,
 ) {
+    // Earlier k blocks store the plain partial sum.
+    let epi = if last { epi } else { Epilogue::None };
     for (r, acc_row) in acc.iter().enumerate().take(mr_eff) {
-        let row = &mut c_block[(row0 + r) * n + col0..][..nr_eff];
-        for (j, cj) in row.iter_mut().enumerate() {
-            let mut v = acc_row[j];
-            if !first {
-                v += *cj;
-            }
-            if last {
-                // `row0` is block-relative; `row_base` restores the
-                // global row index the row-indexed epilogues need.
-                v = epi.apply(v, row_base + row0 + r, col0 + j);
-            }
-            *cj = v;
+        let c_row = &mut c_block[(row0 + r) * n + col0..][..nr_eff];
+        // `row0` is block-relative; `row_base` restores the global row
+        // index the row-indexed epilogues need.
+        let row = row_base + row0 + r;
+        if nr_eff == NR {
+            let c_row: &mut [f32; NR] = c_row.try_into().unwrap();
+            store_row(c_row, acc_row, first, epi, row, col0);
+        } else {
+            store_row(c_row, &acc_row[..nr_eff], first, epi, row, col0);
         }
+    }
+}
+
+/// Writes one row of a tile, C's `row` from column `col0`: `acc`, plus
+/// C's stored partial sum unless this is the first k block, then `epi`.
+/// Each element keeps the association of the determinism contract,
+/// `(acc + c) + bias`, then the clamp. Inlined with a fixed-length row,
+/// each of its loops has constant bounds and no branch.
+#[inline(always)]
+fn store_row(c: &mut [f32], acc: &[f32], first: bool, epi: Epilogue, row: usize, col0: usize) {
+    match epi {
+        Epilogue::None => write_row(c, acc, first, |v, _| v),
+        Epilogue::ColBias(bias) => {
+            let bias = &bias[col0..][..c.len()];
+            write_row(c, acc, first, |v, j| v + bias[j])
+        }
+        Epilogue::RowBias(bias) => {
+            let b = bias[row];
+            write_row(c, acc, first, |v, _| v + b)
+        }
+        Epilogue::RowBiasRelu(bias) => {
+            let b = bias[row];
+            write_row(c, acc, first, |v, _| (v + b).max(0.0))
+        }
+    }
+}
+
+/// `c[j] = f(acc[j], j)` in the first k block, `f(acc[j] + c[j], j)`
+/// after it: one loop per case, so none tests `first` per element.
+#[inline(always)]
+fn write_row(c: &mut [f32], acc: &[f32], first: bool, f: impl Fn(f32, usize) -> f32) {
+    let lanes = c.iter_mut().zip(acc).enumerate();
+    if first {
+        lanes.for_each(|(j, (cj, &a))| *cj = f(a, j));
+    } else {
+        lanes.for_each(|(j, (cj, &a))| *cj = f(a + *cj, j));
     }
 }
 
@@ -564,9 +614,9 @@ fn gemm_packed(
                 GemmB::Packed(layout, buf) => &buf[layout.block_offset(jc, pc)..][..nc_padded * kc],
                 GemmB::Slice(rows) => {
                     b_staged = scratch(nc_padded * kc);
-                    pack_b(&mut b_staged, kc, jc, nc, kern.nr, |kk, col| {
-                        rows[(pc + kk) * n + col]
-                    });
+                    for (pj, panel) in b_staged.chunks_exact_mut(kern.nr * kc).enumerate() {
+                        pack_b_panel(rows, n, pc, jc + pj * kern.nr, kern.nr, panel);
+                    }
                     &b_staged
                 }
             };
@@ -804,13 +854,7 @@ impl PackedBLayout {
         assert_eq!(b.len(), self.k * self.n, "B size mismatch");
         assert!(buf.len() >= self.len(), "packed buffer too small");
         let (n, nr) = (self.n, self.nr);
-        self.for_each_panel(buf, |j0, r0, _, dst| {
-            let cols = nr.min(n - j0);
-            for (lanes, row) in dst.chunks_exact_mut(nr).zip(b[r0 * n..].chunks(n)) {
-                lanes[..cols].copy_from_slice(&row[j0..j0 + cols]);
-                lanes[cols..].fill(0.0);
-            }
-        });
+        self.for_each_panel(buf, |j0, r0, _, dst| pack_b_panel(b, n, r0, j0, nr, dst));
     }
 }
 
@@ -1103,6 +1147,96 @@ mod tests {
                             Some(want) => assert!(*want == bits, "{name} n={n} changed the bits"),
                             None => *agreed = Some(bits),
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The documented association of every packed-path C element before
+    /// its epilogue: per `KC` block a chain from +0.0 in ascending k,
+    /// `mul_add` on an FMA tile and `a * b + acc` on the portable one,
+    /// each later block's chain added as `chain + c`.
+    fn block_sums(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, fma: bool) -> Vec<f32> {
+        let mut c = vec![0.0f32; m * n];
+        for (i, cj) in c.iter_mut().enumerate() {
+            let (row, col) = (i / n, i % n);
+            for pc in (0..k).step_by(KC) {
+                let mut chain = 0.0f32;
+                for kk in pc..k.min(pc + KC) {
+                    let (x, y) = (a[row * k + kk], b[kk * n + col]);
+                    chain = if fma {
+                        x.mul_add(y, chain)
+                    } else {
+                        x * y + chain
+                    };
+                }
+                *cj = if pc == 0 { chain } else { chain + *cj };
+            }
+        }
+        c
+    }
+
+    /// Pins the packed path's per-element association bit for bit on
+    /// every tile this host has: [`block_sums`], then the epilogue. `m` =
+    /// 13 and the widths leave partial row and column panels; `k` spans
+    /// one to three k blocks. A's row 0, every seventh float of B and some
+    /// biases are -0.0, so a wrong zero shows in the bits. A NaN in A's
+    /// row 2 must make that row NaN wherever the reference is NaN; its
+    /// payload is not part of the contract.
+    #[test]
+    fn packed_path_association_matches_the_scalar_reference() {
+        let m = 13;
+        let row_bias: Vec<f32> = (0..m).map(|i| [-0.0, 0.4, -0.7][i % 3]).collect();
+        for (k, n) in [1, 4, KC, KC + 1, 2 * KC + 3]
+            .into_iter()
+            .flat_map(|k| [5, 16, 45, 72, 576].map(|n| (k, n)))
+        {
+            let mut a: Vec<f32> = (0..m * k)
+                .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.03)
+                .collect();
+            a[..k].fill(-0.0);
+            a[2 * k + k / 2] = f32::NAN;
+            let b: Vec<f32> = (0..k * n)
+                .map(|i| match i % 7 {
+                    0 => -0.0,
+                    _ => ((i * 53 % 97) as f32 - 48.0) * 0.02,
+                })
+                .collect();
+            let col_bias: Vec<f32> = (0..n).map(|j| [0.3, -0.0, -0.5][j % 3]).collect();
+            let sums = [false, true].map(|fma| block_sums(&a, &b, m, k, n, fma));
+            let packed_a = PackedA::pack(&a, m, k);
+            for (name, fma, tile) in host_tiles() {
+                let layout = PackedBLayout::for_tile(k, n, tile.nr);
+                let mut b_pack = vec![f32::NAN; layout.len()];
+                layout.pack(&b, &mut b_pack);
+                let mut operands = vec![
+                    (GemmA::Slice(&a), GemmB::Slice(&b)),
+                    (GemmA::Slice(&a), GemmB::Packed(&layout, &b_pack)),
+                ];
+                if packed_a.mr == tile.mr {
+                    operands.push((GemmA::Packed(&packed_a), GemmB::Slice(&b)));
+                    operands.push((GemmA::Packed(&packed_a), GemmB::Packed(&layout, &b_pack)));
+                }
+                let epilogues = [
+                    Epilogue::None,
+                    Epilogue::ColBias(&col_bias),
+                    Epilogue::RowBias(&row_bias),
+                    Epilogue::RowBiasRelu(&row_bias),
+                ];
+                for ((a_op, b_op), epi) in operands
+                    .iter()
+                    .flat_map(|&ops| epilogues.map(|epi| (ops, epi)))
+                {
+                    let mut c = vec![f32::NAN; m * n];
+                    gemm_packed(tile, a_op, b_op, &mut c, m, k, n, epi);
+                    for (i, (&got, &sum)) in c.iter().zip(&sums[fma as usize]).enumerate() {
+                        let want = epi.apply(sum, i / n, i % n);
+                        let same = match want.is_nan() {
+                            true => got.is_nan(),
+                            false => got.to_bits() == want.to_bits(),
+                        };
+                        assert!(same, "{name} k={k} n={n} elem {i}: {got} vs {want}");
                     }
                 }
             }

@@ -43,8 +43,8 @@ mod tensor;
 
 pub use arena::{scratch, scratch_zeroed, Scratch};
 pub use conv::{
-    col2im, conv2d, conv2d_backward, conv2d_bias_act, fused_conv_tiles, im2col, pack_conv_weight,
-    Conv2dDims, PackedConvWeight,
+    col2im, conv2d, conv2d_backward, conv2d_backward_weight, conv2d_bias_act, fused_conv_tiles,
+    im2col, pack_conv_weight, Conv2dDims, PackedConvWeight,
 };
 pub use gemm::{gemm, Epilogue, GemmA, GemmB, PackedA, PackedBLayout};
 pub use init::{kaiming_normal, kaiming_uniform, uniform, TensorRng};
