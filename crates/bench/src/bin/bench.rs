@@ -10,9 +10,12 @@
 //!   so every throughput number stays comparable to a full run (only
 //!   noisier).
 //! * `--out PATH` — where to write the report (default
-//!   `BENCH_compute.json` in the current directory).
+//!   `BENCH_compute.json` in the current directory, or `BENCH_smoke.json`
+//!   with `--smoke`, so a smoke run never rewrites the committed report).
 //! * `--gate BASELINE.json` — compare against a committed report and
 //!   exit non-zero if any throughput falls below 75% of the baseline.
+//!   The baseline is read before the report is written, so a run gated
+//!   on the file it writes is compared with the old report, not itself.
 //!
 //! Beyond timing, the run *asserts* the structural claims of the
 //! compute-path work: the packed GEMM beats the frozen reference by at
@@ -465,13 +468,13 @@ fn check_gate(current: &Report, baseline_path: &str) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let mut smoke = false;
-    let mut out_path = String::from("BENCH_compute.json");
+    let mut out_path: Option<String> = None;
     let mut gate_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--out" => out_path = args.next().expect("--out requires a path"),
+            "--out" => out_path = Some(args.next().expect("--out requires a path")),
             "--gate" => gate_path = Some(args.next().expect("--gate requires a path")),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -481,6 +484,12 @@ fn main() -> ExitCode {
         }
     }
     let (reps, sweep_trials) = if smoke { (5, 72) } else { (21, 288) };
+    let default_out = if smoke {
+        "BENCH_smoke.json"
+    } else {
+        "BENCH_compute.json"
+    };
+    let out_path = out_path.unwrap_or_else(|| default_out.to_string());
 
     eprintln!("timing gemm 256^3 ({reps} reps)...");
     let gemm = bench_gemm(reps);
@@ -577,15 +586,15 @@ fn main() -> ExitCode {
         failed.push("sweep never hit the graph-metrics cache".to_string());
     }
 
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, json + "\n").expect("write report");
-    eprintln!("wrote {out_path}");
-
     if let Some(path) = gate_path {
         if let Err(msg) = check_gate(&report, &path) {
             failed.push(msg);
         }
     }
+
+    let json = serde_json::to_string_pretty(&report).expect("report serializes");
+    std::fs::write(&out_path, json + "\n").expect("write report");
+    eprintln!("wrote {out_path}");
     if failed.is_empty() {
         ExitCode::SUCCESS
     } else {

@@ -20,7 +20,9 @@
 //!   two k blocks, with slice and with prepacked operands and each
 //!   epilogue;
 //! * **train** — two small models' flat parameters after a few SGD steps,
-//!   one at the miniature trainer's shape.
+//!   one at the miniature trainer's shape;
+//! * **kfold** — `kfold_cross_validate` with default options on a seeded
+//!   set: every fold's epoch losses and validation accuracy.
 //!
 //! To check a change, build this binary from the change and from its
 //! parent on one host (copy this file into the parent's
@@ -30,7 +32,10 @@
 
 use hydronas_graph::{ArchConfig, CalibrationMethod, PoolConfig};
 use hydronas_infer::{ExecutionPlan, Numerics, QuantizationScheme};
-use hydronas_nn::{CrossEntropyLoss, Optimizer, ParamVisitor, ResNet, Sgd};
+use hydronas_nn::{
+    kfold_cross_validate, CancelToken, CrossEntropyLoss, Dataset, Optimizer, ParamVisitor, ResNet,
+    Sgd, TrainConfig,
+};
 use hydronas_tensor::{
     conv2d, conv2d_backward, gemm, set_compute_threads, uniform, Epilogue, GemmA, GemmB, PackedA,
     PackedBLayout, TensorRng,
@@ -287,9 +292,39 @@ fn train_case() {
     }
 }
 
+/// `train` itself, which the SGD loops above bypass: 2 folds × 4 epochs
+/// at batch 4 over 24 seeded 3×12×12 samples, so each epoch's shuffle
+/// comes from the trainer's own RNG stream.
+fn kfold_case() {
+    let arch = arch(3, (3, 2, 1), None, 4, 2);
+    let mut rng = TensorRng::seed_from_u64(700);
+    let features = uniform(&[24, 3, 12, 12], -1.0, 1.0, &mut rng);
+    let labels = (0..24).map(|i| [0, 1, 1, 0][i % 4]).collect();
+    let data = Dataset::new(features, labels);
+    let config = TrainConfig {
+        epochs: 4,
+        batch_size: 4,
+        ..Default::default()
+    };
+    for threads in THREADS {
+        set_compute_threads(threads);
+        let (_, folds) = kfold_cross_validate(&arch, &data, 2, &config, &CancelToken::new());
+        let mut h = Fnv::new();
+        for fold in &folds {
+            h.floats(&fold.result.epoch_losses);
+            h.u64(fold.result.report.accuracy_pct.to_bits());
+        }
+        println!(
+            "kfold k3s2p1-f4-c3 2-folds-4-epochs t{threads} {:016x}",
+            h.0
+        );
+    }
+}
+
 fn main() {
     plan_cases();
     conv_cases();
     gemm_cases();
     train_case();
+    kfold_case();
 }

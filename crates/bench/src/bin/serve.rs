@@ -11,10 +11,14 @@
 //!   the deployment model, and the batch shapes are identical to a full
 //!   run, so every throughput stays gate-comparable to the committed
 //!   baseline.
-//! * `--out PATH` — where to write the report (default `BENCH_serve.json`).
+//! * `--out PATH` — where to write the report (default `BENCH_serve.json`,
+//!   or `BENCH_serve_smoke.json` with `--smoke`, so a smoke run never
+//!   rewrites the committed report).
 //! * `--gate BASELINE.json` — compare against a committed report and exit
 //!   non-zero if any throughput falls below 75% of the baseline or the
-//!   engine p99 total latency exceeds 1/75% of the baseline's.
+//!   engine p99 total latency exceeds 1/75% of the baseline's. The
+//!   baseline is read before the report is written, so a run gated on the
+//!   file it writes is compared with the old report, not itself.
 //! * `--slo-p99-ms N` — absolute SLO: exit non-zero when the engine's
 //!   p99 end-to-end request latency exceeds `N` milliseconds.
 //! * `--trace PATH` — write the engine run's Chrome trace (request
@@ -988,7 +992,7 @@ fn check_gate(current: &Report, baseline_path: &str) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let mut smoke = false;
-    let mut out_path = String::from("BENCH_serve.json");
+    let mut out_path: Option<String> = None;
     let mut gate_path: Option<String> = None;
     let mut slo_p99_ms: Option<f64> = None;
     let mut trace_path: Option<String> = None;
@@ -999,7 +1003,7 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--out" => out_path = args.next().expect("--out requires a path"),
+            "--out" => out_path = Some(args.next().expect("--out requires a path")),
             "--gate" => gate_path = Some(args.next().expect("--gate requires a path")),
             "--slo-p99-ms" => {
                 let value = args.next().expect("--slo-p99-ms requires a number");
@@ -1026,6 +1030,12 @@ fn main() -> ExitCode {
             }
         }
     }
+    let default_out = if smoke {
+        "BENCH_serve_smoke.json"
+    } else {
+        "BENCH_serve.json"
+    };
+    let out_path = out_path.unwrap_or_else(|| default_out.to_string());
     // Smoke trims repetitions and per-client request counts only: the
     // sweep (and therefore the deployment model) and the engine's batch
     // shape stay identical to a full run, so smoke throughputs can be
@@ -1264,6 +1274,12 @@ fn main() -> ExitCode {
         }
     }
 
+    if let Some(path) = gate_path {
+        if let Err(msg) = check_gate(&report, &path) {
+            failed.push(msg);
+        }
+    }
+
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out_path, json + "\n").expect("write report");
     eprintln!("wrote {out_path}");
@@ -1291,11 +1307,6 @@ fn main() -> ExitCode {
             failed.push(format!(
                 "SLO violation: engine p99 latency {p99:.2} ms exceeds --slo-p99-ms {slo:.2}"
             ));
-        }
-    }
-    if let Some(path) = gate_path {
-        if let Err(msg) = check_gate(&report, &path) {
-            failed.push(msg);
         }
     }
     if failed.is_empty() {

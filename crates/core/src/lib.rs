@@ -117,16 +117,15 @@ pub mod prelude {
         EnergyPrediction, LatencyPrediction,
     };
     pub use hydronas_nas::{
-        makespan_lpt, nsga2, profile_trial, random_search, read_journal, regularized_evolution,
-        CancelToken, ChaosConfig, ChaosFault, CollectingSink, DegradationReport, Evaluator,
-        EvolutionConfig, ExperimentDb, FailureCause, InputCombo, MetricsError, Nsga2Config,
-        ProgressSink, RealTrainer, RetryPolicy, SchedulerConfig, SearchSpace, StderrTicker,
-        SurrogateEvaluator, Sweep, SweepBuilder, SweepError, SweepEvent, SweepReport, SweepStats,
-        TrialFailure, TrialOutcome, TrialSpec,
+        makespan_lpt, nsga2, random_search, read_journal, regularized_evolution, CancelToken,
+        ChaosConfig, ChaosFault, CollectingSink, DegradationReport, Evaluator, EvolutionConfig,
+        ExperimentDb, FailureCause, InputCombo, MetricsError, Nsga2Config, ProgressSink,
+        RealTrainer, RetryPolicy, SchedulerConfig, SearchSpace, StderrTicker, SurrogateEvaluator,
+        Sweep, SweepBuilder, SweepError, SweepEvent, SweepReport, SweepStats, TrialFailure,
+        TrialOutcome, TrialSpec,
     };
     pub use hydronas_nn::{
-        augment_batch, kfold_cross_validate, train, Dataset, LrSchedule, ModelImportError, ResNet,
-        TrainConfig,
+        kfold_cross_validate, train, Dataset, ModelImportError, ResNet, TrainConfig,
     };
     pub use hydronas_pareto::{pareto_front, Objective, Point};
     pub use hydronas_telemetry::{session, Gauge, MetricsSnapshot, QuantileHistogram, Session};

@@ -31,7 +31,7 @@ pub use onnx::{
     deserialize_model, serialize_model, serialized_size_bytes, OnnxError, OnnxLikeModel,
 };
 pub use quantize::{
-    quantize_per_channel, quantize_tensor, quantized_size_bytes, ActivationObserver,
-    CalibrationMethod, ChannelQuantizedTensor, QuantizedTensor,
+    quantize_per_channel, quantized_size_bytes, ActivationObserver, CalibrationMethod,
+    ChannelQuantizedTensor,
 };
 pub use summary::architecture_summary;

@@ -13,34 +13,29 @@ use crate::analysis::node_cost;
 use crate::graph::{GraphError, ModelGraph};
 use serde::{Deserialize, Serialize};
 
-/// One quantized tensor: int8 payload plus its dequantization scale.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedTensor {
-    pub scale: f32,
-    pub values: Vec<i8>,
-}
-
-/// Symmetric per-tensor quantization of a weight blob.
+/// Symmetric quantization of one chunk: appends its int8 values to
+/// `values` and returns its scale.
 ///
-/// The scale maps the largest-magnitude weight to ±127; an all-zero blob
-/// gets scale 1 (any scale dequantizes zeros to zeros). A blob whose
+/// The scale maps the largest-magnitude weight to ±127; an all-zero chunk
+/// gets scale 1 (any scale dequantizes zeros to zeros). A chunk whose
 /// largest magnitude is subnormally small gets the minimum positive normal
 /// scale: without the floor, `max_abs / 127` can underflow to 0, making
 /// `w / scale` produce NaN/inf that `as i8` silently collapses to 0 and
 /// `dequantize` cannot invert.
-pub fn quantize_tensor(weights: &[f32]) -> QuantizedTensor {
+fn quantize_chunk(weights: &[f32], values: &mut Vec<i8>) -> f32 {
     let max_abs = weights.iter().fold(0.0f32, |acc, &w| acc.max(w.abs()));
     let scale = symmetric_scale(max_abs);
-    let values = weights
-        .iter()
-        .map(|&w| (w / scale).round().clamp(-127.0, 127.0) as i8)
-        .collect();
-    QuantizedTensor { scale, values }
+    values.extend(
+        weights
+            .iter()
+            .map(|&w| (w / scale).round().clamp(-127.0, 127.0) as i8),
+    );
+    scale
 }
 
 /// Maps a maximum observed magnitude to a symmetric int8 scale, flooring at
 /// `f32::MIN_POSITIVE` so division by the scale can never overflow to
-/// inf/NaN (see [`quantize_tensor`]).
+/// inf/NaN (see [`quantize_chunk`]).
 fn symmetric_scale(max_abs: f32) -> f32 {
     if max_abs > 0.0 {
         (max_abs / 127.0).max(f32::MIN_POSITIVE)
@@ -65,7 +60,8 @@ pub struct ChannelQuantizedTensor {
 }
 
 /// Per-channel symmetric quantization: splits `weights` into `channels`
-/// equal contiguous chunks and quantizes each with its own scale.
+/// equal contiguous chunks and quantizes each with its own scale. One
+/// channel quantizes the whole blob with one scale.
 ///
 /// Panics if `channels` is zero or does not divide `weights.len()`.
 pub fn quantize_per_channel(weights: &[f32], channels: usize) -> ChannelQuantizedTensor {
@@ -81,9 +77,7 @@ pub fn quantize_per_channel(weights: &[f32], channels: usize) -> ChannelQuantize
     let mut scales = Vec::with_capacity(channels);
     let mut values = Vec::with_capacity(weights.len());
     for chunk in weights.chunks_exact(per_channel) {
-        let q = quantize_tensor(chunk);
-        scales.push(q.scale);
-        values.extend_from_slice(&q.values);
+        scales.push(quantize_chunk(chunk, &mut values));
     }
     ChannelQuantizedTensor { scales, values }
 }
@@ -155,21 +149,6 @@ impl ActivationObserver {
     }
 }
 
-impl QuantizedTensor {
-    /// Reconstructs approximate fp32 weights.
-    pub fn dequantize(&self) -> Vec<f32> {
-        self.values
-            .iter()
-            .map(|&q| f32::from(q) * self.scale)
-            .collect()
-    }
-
-    /// Worst-case absolute reconstruction error (half a quantization step).
-    pub fn max_error(&self) -> f32 {
-        self.scale * 0.5
-    }
-}
-
 /// Int8 size accounting: replace the 4-byte weight payload inside the
 /// serialized fp32 size with a 1-byte payload plus one f32 scale per
 /// parameterized node.
@@ -222,24 +201,24 @@ mod tests {
     #[test]
     fn quantize_roundtrip_bounds_error() {
         let weights: Vec<f32> = (0..100).map(|i| (i as f32 - 50.0) * 0.013).collect();
-        let q = quantize_tensor(&weights);
+        let q = quantize_per_channel(&weights, 1);
         let back = q.dequantize();
         for (w, b) in weights.iter().zip(&back) {
-            assert!((w - b).abs() <= q.max_error() + 1e-7, "{w} vs {b}");
+            assert!((w - b).abs() <= q.max_error(0) + 1e-7, "{w} vs {b}");
         }
     }
 
     #[test]
     fn extreme_values_map_to_127() {
-        let q = quantize_tensor(&[-2.0, 0.0, 2.0]);
+        let q = quantize_per_channel(&[-2.0, 0.0, 2.0], 1);
         assert_eq!(q.values, vec![-127, 0, 127]);
-        assert!((q.scale - 2.0 / 127.0).abs() < 1e-9);
+        assert!((q.scales[0] - 2.0 / 127.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_tensor_is_stable() {
-        let q = quantize_tensor(&[0.0; 8]);
-        assert_eq!(q.scale, 1.0);
+        let q = quantize_per_channel(&[0.0; 8], 1);
+        assert_eq!(q.scales, vec![1.0]);
         assert!(q.dequantize().iter().all(|&v| v == 0.0));
     }
 
@@ -302,16 +281,17 @@ mod tests {
         // `as i8` silently collapsed to 0 — and dequantize could then
         // produce NaN. The minimum-scale floor keeps everything finite.
         let tiny = f32::MIN_POSITIVE / 2.0; // subnormal
-        let q = quantize_tensor(&[tiny, -tiny, 0.0]);
-        assert!(q.scale > 0.0 && q.scale.is_finite(), "scale {}", q.scale);
+        let q = quantize_per_channel(&[tiny, -tiny, 0.0], 1);
+        let scale = q.scales[0];
+        assert!(scale > 0.0 && scale.is_finite(), "scale {scale}");
         assert!(
             q.dequantize().iter().all(|v| v.is_finite()),
             "dequantize must stay finite: {:?}",
             q.dequantize()
         );
         // Constant tensors hit the same guard through their shared max.
-        let q2 = quantize_tensor(&[tiny; 5]);
-        assert!(q2.scale > 0.0 && q2.dequantize().iter().all(|v| v.is_finite()));
+        let q2 = quantize_per_channel(&[tiny; 5], 1);
+        assert!(q2.scales[0] > 0.0 && q2.dequantize().iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -345,8 +325,8 @@ mod tests {
         let q = quantize_per_channel(&weights, 3);
         for ch in 0..3 {
             let chunk = &weights[ch * 8..][..8];
-            let single = quantize_tensor(chunk);
-            assert_eq!(q.scales[ch], single.scale);
+            let single = quantize_per_channel(chunk, 1);
+            assert_eq!(q.scales[ch], single.scales[0]);
             assert_eq!(&q.values[ch * 8..][..8], &single.values[..]);
         }
     }
@@ -384,7 +364,7 @@ mod tests {
     #[test]
     fn quantization_preserves_sign_and_order() {
         let weights = [-1.0f32, -0.5, 0.0, 0.25, 0.9];
-        let q = quantize_tensor(&weights);
+        let q = quantize_per_channel(&weights, 1);
         for w in q.values.windows(2) {
             assert!(w[0] <= w[1], "order violated: {:?}", q.values);
         }

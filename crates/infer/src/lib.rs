@@ -172,8 +172,7 @@ mod tests {
         let mut quantized = warmed_model(&arch, 17);
         use hydronas_nn::ParamVisitor;
         quantized.visit_params(&mut |p| {
-            let q = hydronas_graph::quantize_tensor(p.value.as_slice());
-            let back = q.dequantize();
+            let back = hydronas_graph::quantize_per_channel(p.value.as_slice(), 1).dequantize();
             p.value.as_mut_slice().copy_from_slice(&back);
         });
         let logits = quantized.forward(&x, false);

@@ -128,56 +128,6 @@ mod tests {
     }
 }
 
-/// Per-phase breakdown of one trial's simulated runtime — the paper's
-/// suggested Nsight-style profiling, applied to the cost model. Phases
-/// sum exactly to [`trial_duration_s`].
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct TrialProfile {
-    /// Host-side per-step dispatch (optimizer, Python glue).
-    pub dispatch_s: f64,
-    /// Data pipeline (decode, NDVI/NDWI recompute, host->device copies).
-    pub data_s: f64,
-    /// GPU compute (forward + backward).
-    pub compute_s: f64,
-}
-
-impl TrialProfile {
-    pub fn total_s(&self) -> f64 {
-        self.dispatch_s + self.data_s + self.compute_s
-    }
-
-    /// The dominant phase's name.
-    pub fn bottleneck(&self) -> &'static str {
-        if self.data_s >= self.dispatch_s && self.data_s >= self.compute_s {
-            "data"
-        } else if self.compute_s >= self.dispatch_s {
-            "compute"
-        } else {
-            "dispatch"
-        }
-    }
-}
-
-/// Profiles one trial through the same cost model as [`trial_duration_s`].
-pub fn profile_trial(spec: &TrialSpec) -> TrialProfile {
-    let train_samples = DATASET_SIZE * (FOLDS - 1) / FOLDS;
-    let steps_per_epoch = train_samples.div_ceil(spec.combo.batch_size);
-    let per_sample = match spec.combo.channels {
-        5 => SAMPLE_COST_5CH_S,
-        7 => SAMPLE_COST_7CH_S,
-        _ => panic!("unsupported channel count"),
-    };
-    let gflops = ModelGraph::from_arch(&spec.arch, 32)
-        .map(|g| model_cost(&g).flops as f64 / 1e9)
-        .unwrap_or(0.0);
-    let runs = (FOLDS * EPOCHS) as f64;
-    TrialProfile {
-        dispatch_s: runs * steps_per_epoch as f64 * STEP_OVERHEAD_S,
-        data_s: runs * train_samples as f64 * per_sample,
-        compute_s: runs * train_samples as f64 * 3.0 * gflops * COMPUTE_S_PER_GFLOP,
-    }
-}
-
 /// Simulated makespan of running `trials` on `workers` identical GPUs
 /// with LPT (longest-processing-time-first) scheduling — the paper's
 /// "parallel execution on multi-GPU platforms" future-work item,
@@ -204,25 +154,6 @@ pub fn makespan_lpt(trials: &[TrialSpec], workers: usize) -> (f64, Vec<f64>) {
 mod parallel_tests {
     use super::*;
     use crate::space::{full_grid, SearchSpace};
-
-    #[test]
-    fn profile_phases_sum_to_duration() {
-        for spec in full_grid(&SearchSpace::paper()).iter().step_by(173) {
-            let p = profile_trial(spec);
-            let total = trial_duration_s(spec);
-            assert!((p.total_s() - total).abs() < 1e-9, "{:?}", spec.combo);
-            assert!(p.dispatch_s > 0.0 && p.data_s > 0.0 && p.compute_s > 0.0);
-        }
-    }
-
-    #[test]
-    fn seven_channel_trials_are_data_bound() {
-        // The Section 5 anomaly (3.1x wall-clock for 1.4x channels) shows
-        // the 7-channel pipeline is data-bound; the profiler exposes it.
-        let trials = full_grid(&SearchSpace::paper());
-        let t7 = trials.iter().find(|t| t.combo.channels == 7).unwrap();
-        assert_eq!(profile_trial(t7).bottleneck(), "data");
-    }
 
     #[test]
     fn makespan_shrinks_with_workers() {

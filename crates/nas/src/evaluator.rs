@@ -247,7 +247,6 @@ impl Evaluator for RealTrainer {
             momentum: 0.9,
             weight_decay: 1e-4,
             seed: seed ^ key_hash(&spec.key()),
-            ..Default::default()
         };
         let started = std::time::Instant::now();
         let (mean_accuracy, folds) =

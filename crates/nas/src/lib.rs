@@ -60,9 +60,7 @@ pub use analysis::{
     MainEffect, Response,
 };
 pub use chaos::{ChaosConfig, ChaosFault};
-pub use clock::{
-    experiment_wall_clock, makespan_lpt, profile_trial, trial_duration_s, TrialProfile,
-};
+pub use clock::{experiment_wall_clock, makespan_lpt, trial_duration_s};
 pub use error::SweepError;
 pub use evaluator::{
     EvalOutcome, Evaluator, FailureCause, RealTrainer, SurrogateEvaluator, TrialFailure,

@@ -29,7 +29,6 @@
 //! assert!(loss.is_finite());
 //! ```
 
-mod augment;
 mod block;
 pub mod cancel;
 mod error;
@@ -39,10 +38,8 @@ mod metrics;
 mod optim;
 mod param;
 mod resnet;
-mod schedule;
 mod trainer;
 
-pub use augment::{augment_batch, Augmentation};
 pub use block::BasicBlock;
 pub use cancel::CancelToken;
 pub use error::ModelImportError;
@@ -52,5 +49,4 @@ pub use metrics::{accuracy, confusion_matrix, f1_score, roc_auc, roc_curve, Clas
 pub use optim::{Optimizer, Sgd};
 pub use param::{Param, ParamVisitor};
 pub use resnet::ResNet;
-pub use schedule::LrSchedule;
 pub use trainer::{kfold_cross_validate, train, Dataset, FoldResult, TrainConfig, TrainResult};

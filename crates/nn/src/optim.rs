@@ -11,12 +11,6 @@ pub trait Optimizer {
     /// Applies one update step from accumulated gradients, then leaves the
     /// gradients untouched (call [`ParamVisitor::zero_grad`] separately).
     fn step(&mut self, model: &mut dyn ParamVisitor);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Replaces the learning rate (for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
 /// Stochastic gradient descent with classical momentum and decoupled L2
@@ -62,14 +56,6 @@ impl Optimizer for Sgd {
             }
             idx += 1;
         });
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -159,14 +145,6 @@ mod tests {
         opt.step(&mut bowl);
         let w = bowl.w.value.as_slice()[0];
         assert!(w < 4.0, "decay should shrink weight, got {w}");
-    }
-
-    #[test]
-    fn set_learning_rate() {
-        let mut opt = Sgd::new(0.1, 0.0, 0.0);
-        assert_eq!(opt.learning_rate(), 0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 
     #[test]

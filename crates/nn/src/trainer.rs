@@ -1,14 +1,12 @@
 //! Training loops: minibatch SGD epochs and the paper's 5-fold
 //! cross-validation protocol.
 
-use crate::augment::augment_batch;
 use crate::cancel::CancelToken;
 use crate::loss::CrossEntropyLoss;
 use crate::metrics::ClassificationReport;
 use crate::optim::{Optimizer, Sgd};
 use crate::param::ParamVisitor;
 use crate::resnet::ResNet;
-use crate::schedule::LrSchedule;
 use hydronas_graph::ArchConfig;
 use hydronas_tensor::{Tensor, TensorRng};
 use serde::{Deserialize, Serialize};
@@ -95,10 +93,6 @@ pub struct TrainConfig {
     pub momentum: f32,
     pub weight_decay: f32,
     pub seed: u64,
-    /// Apply random dihedral augmentation to each training batch.
-    pub augment: bool,
-    /// Per-epoch learning-rate policy.
-    pub lr_schedule: LrSchedule,
 }
 
 impl Default for TrainConfig {
@@ -110,8 +104,6 @@ impl Default for TrainConfig {
             momentum: 0.9,
             weight_decay: 1e-4,
             seed: 0,
-            augment: false,
-            lr_schedule: LrSchedule::Constant,
         }
     }
 }
@@ -199,17 +191,16 @@ pub fn train(
             cancelled = true;
             break 'epochs;
         }
-        let lr = config
-            .lr_schedule
-            .rate(config.learning_rate, epoch, config.epochs);
-        opt.set_learning_rate(lr);
         let epoch_start = telemetry_on.then(std::time::Instant::now);
         let mut correct = 0usize;
         let mut seen = 0usize;
         let mut order: Vec<usize> = (0..train_set.len()).collect();
         let mut shuffle_rng = rng.fork(epoch as u64 + 1);
         shuffle_rng.shuffle(&mut order);
-        let mut augment_rng = rng.fork(0xA06 ^ (epoch as u64 + 1));
+        // A draw that seeds nothing but keeps the epoch stream fixed: the
+        // next epoch's shuffle is forked after it, so dropping it would
+        // re-seed every epoch after the first and move every trained bit.
+        rng.next_u64();
 
         let mut epoch_loss = 0.0f64;
         let mut batches = 0usize;
@@ -222,10 +213,7 @@ pub fn train(
                 );
                 targets.push(train_set.labels[i]);
             }
-            let mut batch = Tensor::from_vec(data, &[chunk.len(), dims[1], dims[2], dims[3]]);
-            if config.augment {
-                batch = augment_batch(&batch, &mut augment_rng);
-            }
+            let batch = Tensor::from_vec(data, &[chunk.len(), dims[1], dims[2], dims[3]]);
 
             model.zero_grad();
             let logits = model.forward(&batch, true);
@@ -253,7 +241,7 @@ pub fn train(
         if telemetry_on {
             let step = epoch as f64;
             hydronas_telemetry::push_series("nn.train.loss", step, mean_loss);
-            hydronas_telemetry::push_series("nn.train.lr", step, f64::from(lr));
+            hydronas_telemetry::push_series("nn.train.lr", step, f64::from(config.learning_rate));
             hydronas_telemetry::push_series(
                 "nn.train.accuracy_pct",
                 step,
@@ -469,86 +457,6 @@ mod tests {
             ..Default::default()
         };
         let _ = train(&arch, &data, &data, &config, &CancelToken::new());
-    }
-
-    #[test]
-    fn augmented_training_still_learns() {
-        let data = toy_dataset(64, 8, 12);
-        let (train_idx, val_idx): (Vec<usize>, Vec<usize>) =
-            ((0..48).collect(), (48..64).collect());
-        let config = TrainConfig {
-            epochs: 8,
-            batch_size: 8,
-            learning_rate: 0.05,
-            augment: true,
-            ..Default::default()
-        };
-        let result = train(
-            &tiny_arch(),
-            &data.subset(&train_idx),
-            &data.subset(&val_idx),
-            &config,
-            &CancelToken::new(),
-        );
-        assert!(!result.diverged);
-        // The toy task's signal (channel-0 mean sign) is invariant under
-        // the dihedral group, so augmentation must not block learning.
-        assert!(
-            result.report.accuracy_pct > 70.0,
-            "accuracy {}",
-            result.report.accuracy_pct
-        );
-    }
-
-    #[test]
-    fn augmentation_changes_the_training_trajectory() {
-        let data = toy_dataset(32, 8, 13);
-        let idx: Vec<usize> = (0..32).collect();
-        let base = TrainConfig {
-            epochs: 2,
-            batch_size: 8,
-            ..Default::default()
-        };
-        let plain = train(
-            &tiny_arch(),
-            &data.subset(&idx),
-            &data.subset(&idx),
-            &base,
-            &CancelToken::new(),
-        );
-        let aug = train(
-            &tiny_arch(),
-            &data.subset(&idx),
-            &data.subset(&idx),
-            &TrainConfig {
-                augment: true,
-                ..base
-            },
-            &CancelToken::new(),
-        );
-        assert_ne!(plain.epoch_losses, aug.epoch_losses);
-    }
-
-    #[test]
-    fn cosine_schedule_trains_without_divergence() {
-        let data = toy_dataset(32, 8, 14);
-        let idx: Vec<usize> = (0..32).collect();
-        let config = TrainConfig {
-            epochs: 4,
-            batch_size: 8,
-            learning_rate: 0.1,
-            lr_schedule: crate::schedule::LrSchedule::Cosine { min_lr: 1e-4 },
-            ..Default::default()
-        };
-        let result = train(
-            &tiny_arch(),
-            &data.subset(&idx),
-            &data.subset(&idx),
-            &config,
-            &CancelToken::new(),
-        );
-        assert!(!result.diverged);
-        assert_eq!(result.epoch_losses.len(), 4);
     }
 
     #[test]

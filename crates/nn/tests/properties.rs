@@ -1,48 +1,11 @@
 //! Property-based tests for the training stack.
 
-use hydronas_nn::{
-    augment_batch, Augmentation, BatchNorm2d, CrossEntropyLoss, Linear, LrSchedule, Relu,
-};
+use hydronas_nn::{BatchNorm2d, CrossEntropyLoss, Linear, Relu};
 use hydronas_tensor::{Tensor, TensorRng};
 use proptest::prelude::*;
 
-fn batch_strategy(n: usize, c: usize, hw: usize) -> impl Strategy<Value = Vec<f32>> {
-    proptest::collection::vec(-3.0f32..3.0, n * c * hw * hw)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Every augmentation preserves the per-channel value multiset of
-    /// every sample (they are coordinate permutations).
-    #[test]
-    fn augmentations_preserve_values(data in batch_strategy(2, 3, 6), seed in 0u64..1000) {
-        let batch = Tensor::from_vec(data.clone(), &[2, 3, 6, 6]);
-        let mut rng = TensorRng::seed_from_u64(seed);
-        let out = augment_batch(&batch, &mut rng);
-        prop_assert_eq!(out.dims(), batch.dims());
-        let plane = 36;
-        for s in 0..2 {
-            for ch in 0..3 {
-                let base = (s * 3 + ch) * plane;
-                let mut a: Vec<f32> = data[base..base + plane].to_vec();
-                let mut b: Vec<f32> = out.as_slice()[base..base + plane].to_vec();
-                a.sort_by(f32::total_cmp);
-                b.sort_by(f32::total_cmp);
-                prop_assert_eq!(a, b);
-            }
-        }
-    }
-
-    /// Rotate90 applied four times is the identity for any plane size.
-    #[test]
-    fn rotate90_has_order_four(data in proptest::collection::vec(-2.0f32..2.0, 49)) {
-        let mut cur = data.clone();
-        for _ in 0..4 {
-            cur = Augmentation::Rotate90.apply_sample(&cur, 1, 7);
-        }
-        prop_assert_eq!(cur, data);
-    }
 
     /// Cross-entropy gradient rows sum to zero (softmax minus one-hot).
     #[test]
@@ -126,24 +89,6 @@ proptest! {
         let y2 = bn2.forward(&x2, true);
         for (a, b) in y1.as_slice().iter().zip(y2.as_slice()) {
             prop_assert!((a - b).abs() < 2e-2, "{a} vs {b}");
-        }
-    }
-
-    /// Schedules always yield positive, bounded learning rates.
-    #[test]
-    fn schedules_stay_in_range(
-        epoch in 0usize..20,
-        total in 1usize..21,
-        base in 0.001f32..1.0,
-    ) {
-        prop_assume!(epoch < total);
-        for schedule in [
-            LrSchedule::Constant,
-            LrSchedule::Step { every: 3, gamma: 0.5 },
-            LrSchedule::Cosine { min_lr: base * 0.01 },
-        ] {
-            let lr = schedule.rate(base, epoch, total);
-            prop_assert!(lr > 0.0 && lr <= base + 1e-9, "{schedule:?}: {lr}");
         }
     }
 }

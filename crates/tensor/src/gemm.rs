@@ -288,11 +288,15 @@ fn host_tiles() -> Vec<(&'static str, bool, Kernel)> {
     tiles
 }
 
+/// The pad rows of a partial A panel: `pack_a` reads them from here.
+static ZERO_ROW: [f32; KC] = [0.0; KC];
+
 /// Packs `kc` steps of `mc` A rows (starting at `ic`, `pc`) into
-/// `ceil(mc/mr)` row panels; panel layout is k-major: step `kk` holds the
-/// `mr` row values contiguously. Rows past `mc` pad with zeros.
-#[allow(clippy::too_many_arguments)]
-fn pack_a(
+/// `ceil(mc/MR)` row panels; panel layout is k-major: step `kk` holds the
+/// `MR` row values contiguously. Each row's `kc` values are one
+/// contiguous slice, read front to back; rows past `mc` read zeros, so a
+/// partial panel takes the same branch-free loop as a full one.
+fn pack_a<const MR: usize>(
     a: &[f32],
     out: &mut [f32],
     k: usize,
@@ -300,15 +304,20 @@ fn pack_a(
     mc: usize,
     pc: usize,
     kc: usize,
-    mr: usize,
 ) {
-    for (pi, panel) in out.chunks_exact_mut(mr * kc).enumerate() {
-        let r0 = ic + pi * mr;
-        let rows = mr.min(ic + mc - r0);
-        for (kk, dst) in panel.chunks_exact_mut(mr).enumerate() {
-            let col = pc + kk;
-            for (r, d) in dst.iter_mut().enumerate() {
-                *d = if r < rows { a[(r0 + r) * k + col] } else { 0.0 };
+    for (pi, panel) in out.chunks_exact_mut(MR * kc).enumerate() {
+        let r0 = ic + pi * MR;
+        let rows = MR.min(ic + mc - r0);
+        let src: [&[f32]; MR] = std::array::from_fn(|r| {
+            if r < rows {
+                &a[(r0 + r) * k + pc..][..kc]
+            } else {
+                &ZERO_ROW[..kc]
+            }
+        });
+        for (kk, lanes) in panel.chunks_exact_mut(MR).enumerate() {
+            for r in 0..MR {
+                lanes[r] = src[r][kk];
             }
         }
     }
@@ -483,7 +492,7 @@ fn row_block_body<const MR: usize, const NR: usize, const FMA: bool>(
         GemmA::Packed(packed) => &packed.buf[packed.group * g.pc + g.ic * g.kc..][..a_len],
         GemmA::Slice(a) => {
             a_staged = scratch(a_len);
-            pack_a(a, &mut a_staged, g.k, g.ic, g.mc, g.pc, g.kc, MR);
+            pack_a::<MR>(a, &mut a_staged, g.k, g.ic, g.mc, g.pc, g.kc);
             &a_staged
         }
     };
@@ -744,7 +753,12 @@ impl PackedA {
         let mut buf = vec![0.0f32; group * k];
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            pack_a(a, &mut buf[group * pc..][..group * kc], k, 0, m, pc, kc, mr);
+            let panels = &mut buf[group * pc..][..group * kc];
+            match mr {
+                4 => pack_a::<4>(a, panels, k, 0, m, pc, kc),
+                6 => pack_a::<6>(a, panels, k, 0, m, pc, kc),
+                _ => unreachable!("no {mr}-row tile"),
+            }
         }
         PackedA {
             m,

@@ -36,7 +36,7 @@ use std::sync::OnceLock;
 
 /// Quantizes `src` to i8 into `dst` with a symmetric scale: each value maps
 /// to `round(x / scale)` clamped to `[-127, 127]`. Mirrors the element
-/// formula of `hydronas_graph`'s `quantize_tensor` so weight-side and
+/// formula of `hydronas_graph`'s `quantize_per_channel` so weight-side and
 /// activation-side quantization agree bit-for-bit for the same scale.
 pub fn quantize_slice_i8(src: &[f32], scale: f32, dst: &mut [i8]) {
     assert_eq!(src.len(), dst.len(), "quantize_slice_i8 length mismatch");

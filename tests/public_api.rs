@@ -44,7 +44,6 @@ mod types {
     pub type A27 = prelude::LatencyPrediction;
     pub type A28 = prelude::LayerCost;
     pub type A29 = prelude::LayerProfile;
-    pub type A30 = prelude::LrSchedule;
     pub type A31 = prelude::MetricsError;
     pub type A32 = prelude::MetricsSnapshot;
     pub type A33 = prelude::ModelGraph;
@@ -91,7 +90,6 @@ mod types {
 /// fails to build the moment an export is renamed or dropped.
 #[test]
 fn prelude_functions_exist() {
-    let _ = prelude::augment_batch;
     let _ = prelude::build_dataset;
     let _ = prelude::build_paper_dataset;
     let _ = prelude::compute_threads;
@@ -103,7 +101,6 @@ fn prelude_functions_exist() {
     let _ = prelude::pareto_front;
     let _ = prelude::predict_all;
     let _ = prelude::predict_energy;
-    let _ = prelude::profile_trial;
     let _ = prelude::random_search;
     let _ = prelude::read_journal;
     let _ = prelude::regularized_evolution;
@@ -150,7 +147,6 @@ fn type_snapshot_is_sorted_and_duplicate_free() {
         "LatencyPrediction",
         "LayerCost",
         "LayerProfile",
-        "LrSchedule",
         "MetricsError",
         "MetricsSnapshot",
         "ModelGraph",
@@ -200,7 +196,7 @@ fn type_snapshot_is_sorted_and_duplicate_free() {
     }
     // One aliased type per snapshot row (plus the two traits pinned in
     // `types::UsesTraits`).
-    assert_eq!(EXPECTED.len(), 67);
+    assert_eq!(EXPECTED.len(), 66);
 }
 
 /// The error taxonomy stays typed: the facade error wraps each

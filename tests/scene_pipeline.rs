@@ -57,7 +57,6 @@ fn cnn_learns_hydrologically_detected_crossings() {
         epochs: 15,
         batch_size: 8,
         learning_rate: 0.03,
-        augment: true,
         ..Default::default()
     };
     let (mean_acc, folds) = kfold_cross_validate(&arch, &data, 2, &config, &CancelToken::new());
