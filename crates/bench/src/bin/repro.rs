@@ -114,6 +114,7 @@ fn parse_args() -> Args {
                 args.table = Some(
                     it.next()
                         .and_then(|v| v.parse().ok())
+                        .filter(|n| (1..=5).contains(n))
                         .unwrap_or_else(|| usage_exit("--table needs a number 1-5")),
                 )
             }
@@ -121,6 +122,7 @@ fn parse_args() -> Args {
                 args.figure = Some(
                     it.next()
                         .and_then(|v| v.parse().ok())
+                        .filter(|n| (1..=4).contains(n))
                         .unwrap_or_else(|| usage_exit("--figure needs a number 1-4")),
                 )
             }
@@ -273,7 +275,7 @@ fn main() {
                 );
             }
             5 => print!("{}", artifacts.table5),
-            _ => log_error!("tables are numbered 1-5"),
+            _ => unreachable!("parse_args admits tables 1-5"),
         }
     }
     if let Some(n) = args.figure {
@@ -282,7 +284,7 @@ fn main() {
             2 => print!("{}", artifacts.figure2),
             3 => print!("{}", artifacts.figure3_csv),
             4 => print!("{}", artifacts.figure4_csv),
-            _ => log_error!("figures are numbered 1-4"),
+            _ => unreachable!("parse_args admits figures 1-4"),
         }
     }
     if args.discussion {

@@ -45,11 +45,14 @@
 //!
 //! ## Running a sweep
 //!
-//! The sweep engine is driven through [`Sweep::builder`](hydronas_nas::Sweep::builder):
-//! trials, evaluator, retry policy, journaling, cancellation, deadlines
-//! and chaos injection are all `with_*` options, and the report carries
-//! a structured [`DegradationReport`](hydronas_nas::DegradationReport)
-//! when the run was cut short.
+//! The sweep engine is one type, [`Sweep`](hydronas_nas::Sweep):
+//! [`Sweep::builder`](hydronas_nas::Sweep::builder) holds the paper's
+//! defaults; trials, evaluator, journaling, cancellation, deadlines and
+//! chaos injection are all `with_*` options; and the report carries a
+//! structured [`DegradationReport`](hydronas_nas::DegradationReport)
+//! when the run was cut short. Every trial gets at most three attempts,
+//! and [`ChaosConfig`](hydronas_nas::ChaosConfig) is the one way to
+//! inject recoverable faults.
 //!
 //! ```no_run
 //! use hydronas::prelude::*;
@@ -68,7 +71,7 @@
 //! }
 //! ```
 //!
-//! To reproduce the paper, hand a builder to [`reproduce`]: it sets the
+//! To reproduce the paper, hand a `Sweep` to [`reproduce`]: it sets the
 //! paper's 1,728-trial grid as the trial list, runs the sweep, and
 //! renders every table and figure (see the [`prelude`] example).
 
@@ -120,9 +123,8 @@ pub mod prelude {
         makespan_lpt, nsga2, random_search, read_journal, regularized_evolution, CancelToken,
         ChaosConfig, ChaosFault, CollectingSink, DegradationReport, Evaluator, EvolutionConfig,
         ExperimentDb, FailureCause, InputCombo, MetricsError, Nsga2Config, ProgressSink,
-        RealTrainer, RetryPolicy, SchedulerConfig, SearchSpace, StderrTicker, SurrogateEvaluator,
-        Sweep, SweepBuilder, SweepError, SweepEvent, SweepReport, SweepStats, TrialFailure,
-        TrialOutcome, TrialSpec,
+        RealTrainer, SchedulerConfig, SearchSpace, StderrTicker, SurrogateEvaluator, Sweep,
+        SweepError, SweepEvent, SweepReport, SweepStats, TrialFailure, TrialOutcome, TrialSpec,
     };
     pub use hydronas_nn::{
         kfold_cross_validate, train, Dataset, ModelImportError, ResNet, TrainConfig,

@@ -6,8 +6,8 @@ use crate::{figures, tables};
 use hydronas_graph::{ArchConfig, PoolConfig};
 use hydronas_nas::space::{full_grid, SearchSpace};
 use hydronas_nas::{
-    DegradationReport, Evaluator, ExperimentDb, InputCombo, ProgressSink, RealTrainer,
-    SweepBuilder, SweepStats, TrialSpec,
+    DegradationReport, Evaluator, ExperimentDb, InputCombo, ProgressSink, RealTrainer, Sweep,
+    SweepStats, TrialSpec,
 };
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -55,10 +55,10 @@ pub struct ReproArtifacts {
 /// journal problems — an unreadable or corrupt journal file, or one
 /// recorded against a different trial set.
 pub fn reproduce(
-    sweep: SweepBuilder,
+    sweep: Sweep,
     sink: Option<&mut dyn ProgressSink>,
 ) -> Result<ReproArtifacts, HydroNasError> {
-    let sweep = sweep.with_trials(full_grid(&SearchSpace::paper())).build();
+    let sweep = sweep.with_trials(full_grid(&SearchSpace::paper()));
     let report = {
         let mut span = hydronas_telemetry::span("repro.stage", "sweep");
         span.attr("trials", sweep.trials().len());
@@ -255,7 +255,7 @@ impl ReproArtifacts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydronas_nas::{run_experiment, CancelToken, SchedulerConfig, SurrogateEvaluator, Sweep};
+    use hydronas_nas::{run_experiment, CancelToken, SchedulerConfig, SurrogateEvaluator};
 
     /// A reduced pipeline over one input combination, for test speed.
     fn reduced_artifacts() -> ReproArtifacts {

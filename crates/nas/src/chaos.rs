@@ -1,16 +1,17 @@
 //! Deterministic chaos harness for the sweep engine.
 //!
-//! [`ChaosConfig`] injects the three fault classes the robustness
-//! subsystem must survive — per-trial timeouts, evaluator panics, and
-//! transient environment failures — as a pure function of
+//! [`ChaosConfig`] is the one source of recoverable faults in a sweep.
+//! It injects the three fault classes the robustness subsystem must
+//! survive — per-trial timeouts, evaluator panics, and transient
+//! environment failures — as a pure function of
 //! `(chaos seed, trial id, attempt)`. Determinism is the point: a test
 //! that fails under a particular fault mix replays the identical mix
 //! from the same seed, and two sweeps with the same chaos config observe
 //! the same faults regardless of thread count or scheduling order.
 //!
 //! Faults are rolled *per attempt*, so a panic on attempt 1 usually
-//! clears on attempt 2 — which is exactly the shape of failure the
-//! retry policy exists to absorb.
+//! clears on attempt 2 — which is exactly the shape of failure a
+//! trial's three attempts exist to absorb.
 //!
 //! ```
 //! use hydronas_nas::chaos::{ChaosConfig, ChaosFault};
@@ -20,6 +21,8 @@
 //! assert_eq!(first, chaos.fault_for(3, 1), "same roll, same fault");
 //! assert!(matches!(first, None | Some(ChaosFault::Panic)));
 //! ```
+
+use crate::scheduler::mix64;
 
 /// A fault the harness injects into one trial attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,17 +50,8 @@ pub struct ChaosConfig {
     transient_per_mille: u16,
 }
 
-/// splitmix64 finalizer (same mixer the scheduler uses for failure
-/// injection) — decorrelates the roll from raw id/attempt arithmetic.
-fn mix64(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Domain-separation salt so chaos rolls never correlate with the
-/// scheduler's own injected-failure streams.
+/// scheduler's own injected-failure stream.
 const CHAOS_SALT: u64 = 0xC4A0_5BAD_FA17_5EED;
 
 impl ChaosConfig {
@@ -88,15 +82,10 @@ impl ChaosConfig {
         self
     }
 
-    /// Sum of all configured rates (a roll lands in at most one band,
-    /// so the total is clamped to 1000 when bands would overlap).
-    pub fn total_per_mille(&self) -> u16 {
-        (self.timeout_per_mille + self.panic_per_mille + self.transient_per_mille).min(1000)
-    }
-
     /// The fault injected into `(trial_id, attempt)`, if any — a pure
     /// function of the config, so every worker (and every rerun)
-    /// observes the same fault schedule.
+    /// observes the same fault schedule. The scheduler's splitmix64
+    /// mixer decorrelates the roll from raw id/attempt arithmetic.
     pub fn fault_for(&self, trial_id: usize, attempt: usize) -> Option<ChaosFault> {
         let h = mix64(
             mix64(self.seed ^ CHAOS_SALT) ^ mix64(trial_id as u64) ^ ((attempt as u64) << 32),
@@ -185,7 +174,7 @@ mod tests {
     #[test]
     fn rates_are_capped_at_1000() {
         let chaos = ChaosConfig::new(7).with_timeouts(5000);
-        assert_eq!(chaos.total_per_mille(), 1000);
+        assert_eq!(chaos, ChaosConfig::new(7).with_timeouts(1000));
         assert_eq!(chaos.fault_for(0, 1), Some(ChaosFault::Timeout));
     }
 }

@@ -62,12 +62,6 @@ impl TrialFailure {
             TrialFailure::Cancelled => FailureCause::Cancelled,
         }
     }
-
-    /// True when retrying with a fresh attempt seed could plausibly
-    /// succeed (environment failures and caught panics).
-    pub fn is_transient(&self) -> bool {
-        self.cause() == FailureCause::Transient
-    }
 }
 
 /// The coarse failure taxonomy used for retry decisions and degradation
@@ -409,11 +403,12 @@ mod tests {
 
     #[test]
     fn only_environment_and_panic_failures_are_transient() {
-        assert!(TrialFailure::EnvironmentFailure.is_transient());
-        assert!(TrialFailure::Panicked("p".into()).is_transient());
-        assert!(!TrialFailure::Diverged.is_transient());
-        assert!(!TrialFailure::Cancelled.is_transient());
-        assert!(!TrialFailure::Timeout { limit_s: 1.0 }.is_transient());
+        let transient = |f: TrialFailure| f.cause() == FailureCause::Transient;
+        assert!(transient(TrialFailure::EnvironmentFailure));
+        assert!(transient(TrialFailure::Panicked("p".into())));
+        assert!(!transient(TrialFailure::Diverged));
+        assert!(!transient(TrialFailure::Cancelled));
+        assert!(!transient(TrialFailure::Timeout { limit_s: 1.0 }));
     }
 
     #[test]

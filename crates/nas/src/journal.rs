@@ -9,10 +9,12 @@
 //! uninterrupted run.
 //!
 //! Crash consistency: a process killed mid-write leaves a torn final
-//! line. [`Journal::resume`] detects it, truncates the file back to the
-//! last complete record, and appends from there; a torn or corrupt line
-//! *before* the final one means real corruption and is reported as an
-//! error instead of silently dropped.
+//! line. Only a line ended by its `\n` counts, so [`Journal::resume`]
+//! truncates the file back to the last newline and appends from there;
+//! a final line without one is torn even when it parses, and its trial
+//! re-runs to the same bytes. A corrupt line *before* the last newline
+//! means real corruption and is reported as an error instead of
+//! silently dropped.
 
 use crate::experiment::TrialOutcome;
 use serde::{Deserialize, Serialize};
@@ -85,45 +87,27 @@ pub fn read_journal(path: &Path) -> io::Result<Vec<TrialRecord>> {
 }
 
 /// Parses JSONL text into records plus the byte length of the valid
-/// prefix (everything up to and including the last complete record).
+/// prefix (everything up to and including the last `\n`). Whatever
+/// follows the last newline is a torn tail from a crash mid-append and
+/// is dropped, even when it parses: appending after it would glue the
+/// next record onto the same line.
 fn parse_journal(text: &str) -> io::Result<(Vec<TrialRecord>, usize)> {
     let mut records = Vec::new();
-    let mut valid_bytes = 0usize;
     let mut offset = 0usize;
-    while offset < text.len() {
-        let rest = &text[offset..];
-        let (line, line_end, terminated) = match rest.find('\n') {
-            Some(nl) => (&rest[..nl], offset + nl + 1, true),
-            None => (rest, text.len(), false),
-        };
-        if line.trim().is_empty() {
-            offset = line_end;
-            if terminated {
-                valid_bytes = line_end;
-            }
-            continue;
-        }
-        match serde_json::from_str::<TrialRecord>(line) {
-            Ok(record) => {
-                records.push(record);
-                valid_bytes = line_end;
-            }
-            Err(e) if !terminated => {
-                // Torn tail from a crash mid-append: drop it, resume
-                // after the last complete record.
-                let _ = e;
-                break;
-            }
-            Err(e) => {
-                return Err(io::Error::new(
+    while let Some(nl) = text[offset..].find('\n') {
+        let line = &text[offset..offset + nl];
+        if !line.trim().is_empty() {
+            let record = serde_json::from_str::<TrialRecord>(line).map_err(|e| {
+                io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("corrupt journal line at byte {offset}: {e}"),
-                ));
-            }
+                )
+            })?;
+            records.push(record);
         }
-        offset = line_end;
+        offset += nl + 1;
     }
-    Ok((records, valid_bytes))
+    Ok((records, offset))
 }
 
 #[cfg(test)]
@@ -197,6 +181,31 @@ mod tests {
         let records = read_journal(&path).unwrap();
         assert_eq!(records.len(), 3);
         assert_eq!(records[1].attempts, 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resume_drops_a_final_record_without_its_newline() {
+        let path = temp_path("unterminated");
+        let mut journal = Journal::create(&path).unwrap();
+        journal.append(&record(0, 1)).unwrap();
+        journal.append(&record(1, 2)).unwrap();
+        drop(journal);
+        // A crash after the second record's bytes, before its newline.
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.strip_suffix('\n').unwrap()).unwrap();
+
+        let (mut journal, replayed) = Journal::resume(&path).unwrap();
+        assert_eq!(replayed, vec![record(0, 1)]);
+        journal.append(&record(1, 2)).unwrap();
+        drop(journal);
+        // The re-run record starts its own line, so every line parses.
+        assert_eq!(
+            read_journal(&path).unwrap(),
+            vec![record(0, 1), record(1, 2)]
+        );
+        let (_, replayed) = Journal::resume(&path).unwrap();
+        assert_eq!(replayed.len(), 2);
         std::fs::remove_file(&path).ok();
     }
 

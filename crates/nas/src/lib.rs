@@ -11,17 +11,19 @@
 //!   training-dynamics surrogate calibrated against the paper's Table 5
 //!   anchors (used for full-scale sweeps where A100-weeks are not
 //!   available).
-//! * [`sweep`] — the typed, builder-style public API: [`Sweep::builder`]
-//!   configures trials, evaluator, retry/backoff policy, journaling,
-//!   cancellation, deadlines, and chaos injection, and returns a
-//!   [`SweepReport`] carrying a structured [`DegradationReport`].
+//! * [`sweep`] — the public API, one [`Sweep`] type:
+//!   [`Sweep::builder`] holds the paper's defaults, `with_*` methods set
+//!   trials, evaluator, journaling, cancellation, deadlines, and chaos
+//!   injection, and [`Sweep::run`] returns a [`SweepReport`] carrying a
+//!   structured [`DegradationReport`].
 //! * [`scheduler`] — trial execution as one compute-pool grid, with
 //!   deterministic failure injection (the paper's 1,728 - 11 = 1,717 valid outcomes),
-//!   bounded retries of transient environment failures, cooperative
-//!   cancellation, simulated-clock deadlines, and journaled
+//!   at most three attempts per trial (transient failures are retried),
+//!   cooperative cancellation, simulated-clock deadlines, and journaled
 //!   crash/resume.
 //! * [`chaos`] — deterministic fault injection (timeouts, panics,
-//!   transient failures) for robustness tests.
+//!   transient failures) for robustness tests, the one source of
+//!   recoverable faults.
 //! * [`error`] — the typed [`SweepError`] surface.
 //! * [`metrics_cache`] — memoized per-architecture latency/memory
 //!   metrics: the 1,728-trial grid holds only 360 distinct graphs
@@ -72,9 +74,8 @@ pub use metrics_cache::{ArchMetrics, GraphMetricsCache, MetricsError};
 pub use nsga2::{nsga2, Individual, Nsga2Config, Nsga2Result};
 pub use progress::{CollectingSink, ProgressSink, StderrTicker, SweepEvent, SweepStats};
 pub use scheduler::{
-    attempt_seed, injected_failure_ids, run_experiment, transient_failure_ids, SchedulerConfig,
-    SweepReport,
+    attempt_seed, injected_failure_ids, run_experiment, SchedulerConfig, SweepReport,
 };
 pub use space::{InputCombo, SearchSpace, TrialSpec};
 pub use strategies::{random_search, regularized_evolution, EvolutionConfig, SearchResult};
-pub use sweep::{DegradationReport, RetryPolicy, Sweep, SweepBuilder};
+pub use sweep::{DegradationReport, Sweep};

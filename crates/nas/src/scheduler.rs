@@ -13,7 +13,7 @@
 //!
 //! Determinism contract: every trial's outcome is a pure function of
 //! `(spec, config)` — attempt `k` evaluates with [`attempt_seed`]`(seed,
-//! k)` and the injected failure sets are seed-derived — so a sweep
+//! k)` and the injected failure set is seed-derived — so a sweep
 //! resumed from a journal is byte-identical to an uninterrupted one.
 
 use crate::chaos::{ChaosConfig, ChaosFault};
@@ -25,7 +25,7 @@ use crate::journal::{Journal, TrialRecord};
 use crate::metrics_cache::GraphMetricsCache;
 use crate::progress::{ProgressSink, SweepEvent, SweepStats};
 use crate::space::TrialSpec;
-use crate::sweep::{DegradationReport, RetryPolicy};
+use crate::sweep::DegradationReport;
 use hydronas_nn::CancelToken;
 use hydronas_tensor::parallel;
 use std::collections::{HashMap, HashSet};
@@ -46,15 +46,6 @@ pub struct SchedulerConfig {
     /// default is 11. These failures are *permanent*: they exhaust every
     /// retry attempt (the paper's lost trials stayed lost).
     pub injected_failures: usize,
-    /// Retry budget per trial for environment failures (total attempts,
-    /// so `1` disables retries). Attempt `k` evaluates with
-    /// [`attempt_seed`]`(seed, k)`, keeping retried runs deterministic.
-    pub max_attempts: usize,
-    /// How many trials fail their *first* attempt with a transient
-    /// environment error but succeed when retried — the recoverable
-    /// counterpart of `injected_failures`, for exercising the retry
-    /// path. Chosen deterministically, disjoint from the permanent set.
-    pub transient_failures: usize,
 }
 
 impl Default for SchedulerConfig {
@@ -70,15 +61,17 @@ impl Default for SchedulerConfig {
             seed: 3,
             input_hw: 32,
             injected_failures: 11,
-            max_attempts: 3,
-            transient_failures: 0,
         }
     }
 }
 
+/// Attempts per trial: the first plus up to two retries of a transient
+/// failure.
+const MAX_ATTEMPTS: usize = 3;
+
 /// splitmix64-style finalizer so a seed genuinely reshuffles hash-derived
 /// selections (a plain XOR salt would preserve hash ordering).
-fn mix64(v: u64) -> u64 {
+pub(crate) fn mix64(v: u64) -> u64 {
     let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -97,24 +90,8 @@ pub fn injected_failure_ids(trials: &[TrialSpec], seed: u64, n: usize) -> Vec<us
     hashed.into_iter().take(n).map(|(_, id)| id).collect()
 }
 
-/// Salt separating the transient-failure stream from the permanent one.
-const TRANSIENT_SALT: u64 = 0xA076_1D64_78BD_642F;
-
-/// Deterministically selects which trials fail their first attempt with
-/// a *recoverable* environment error. Disjoint from `permanent` so the
-/// two failure populations never overlap.
-pub fn transient_failure_ids(
-    trials: &[TrialSpec],
-    seed: u64,
-    n: usize,
-    permanent: &HashSet<usize>,
-) -> Vec<usize> {
-    injected_failure_ids(trials, seed ^ TRANSIENT_SALT, trials.len())
-        .into_iter()
-        .filter(|id| !permanent.contains(id))
-        .take(n)
-        .collect()
-}
+/// Salt deriving the retry attempts' evaluation seeds.
+const ATTEMPT_SALT: u64 = 0xA076_1D64_78BD_642F;
 
 /// The evaluation seed for attempt `attempt` (1-based) of a trial. The
 /// first attempt uses the master seed unchanged — so runs that never
@@ -124,7 +101,7 @@ pub fn attempt_seed(seed: u64, attempt: usize) -> u64 {
     if attempt <= 1 {
         seed
     } else {
-        mix64(seed ^ (attempt as u64).wrapping_mul(TRANSIENT_SALT))
+        mix64(seed ^ (attempt as u64).wrapping_mul(ATTEMPT_SALT))
     }
 }
 
@@ -247,38 +224,30 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs a trial under the retry policy: transient failures (environment
-/// errors, caught panics) are re-attempted up to
-/// `params.retry.max_attempts` times, each attempt with its own
-/// deterministic seed. Panics — real or chaos-injected — are caught at
-/// the attempt boundary and converted to `TrialFailure::Panicked`, so a
-/// misbehaving evaluator degrades one trial instead of the whole sweep.
-/// Returns the terminal outcome, attempts spent, and simulated backoff
-/// seconds accrued.
+/// Runs a trial with retries: transient failures (environment errors,
+/// caught panics) are re-attempted, up to [`MAX_ATTEMPTS`] attempts in
+/// all, each with its own deterministic seed. Panics — real or
+/// chaos-injected — are caught at the attempt boundary and converted to
+/// `TrialFailure::Panicked`, so a misbehaving evaluator degrades one
+/// trial instead of the whole sweep. Returns the terminal outcome and
+/// the attempts spent.
 fn run_trial_with_retry(
     spec: &TrialSpec,
     evaluator: &dyn Evaluator,
     params: &SweepParams,
     metrics: &GraphMetricsCache,
     permanent_fail: bool,
-    transient_fail: bool,
-) -> (TrialOutcome, usize, f64) {
+) -> (TrialOutcome, usize) {
     // Per-trial deadline on the simulated clock: a pure function of the
     // spec, checked before any work happens. Terminal — the simulated
     // duration cannot shrink on retry.
     if let Some(limit_s) = params.trial_timeout_s {
         if trial_duration_s(spec) > limit_s {
             hydronas_telemetry::add("nas.trial.timeout", 1);
-            return (
-                failed_outcome(spec, TrialFailure::Timeout { limit_s }),
-                1,
-                0.0,
-            );
+            return (failed_outcome(spec, TrialFailure::Timeout { limit_s }), 1);
         }
     }
-    let max_attempts = params.retry.max_attempts.max(1);
     let mut attempt = 1;
-    let mut backoff_s = 0.0;
     loop {
         let fault = params
             .chaos
@@ -292,12 +261,9 @@ fn run_trial_with_retry(
             return (
                 failed_outcome(spec, TrialFailure::Timeout { limit_s }),
                 attempt,
-                backoff_s,
             );
         }
-        let inject = permanent_fail
-            || (transient_fail && attempt == 1)
-            || fault == Some(ChaosFault::Transient);
+        let inject = permanent_fail || fault == Some(ChaosFault::Transient);
         let caught = silenced_catch_unwind(AssertUnwindSafe(|| {
             if fault == Some(ChaosFault::Panic) {
                 panic!(
@@ -320,11 +286,10 @@ fn run_trial_with_retry(
                 failed_outcome(spec, TrialFailure::Panicked(panic_message(payload)))
             }
         };
-        if !is_retryable(&outcome.status) || attempt >= max_attempts {
-            return (outcome, attempt, backoff_s);
+        if !is_retryable(&outcome.status) || attempt >= MAX_ATTEMPTS {
+            return (outcome, attempt);
         }
         attempt += 1;
-        backoff_s += params.retry.backoff_s(attempt);
     }
 }
 
@@ -339,15 +304,12 @@ pub struct SweepReport {
     pub degradation: DegradationReport,
 }
 
-/// The resolved configuration `run_sweep_inner` executes — everything
-/// the builder collects, in one place. Internal: the public surface is
-/// [`crate::sweep::SweepBuilder`].
+/// The resolved configuration `run_sweep_inner` executes — every
+/// setting of a [`crate::sweep::Sweep`] but its trials and evaluator.
 pub(crate) struct SweepParams {
     pub seed: u64,
     pub input_hw: usize,
     pub injected_failures: usize,
-    pub transient_failures: usize,
-    pub retry: RetryPolicy,
     pub journal: Option<PathBuf>,
     pub cancel: CancelToken,
     pub trial_timeout_s: Option<f64>,
@@ -356,15 +318,13 @@ pub(crate) struct SweepParams {
 }
 
 impl SweepParams {
-    /// Lifts a legacy [`SchedulerConfig`] (whose `max_attempts` the
-    /// retry policy subsumes) into the full parameter set.
+    /// Lifts a [`SchedulerConfig`] into the full parameter set, with
+    /// every other setting off.
     pub(crate) fn from_config(config: &SchedulerConfig) -> SweepParams {
         SweepParams {
             seed: config.seed,
             input_hw: config.input_hw,
             injected_failures: config.injected_failures,
-            transient_failures: config.transient_failures,
-            retry: RetryPolicy::new(config.max_attempts),
             journal: None,
             cancel: CancelToken::new(),
             trial_timeout_s: None,
@@ -410,7 +370,7 @@ pub(crate) fn run_sweep_inner(
     if let Some(dup) = trials.iter().find(|t| !ids.insert(t.id)) {
         return Err(SweepError::DuplicateTrialId { trial_id: dup.id });
     }
-    // Build both failure sets once, up front — membership tests sit on
+    // Build the failure set once, up front — membership tests sit on
     // the per-trial hot path.
     let permanent: HashSet<usize> =
         injected_failure_ids(trials, params.seed, params.injected_failures)
@@ -420,10 +380,6 @@ pub(crate) fn run_sweep_inner(
     // read-only by every trial (4.8x fewer graph builds than
     // trials on the paper grid: 1,728 trials, 360 distinct graphs).
     let metrics = GraphMetricsCache::for_trials(trials.iter(), params.input_hw);
-    let transient: HashSet<usize> =
-        transient_failure_ids(trials, params.seed, params.transient_failures, &permanent)
-            .into_iter()
-            .collect();
 
     let mut journal = None;
     let mut replayed: HashMap<usize, TrialRecord> = HashMap::new();
@@ -507,12 +463,12 @@ pub(crate) fn run_sweep_inner(
         sink.on_event(&SweepEvent::Started { stats: &stats });
     }
 
-    let (tx, rx) = mpsc::channel::<(TrialOutcome, usize, f64, f64)>();
+    let (tx, rx) = mpsc::channel::<(TrialOutcome, usize, f64)>();
     let mut live: Vec<TrialRecord> = Vec::with_capacity(pending.len());
     // Ids with a terminal outcome in the database (used to compute the
     // skipped set after a cancellation).
     let mut landed: HashSet<usize> = HashSet::new();
-    let (pending, permanent, transient, metrics) = (&pending, &permanent, &transient, &metrics);
+    let (pending, permanent, metrics) = (&pending, &permanent, &metrics);
     let collected: Result<(), SweepError> = std::thread::scope(|s| {
         // A helper thread submits the grid and takes part in it; this
         // thread keeps the collector (the sink is not `Send`).
@@ -536,13 +492,12 @@ pub(crate) fn run_sweep_inner(
                     sp
                 });
                 let t0 = Instant::now();
-                let (outcome, attempts, backoff_s) = run_trial_with_retry(
+                let (outcome, attempts) = run_trial_with_retry(
                     spec,
                     evaluator,
                     params,
                     metrics,
                     permanent.contains(&spec.id),
-                    transient.contains(&spec.id),
                 );
                 if let Some(sp) = trial_span.as_mut() {
                     sp.attr("attempts", attempts);
@@ -550,11 +505,10 @@ pub(crate) fn run_sweep_inner(
                 drop(trial_span);
                 // A send error means the collector bailed on a journal
                 // I/O failure; just drain the remaining work.
-                let _ = tx.send((outcome, attempts, t0.elapsed().as_secs_f64(), backoff_s));
+                let _ = tx.send((outcome, attempts, t0.elapsed().as_secs_f64()));
             });
         });
-        for (outcome, attempts, wall_s, backoff_s) in rx.iter() {
-            degradation.backoff_sim_s += backoff_s;
+        for (outcome, attempts, wall_s) in rx.iter() {
             // Cancelled outcomes never reach the journal or the
             // database: the trial's real result is unknowable (training
             // stopped mid-way), so a resumed sweep must re-run it.
@@ -700,6 +654,20 @@ mod tests {
         out
     }
 
+    /// The attempt on which trial `id` ends when `chaos` is its only
+    /// fault source: the first whose roll is not a retryable fault, or
+    /// the last one.
+    fn chaos_attempts(chaos: &ChaosConfig, id: usize) -> usize {
+        (1..=MAX_ATTEMPTS)
+            .find(|&attempt| {
+                !matches!(
+                    chaos.fault_for(id, attempt),
+                    Some(ChaosFault::Panic | ChaosFault::Transient)
+                )
+            })
+            .unwrap_or(MAX_ATTEMPTS)
+    }
+
     #[test]
     fn failure_injection_is_deterministic_and_exact() {
         let trials = full_grid(&SearchSpace::paper());
@@ -709,15 +677,6 @@ mod tests {
         assert_eq!(a.len(), 11);
         let c = injected_failure_ids(&trials, 2, 11);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn transient_set_is_disjoint_from_permanent() {
-        let trials = full_grid(&SearchSpace::paper());
-        let permanent: HashSet<usize> = injected_failure_ids(&trials, 3, 11).into_iter().collect();
-        let transient = transient_failure_ids(&trials, 3, 20, &permanent);
-        assert_eq!(transient.len(), 20);
-        assert!(transient.iter().all(|id| !permanent.contains(id)));
     }
 
     #[test]
@@ -787,45 +746,34 @@ mod tests {
             .into_iter()
             .take(24)
             .collect();
+        let chaos = ChaosConfig::new(3).with_transients(150);
         let mut sink = CollectingSink::default();
         let report = Sweep::builder()
-            .with_trials(trials)
+            .with_trials(trials.clone())
             .with_injected_failures(0)
-            .with_transient_failures(3)
-            .with_retry(RetryPolicy::new(3))
+            .with_chaos(chaos)
             .run_with(&mut sink)
             .unwrap();
-        // Every trial recovers; exactly the transient ones took 2 attempts.
+        // Each trial ends on its first attempt without a transient roll.
+        let expected: Vec<(usize, usize)> = trials
+            .iter()
+            .map(|t| (t.id, chaos_attempts(&chaos, t.id)))
+            .collect();
+        let mut seen: Vec<(usize, usize)> = sink
+            .trials
+            .iter()
+            .map(|&(id, attempts, _)| (id, attempts))
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, expected);
+        let retried: usize = expected.iter().map(|(_, attempts)| attempts - 1).sum();
+        assert!(retried > 0, "test premise: some trial needs a retry");
+        assert_eq!(report.stats.retried, retried);
+        // No trial rolls three transients in a row, so every one recovers.
         assert_eq!(report.db.valid().len(), 24);
         assert!(!report.degradation.is_degraded());
-        assert_eq!(report.stats.retried, 3);
-        assert_eq!(
-            sink.trials
-                .iter()
-                .filter(|(_, attempts, _)| *attempts == 2)
-                .count(),
-            3
-        );
         assert_eq!(sink.started, 1);
         assert_eq!(sink.finished, 1);
-    }
-
-    #[test]
-    fn max_attempts_one_disables_retry() {
-        let trials: Vec<_> = full_grid(&SearchSpace::paper())
-            .into_iter()
-            .take(12)
-            .collect();
-        let report = Sweep::builder()
-            .with_trials(trials)
-            .with_injected_failures(0)
-            .with_transient_failures(2)
-            .with_retry(RetryPolicy::new(1))
-            .run()
-            .unwrap();
-        assert_eq!(report.db.valid().len(), 10);
-        assert_eq!(report.stats.failed, 2);
-        assert_eq!(report.stats.retried, 0);
     }
 
     #[test]
@@ -838,7 +786,6 @@ mod tests {
         let report = Sweep::builder()
             .with_trials(trials)
             .with_injected_failures(2)
-            .with_retry(RetryPolicy::new(3))
             .run_with(&mut sink)
             .unwrap();
         assert_eq!(report.stats.failed, 2);
@@ -986,21 +933,29 @@ mod tests {
             .into_iter()
             .take(24)
             .collect();
+        let chaos = ChaosConfig::new(11).with_transients(200);
         let report = Sweep::builder()
-            .with_trials(trials)
+            .with_trials(trials.clone())
             .with_injected_failures(0)
-            .with_chaos(ChaosConfig::new(11).with_transients(200))
-            .with_retry(RetryPolicy::new(4).with_backoff(1.0, 2.0))
+            .with_chaos(chaos)
             .run()
             .unwrap();
-        // 20% per-attempt transient rate with 4 attempts: losing a trial
-        // needs 4 consecutive faults (p = 0.0016 per trial).
-        assert_eq!(report.db.valid().len(), 24);
-        assert!(report.stats.retried > 0, "chaos must have injected faults");
-        assert!(
-            report.degradation.backoff_sim_s > 0.0,
-            "retries must accrue simulated backoff"
-        );
+        // A 20% per-attempt transient rate loses a trial only when all
+        // three attempts roll one (p = 0.008 per trial).
+        let lost = trials
+            .iter()
+            .filter(|t| {
+                (1..=MAX_ATTEMPTS).all(|a| chaos.fault_for(t.id, a) == Some(ChaosFault::Transient))
+            })
+            .count();
+        let retried: usize = trials
+            .iter()
+            .map(|t| chaos_attempts(&chaos, t.id) - 1)
+            .sum();
+        assert!(retried > 0, "chaos must have injected faults");
+        assert_eq!(report.stats.retried, retried);
+        assert_eq!(report.db.valid().len(), 24 - lost);
+        assert_eq!(report.degradation.transient_trials, lost);
         assert!(!report.degradation.is_degraded());
     }
 
@@ -1016,7 +971,6 @@ mod tests {
             .with_trials(trials)
             .with_injected_failures(0)
             .with_chaos(ChaosConfig::new(5).with_panics(1000))
-            .with_retry(RetryPolicy::new(2))
             .run()
             .unwrap();
         assert_eq!(report.db.valid().len(), 0);

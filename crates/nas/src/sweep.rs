@@ -1,8 +1,9 @@
-//! The typed, builder-style sweep API.
+//! The sweep API: one [`Sweep`] type.
 //!
-//! Every knob of [`Sweep::builder`] is a named `with_*` method, the
-//! configuration structs are `#[non_exhaustive]` (new knobs never break
-//! callers), and [`Sweep::run`] returns a typed [`SweepError`].
+//! [`Sweep::builder`] returns a sweep that holds the paper's defaults
+//! (the surrogate evaluator, seed 3, 11 injected failures). Each
+//! `with_*` method changes one setting, and [`Sweep::run`] or
+//! [`Sweep::run_with`] runs it and returns a typed [`SweepError`].
 //!
 //! ```no_run
 //! use hydronas_nas::{space, SearchSpace, SurrogateEvaluator, Sweep};
@@ -18,11 +19,20 @@
 //! assert_eq!(report.db.valid().len(), 1717);
 //! ```
 //!
+//! ## Retries
+//!
+//! Every trial gets at most three attempts. A transient failure (an
+//! environment error or a caught panic) is retried, attempt `k` with
+//! [`crate::attempt_seed`]`(seed, k)`; any other outcome is final. The
+//! injected failures fail all three attempts, as the paper's lost trials
+//! stayed lost, so the paper run counts 22 retries. Tests that need
+//! recoverable faults inject them through [`Sweep::with_chaos`].
+//!
 //! ## Graceful degradation
 //!
-//! Cancellation ([`SweepBuilder::with_cancel`]), wall-clock budgets
-//! ([`SweepBuilder::with_max_wall_s`]), and per-trial deadlines
-//! ([`SweepBuilder::with_trial_timeout_s`]) never surface as errors: the
+//! Cancellation ([`Sweep::with_cancel`]), wall-clock budgets
+//! ([`Sweep::with_max_wall_s`]), and per-trial deadlines
+//! ([`Sweep::with_trial_timeout_s`]) never surface as errors: the
 //! sweep drains in-flight trials, flushes its journal, and returns a
 //! *partial* report whose [`DegradationReport`] says exactly what was
 //! lost. Resuming the same configuration from the journal completes the
@@ -37,59 +47,6 @@ use crate::scheduler::{run_sweep_inner, SchedulerConfig, SweepParams, SweepRepor
 use crate::space::TrialSpec;
 use hydronas_nn::CancelToken;
 use std::path::PathBuf;
-
-/// Bounded-retry policy with optional exponential backoff on the
-/// simulated clock. Subsumes the old `SchedulerConfig::max_attempts`
-/// knob: `RetryPolicy::new(n)` is exactly `max_attempts: n`.
-#[derive(Clone, Debug, PartialEq)]
-#[non_exhaustive]
-pub struct RetryPolicy {
-    /// Total attempts per trial (so `1` disables retries). Attempt `k`
-    /// evaluates with [`crate::scheduler::attempt_seed`]`(seed, k)`.
-    pub max_attempts: usize,
-    /// Simulated seconds slept before the first retry; `0.0` (the
-    /// default) retries immediately, preserving pre-redesign behavior.
-    pub backoff_base_s: f64,
-    /// Multiplier applied to the backoff for each further retry.
-    pub backoff_mult: f64,
-}
-
-impl RetryPolicy {
-    /// A policy with `max_attempts` total attempts and no backoff.
-    pub fn new(max_attempts: usize) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            backoff_base_s: 0.0,
-            backoff_mult: 2.0,
-        }
-    }
-
-    /// Adds exponential backoff: retry `r` (1-based) waits
-    /// `base_s * mult^(r-1)` simulated seconds. Backoff is accounted in
-    /// [`DegradationReport::backoff_sim_s`] only — it never perturbs
-    /// trial outcomes, so enabling it keeps the database byte-identical.
-    pub fn with_backoff(mut self, base_s: f64, mult: f64) -> RetryPolicy {
-        self.backoff_base_s = base_s.max(0.0);
-        self.backoff_mult = mult.max(1.0);
-        self
-    }
-
-    /// Simulated seconds of backoff before attempt `attempt` (2-based;
-    /// attempt 1 never waits).
-    pub fn backoff_s(&self, attempt: usize) -> f64 {
-        if attempt <= 1 || self.backoff_base_s <= 0.0 {
-            return 0.0;
-        }
-        self.backoff_base_s * self.backoff_mult.powi(attempt as i32 - 2)
-    }
-}
-
-impl Default for RetryPolicy {
-    /// Three attempts, no backoff — the historical scheduler default.
-    fn default() -> RetryPolicy {
-        RetryPolicy::new(3)
-    }
-}
 
 /// What a degraded sweep lost, by cause.
 ///
@@ -121,8 +78,6 @@ pub struct DegradationReport {
     /// database (deadline-excluded or unreached after cancellation),
     /// sorted ascending.
     pub skipped: Vec<usize>,
-    /// Simulated seconds spent in retry backoff across all trials.
-    pub backoff_sim_s: f64,
 }
 
 impl DegradationReport {
@@ -171,67 +126,64 @@ impl DegradationReport {
     }
 }
 
-/// Builder for a [`Sweep`]. Obtain via [`Sweep::builder`]; every method
-/// is optional — the zero-configuration default runs the surrogate
-/// evaluator over an empty trial list with the paper's scheduler seed.
-pub struct SweepBuilder {
+/// A configured sweep. [`Sweep::run`] borrows it, so the same sweep can
+/// run again (results are deterministic, and a journaled rerun replays).
+pub struct Sweep {
     trials: Vec<TrialSpec>,
-    evaluator: Option<Box<dyn Evaluator>>,
+    evaluator: Box<dyn Evaluator>,
     params: SweepParams,
 }
 
-impl SweepBuilder {
+impl Sweep {
+    /// A sweep with the paper's defaults: no trials yet, the surrogate
+    /// evaluator, seed 3 and 11 injected failures.
+    pub fn builder() -> Sweep {
+        Sweep {
+            trials: Vec::new(),
+            evaluator: Box::new(SurrogateEvaluator::default()),
+            params: SweepParams::from_config(&SchedulerConfig::default()),
+        }
+    }
+
     /// The trials to schedule (ids must be unique — a repeated id fails
     /// the run with [`SweepError::DuplicateTrialId`]; order is irrelevant,
     /// the database is always sorted by id).
-    pub fn with_trials(mut self, trials: Vec<TrialSpec>) -> SweepBuilder {
+    pub fn with_trials(mut self, trials: Vec<TrialSpec>) -> Sweep {
         self.trials = trials;
         self
     }
 
     /// The evaluator producing each trial's accuracy objective. Defaults
     /// to [`SurrogateEvaluator::default`].
-    pub fn with_evaluator(mut self, evaluator: impl Evaluator + 'static) -> SweepBuilder {
-        self.evaluator = Some(Box::new(evaluator));
+    pub fn with_evaluator(mut self, evaluator: impl Evaluator + 'static) -> Sweep {
+        self.evaluator = Box::new(evaluator);
         self
     }
 
     /// Master seed for evaluation and failure injection (default 3, the
     /// paper-reproducing seed).
-    pub fn with_seed(mut self, seed: u64) -> SweepBuilder {
+    pub fn with_seed(mut self, seed: u64) -> Sweep {
         self.params.seed = seed;
         self
     }
 
     /// Tile edge for latency prediction / memory measurement
     /// (default 32).
-    pub fn with_input_hw(mut self, input_hw: usize) -> SweepBuilder {
+    pub fn with_input_hw(mut self, input_hw: usize) -> Sweep {
         self.params.input_hw = input_hw;
         self
     }
 
     /// How many trials fail permanently with simulated environment
     /// errors (default 11, the paper's lost-trial count).
-    pub fn with_injected_failures(mut self, n: usize) -> SweepBuilder {
+    pub fn with_injected_failures(mut self, n: usize) -> Sweep {
         self.params.injected_failures = n;
-        self
-    }
-
-    /// How many trials fail their first attempt recoverably (default 0).
-    pub fn with_transient_failures(mut self, n: usize) -> SweepBuilder {
-        self.params.transient_failures = n;
-        self
-    }
-
-    /// Retry/backoff policy (default: 3 attempts, no backoff).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> SweepBuilder {
-        self.params.retry = retry;
         self
     }
 
     /// Write-ahead journal path: replayed if the file already has
     /// records, appended to as live trials finish.
-    pub fn with_journal(mut self, path: impl Into<PathBuf>) -> SweepBuilder {
+    pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Sweep {
         self.params.journal = Some(path.into());
         self
     }
@@ -241,7 +193,7 @@ impl SweepBuilder {
     /// in-flight trials drain, and the report comes back partial (see
     /// [`DegradationReport`]). Share a clone of the same token with a
     /// [`crate::RealTrainer`] to also stop training at epoch boundaries.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> SweepBuilder {
+    pub fn with_cancel(mut self, cancel: CancelToken) -> Sweep {
         self.params.cancel = cancel;
         self
     }
@@ -251,7 +203,7 @@ impl SweepBuilder {
     /// `TrialFailure::Timeout` instead of running. Deterministic (the
     /// simulated duration is a pure function of the spec), journaled,
     /// never retried.
-    pub fn with_trial_timeout_s(mut self, limit_s: f64) -> SweepBuilder {
+    pub fn with_trial_timeout_s(mut self, limit_s: f64) -> Sweep {
         self.params.trial_timeout_s = Some(limit_s);
         self
     }
@@ -262,58 +214,16 @@ impl SweepBuilder {
     /// pure function of `(trials, budget_s)` — independent of thread
     /// count and scheduling order — so deadline-limited sweeps stay
     /// deterministic and resumable.
-    pub fn with_max_wall_s(mut self, budget_s: f64) -> SweepBuilder {
+    pub fn with_max_wall_s(mut self, budget_s: f64) -> Sweep {
         self.params.max_wall_s = Some(budget_s);
         self
     }
 
     /// Deterministic fault injection for robustness tests (see
     /// [`crate::chaos`]).
-    pub fn with_chaos(mut self, chaos: ChaosConfig) -> SweepBuilder {
+    pub fn with_chaos(mut self, chaos: ChaosConfig) -> Sweep {
         self.params.chaos = Some(chaos);
         self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> Sweep {
-        Sweep {
-            trials: self.trials,
-            evaluator: self
-                .evaluator
-                .unwrap_or_else(|| Box::new(SurrogateEvaluator::default())),
-            params: self.params,
-        }
-    }
-
-    /// Convenience: build and run without a progress sink.
-    pub fn run(self) -> Result<SweepReport, SweepError> {
-        self.build().run()
-    }
-
-    /// Convenience: build and run with a progress sink.
-    pub fn run_with(self, sink: &mut dyn ProgressSink) -> Result<SweepReport, SweepError> {
-        self.build().run_with(sink)
-    }
-}
-
-/// A fully configured sweep. Reusable: [`Sweep::run`] borrows, so the
-/// same configuration can run repeatedly (results are deterministic).
-pub struct Sweep {
-    trials: Vec<TrialSpec>,
-    evaluator: Box<dyn Evaluator>,
-    params: SweepParams,
-}
-
-impl Sweep {
-    /// Starts a builder with the historical defaults (seed 3, 11
-    /// injected failures, 3 attempts, surrogate evaluator).
-    pub fn builder() -> SweepBuilder {
-        let defaults = SchedulerConfig::default();
-        SweepBuilder {
-            trials: Vec::new(),
-            evaluator: None,
-            params: SweepParams::from_config(&defaults),
-        }
     }
 
     /// The scheduled trial specs.
@@ -322,7 +232,7 @@ impl Sweep {
     }
 
     /// The tile edge latency and memory are measured at (see
-    /// [`SweepBuilder::with_input_hw`]).
+    /// [`Sweep::with_input_hw`]).
     pub fn input_hw(&self) -> usize {
         self.params.input_hw
     }
@@ -341,28 +251,6 @@ impl Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn retry_policy_backoff_grows_exponentially() {
-        let p = RetryPolicy::new(4).with_backoff(2.0, 3.0);
-        assert_eq!(p.backoff_s(1), 0.0);
-        assert_eq!(p.backoff_s(2), 2.0);
-        assert_eq!(p.backoff_s(3), 6.0);
-        assert_eq!(p.backoff_s(4), 18.0);
-    }
-
-    #[test]
-    fn retry_policy_without_backoff_never_waits() {
-        let p = RetryPolicy::new(3);
-        for attempt in 1..=5 {
-            assert_eq!(p.backoff_s(attempt), 0.0);
-        }
-    }
-
-    #[test]
-    fn zero_attempts_clamps_to_one() {
-        assert_eq!(RetryPolicy::new(0).max_attempts, 1);
-    }
 
     #[test]
     fn healthy_report_is_not_degraded() {

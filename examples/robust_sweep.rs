@@ -1,8 +1,8 @@
-//! The robustness subsystem in one tour: builder-style sweeps with
-//! retry/backoff policies, per-trial timeouts, simulated wall-clock
-//! deadlines, cooperative cancellation, and deterministic chaos
-//! injection — every run ending in a structured degradation report
-//! instead of an error.
+//! The robustness subsystem in one tour: one `Sweep` type whose `with_*`
+//! settings add per-trial timeouts, simulated wall-clock deadlines,
+//! cooperative cancellation, and deterministic chaos injection, with at
+//! most three attempts per trial — every run ending in a structured
+//! degradation report instead of an error.
 //!
 //! Run with: `cargo run --release --example robust_sweep`
 
@@ -15,7 +15,8 @@ fn main() {
         .take(96)
         .collect();
 
-    // 1. A healthy sweep: the builder replaces positional options.
+    // 1. A healthy sweep: `Sweep::builder()` starts from the paper's
+    //    defaults and each `with_*` call changes one setting.
     let report = Sweep::builder()
         .with_trials(trials.clone())
         .with_injected_failures(0)
@@ -81,8 +82,8 @@ fn main() {
     );
 
     // 5. Deterministic chaos: seeded fault injection (timeouts, panics,
-    //    transient failures) stress-tests the retry/backoff policy. The
-    //    same seed always produces the same faults.
+    //    transient failures) stress-tests the three attempts every trial
+    //    gets. The same seed always produces the same faults.
     let report = Sweep::builder()
         .with_trials(trials)
         .with_injected_failures(0)
@@ -92,7 +93,6 @@ fn main() {
                 .with_panics(30)
                 .with_timeouts(20),
         )
-        .with_retry(RetryPolicy::new(4).with_backoff(1.0, 2.0))
         .run()
         .unwrap();
     println!("chaos:\n{}", report.degradation.summary());

@@ -62,7 +62,6 @@ mod types {
     pub type A48 = prelude::RealTrainer;
     pub type A49 = prelude::ReproArtifacts;
     pub type A51 = prelude::ResNet;
-    pub type A53 = prelude::RetryPolicy;
     pub type A55 = prelude::SchedulerConfig;
     pub type A56 = prelude::SearchSpace;
     pub type A57 = prelude::Session;
@@ -70,7 +69,6 @@ mod types {
     pub type A59 = prelude::StderrTicker;
     pub type A60 = prelude::SurrogateEvaluator;
     pub type A61 = prelude::Sweep;
-    pub type A62 = prelude::SweepBuilder;
     pub type A63 = prelude::SweepError;
     pub type A64 = prelude::SweepEvent<'static>;
     pub type A65 = prelude::SweepReport;
@@ -165,7 +163,6 @@ fn type_snapshot_is_sorted_and_duplicate_free() {
         "RealTrainer",
         "ReproArtifacts",
         "ResNet",
-        "RetryPolicy",
         "SchedulerConfig",
         "SearchSpace",
         "Session",
@@ -173,7 +170,6 @@ fn type_snapshot_is_sorted_and_duplicate_free() {
         "StderrTicker",
         "SurrogateEvaluator",
         "Sweep",
-        "SweepBuilder",
         "SweepError",
         "SweepEvent",
         "SweepReport",
@@ -196,7 +192,7 @@ fn type_snapshot_is_sorted_and_duplicate_free() {
     }
     // One aliased type per snapshot row (plus the two traits pinned in
     // `types::UsesTraits`).
-    assert_eq!(EXPECTED.len(), 66);
+    assert_eq!(EXPECTED.len(), 64);
 }
 
 /// The error taxonomy stays typed: the facade error wraps each

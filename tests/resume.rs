@@ -1,7 +1,7 @@
 //! Crash/resume semantics of the journaled sweep: a sweep killed after N
 //! journal records and resumed must produce an `ExperimentDb` that is
 //! byte-identical to an uninterrupted run — including under injected
-//! failures and transient-failure retries.
+//! failures and retries of chaos-injected transient failures.
 
 use hydronas::prelude::*;
 use hydronas_nas::space::{full_grid, SearchSpace};
@@ -24,16 +24,14 @@ fn temp_journal(tag: &str) -> PathBuf {
 }
 
 fn builder(trials: Vec<TrialSpec>, config: &SchedulerConfig, journal: Option<&Path>) -> Sweep {
-    let mut b = Sweep::builder()
+    let sweep = Sweep::builder()
         .with_trials(trials)
         .with_seed(config.seed)
-        .with_injected_failures(config.injected_failures)
-        .with_transient_failures(config.transient_failures)
-        .with_retry(RetryPolicy::new(config.max_attempts));
-    if let Some(path) = journal {
-        b = b.with_journal(path);
+        .with_injected_failures(config.injected_failures);
+    match journal {
+        Some(path) => sweep.with_journal(path),
+        None => sweep,
     }
-    b.build()
 }
 
 fn sweep(config: &SchedulerConfig, journal: Option<&Path>) -> SweepReport {
@@ -82,30 +80,35 @@ fn resumed_sweep_is_byte_identical() {
 fn resume_is_byte_identical_under_failures_and_retries() {
     let config = SchedulerConfig {
         injected_failures: 4,
-        transient_failures: 5,
-        max_attempts: 3,
         ..Default::default()
     };
-    let uninterrupted = sweep(&config, None);
+    let chaos = ChaosConfig::new(5).with_transients(100);
+    let run = |journal: Option<&Path>| {
+        builder(trials(), &config, journal)
+            .with_chaos(chaos)
+            .run()
+            .expect("sweep I/O")
+    };
+    let uninterrupted = run(None);
     assert_eq!(
         uninterrupted.stats.failed, 4,
-        "permanent failures stay failed"
+        "permanent failures stay failed, chaos transients recover"
     );
-    // 5 transient recoveries (1 retry each) + 4 permanent (2 retries each).
-    assert_eq!(uninterrupted.stats.retried, 13);
+    // The 4 permanent failures retry twice each; chaos adds the rest.
+    assert!(uninterrupted.stats.retried > 8, "chaos must force retries");
     assert_eq!(uninterrupted.db.valid().len(), 56);
 
     let journal = temp_journal("retries");
-    let full = sweep(&config, Some(&journal));
+    let full = run(Some(&journal));
     assert_eq!(full.db.to_json(), uninterrupted.db.to_json());
 
     truncate_journal(&journal, 37);
-    let resumed = sweep(&config, Some(&journal));
+    let resumed = run(Some(&journal));
     assert_eq!(resumed.stats.replayed, 37);
     assert_eq!(resumed.db.to_json(), uninterrupted.db.to_json());
     // Replayed records keep their attempt counts, so the retry counter
     // survives the crash too.
-    assert_eq!(resumed.stats.retried, 13);
+    assert_eq!(resumed.stats.retried, uninterrupted.stats.retried);
     std::fs::remove_file(&journal).ok();
 }
 

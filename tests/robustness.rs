@@ -40,15 +40,32 @@ impl ProgressSink for CancelAfter {
     }
 }
 
+/// The sweep under test: three permanent failures, plus chaos-injected
+/// transients that the retries absorb.
 fn sweep_with_journal(trials: Vec<TrialSpec>, journal: Option<&Path>) -> Sweep {
-    let mut b = Sweep::builder()
+    let sweep = Sweep::builder()
         .with_trials(trials)
         .with_injected_failures(3)
-        .with_transient_failures(4);
-    if let Some(path) = journal {
-        b = b.with_journal(path);
+        .with_chaos(ChaosConfig::new(4).with_transients(20));
+    match journal {
+        Some(path) => sweep.with_journal(path),
+        None => sweep,
     }
-    b.build()
+}
+
+/// What `chaos` alone gives a trial at three attempts: the attempt it
+/// ends on and that attempt's roll. A trial ends on its first roll that
+/// is clean or a timeout; three panics or transients in a row exhaust
+/// it.
+fn chaos_end(chaos: &ChaosConfig, id: usize) -> (usize, Option<ChaosFault>) {
+    let mut end = (1, None);
+    for attempt in 1..=3 {
+        end = (attempt, chaos.fault_for(id, attempt));
+        if matches!(end.1, None | Some(ChaosFault::Timeout)) {
+            break;
+        }
+    }
+    end
 }
 
 #[test]
@@ -56,6 +73,7 @@ fn cancel_mid_sweep_then_resume_is_byte_identical() {
     let n = 288;
     let uninterrupted = sweep_with_journal(trials(n), None).run().unwrap();
     assert_eq!(uninterrupted.db.outcomes.len(), n);
+    assert!(uninterrupted.stats.retried > 0, "chaos must force retries");
 
     let journal = temp_journal("cancel");
     let token = CancelToken::new();
@@ -63,11 +81,7 @@ fn cancel_mid_sweep_then_resume_is_byte_identical() {
         remaining: 5,
         token: token.clone(),
     };
-    let partial = Sweep::builder()
-        .with_trials(trials(n))
-        .with_injected_failures(3)
-        .with_transient_failures(4)
-        .with_journal(&journal)
+    let partial = sweep_with_journal(trials(n), Some(&journal))
         .with_cancel(token)
         .run_with(&mut sink)
         .unwrap();
@@ -104,6 +118,7 @@ fn cancel_mid_sweep_then_resume_is_byte_identical() {
     let resumed = sweep_with_journal(trials(n), Some(&journal)).run().unwrap();
     assert_eq!(resumed.stats.replayed, partial.stats.finished());
     assert_eq!(resumed.db.to_json(), full_json);
+    assert_eq!(resumed.stats.retried, uninterrupted.stats.retried);
     assert!(!resumed.degradation.is_degraded());
     std::fs::remove_file(&journal).ok();
 }
@@ -188,20 +203,17 @@ proptest! {
         timeout_pm in 0u16..300,
         panic_pm in 0u16..300,
         transient_pm in 0u16..300,
-        max_attempts in 1usize..4,
     ) {
         let specs = trials(24);
+        let chaos = ChaosConfig::new(seed)
+            .with_timeouts(timeout_pm)
+            .with_panics(panic_pm)
+            .with_transients(transient_pm);
         let run = || {
             Sweep::builder()
                 .with_trials(specs.clone())
                 .with_injected_failures(0)
-                .with_retry(RetryPolicy::new(max_attempts).with_backoff(0.5, 2.0))
-                .with_chaos(
-                    ChaosConfig::new(seed)
-                        .with_timeouts(timeout_pm)
-                        .with_panics(panic_pm)
-                        .with_transients(transient_pm),
-                )
+                .with_chaos(chaos)
                 .run()
                 .expect("chaos must never surface as an engine error")
         };
@@ -220,7 +232,22 @@ proptest! {
             d.timeout_trials + d.transient_trials + d.invalid_trials,
             report.stats.failed
         );
-        prop_assert!(d.backoff_sim_s >= 0.0);
+        // The counts are the fault schedule's at three attempts.
+        let ends: Vec<_> = specs.iter().map(|t| chaos_end(&chaos, t.id)).collect();
+        prop_assert_eq!(
+            report.stats.retried,
+            ends.iter().map(|(attempt, _)| attempt - 1).sum::<usize>()
+        );
+        prop_assert_eq!(
+            d.timeout_trials,
+            ends.iter().filter(|(_, roll)| *roll == Some(ChaosFault::Timeout)).count()
+        );
+        prop_assert_eq!(
+            d.transient_trials,
+            ends.iter()
+                .filter(|(_, roll)| matches!(roll, Some(ChaosFault::Panic | ChaosFault::Transient)))
+                .count()
+        );
         // Degradation flags stay truthful.
         prop_assert_eq!(
             d.is_degraded(),

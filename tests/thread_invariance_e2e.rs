@@ -154,8 +154,7 @@ fn sweep_journal_is_thread_count_invariant() {
         let sweep = Sweep::builder()
             .with_trials(trials.clone())
             .with_evaluator(SurrogateEvaluator::default())
-            .with_journal(&path)
-            .build();
+            .with_journal(&path);
         let report = sweep.run().expect("sweep runs");
         assert_eq!(report.db.outcomes.len(), trials.len());
         // The journal is written in completion order, which varies with
